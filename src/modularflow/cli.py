@@ -23,13 +23,14 @@ import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cone_wedge import (
     FigureSpec,
     Region,
     SpacetimePoint,
+    _atomic_write,
+    _fmt,
     emit_flow_figure,
     gamma_flow_2d,
     modular_flow_2d,
@@ -38,22 +39,19 @@ from .errors import DomainViolation, QuadratureError, ResolutionError
 from .flow_maps import ThermalContext
 from .verify import report_json, run_suite
 from .weyl_field import (
+    FieldSpec,
     TestFunction,
     higher_transform,
+    modular_transform,
     two_point_momentum,
     two_point_position,
 )
-from .weyl_field import FieldSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_IO = 3
 EXIT_RESOLUTION = 4
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass
@@ -133,19 +131,6 @@ def _load_config(args) -> RunConfig:
     return cfg.validate()
 
 
-def _atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_flow(args) -> int:
     cfg = _load_config(args)
     ctx = cfg.context()
@@ -202,8 +187,6 @@ def cmd_transform(args) -> int:
         return EXIT_DOMAIN
     param = args.u if which == "modular" else args.tau
     if args.n == 0 and which == "modular":
-        from .weyl_field import modular_transform
-
         g = modular_transform(ctx, param, f, clip=args.clip)
     else:
         g = higher_transform(ctx, args.n, which, param, f)
@@ -233,7 +216,9 @@ def cmd_kernel(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    cases = run_suite(args.suite, beta=cfg.beta if math.isfinite(cfg.beta) else 1.0)
+    if not math.isfinite(cfg.beta):
+        raise DomainViolation("verification suites need a finite beta, got beta=inf")
+    cases = run_suite(args.suite, beta=cfg.beta)
     text = report_json(cases)
     out = cfg.output or "verify_report.json"
     _atomic_write(out, text)

@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from .axb_group import TWO_PI
 from .errors import DomainViolation
 from .flow_maps import (
     RayDirection,
@@ -26,8 +27,6 @@ from .flow_maps import (
     gamma_flow_ray,
     modular_flow_ray,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -378,6 +377,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _atomic_write(path: str, text: str):
+    """Write text to a temporary file beside path, then rename it into place."""
+    d = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _render_csv(lines) -> str:
     rows = ["line_id,param,x0,x1,xR,xL"]
     for i, (_, ln) in enumerate(lines):
@@ -452,14 +465,5 @@ def emit_flow_figure(
         text = _render_svg(ctx, lines, w, stroke_width * ctx.beta)
     else:
         raise ValueError(f"format must be csv, json or svg, got {fmt!r}")
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, text)
     return path

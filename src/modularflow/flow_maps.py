@@ -24,9 +24,8 @@ from enum import Enum
 
 import numpy as np
 
+from .axb_group import TWO_PI
 from .errors import DomainViolation
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -34,13 +33,11 @@ class ThermalContext:
     """Inverse temperature plus shared numerical settings.
 
     beta:  inverse temperature in (0, inf]; math.inf selects the vacuum maps.
-    tol:   default tolerance for internal convergence checks.
     pmax:  momentum cutoff of the field quadratures (default 200/beta).
     npts:  momentum node count (forced odd internally; >= 16).
     """
 
     beta: float = 1.0
-    tol: float = 1e-9
     pmax: float | None = None
     npts: int = 8192
 
@@ -136,20 +133,27 @@ def _phi_plus(beta: float, u: float, x):
     out = np.empty_like(x)
     big = x / b - TWO_PI * u > 700.0
     if np.any(big):
-        rest = -math.expm1(-TWO_PI * u)  # negative for u < 0
-        out[big] = x[big] - beta * u + b * np.log1p(rest * np.exp(-x[big] / b))
+        arg = math.expm1(TWO_PI * u) * np.exp(-x[big] / b)
+        _check_phi_domain(b, u, arg, x, big)
+        out[big] = x[big] - beta * u + b * np.log1p(arg)
     small = ~big
     if np.any(small):
-        arg = math.exp(-TWO_PI * u) * np.expm1(x[small] / b)
-        if np.any(arg <= -1.0):
-            floor = b * math.log(-math.expm1(TWO_PI * u))
-            raise DomainViolation(
-                "modular flow undefined: 1 + e^{-2 pi u}(e^{2 pi x/beta} - 1) "
-                f"must be positive; needs x > {floor} at u={u}, got "
-                f"x={np.min(x[small])}"
-            )
+        # capped below overflow: with -2pi u > 709 a small-branch x has
+        # x/b < -9, so arg < -1 and the domain check raises either way
+        arg = math.exp(min(-TWO_PI * u, 709.0)) * np.expm1(x[small] / b)
+        _check_phi_domain(b, u, arg, x, small)
         out[small] = b * np.log1p(arg)
     return out
+
+
+def _check_phi_domain(b: float, u: float, arg, x, part):
+    """Raise DomainViolation unless arg > -1; arg is the log1p argument at x[part]."""
+    if np.any(arg <= -1.0):
+        floor = b * math.log(-math.expm1(TWO_PI * u))
+        raise DomainViolation(
+            "modular flow undefined: 1 + e^{-2 pi u}(e^{2 pi x/beta} - 1) "
+            f"must be positive; needs x > {floor} at u={u}, got x={np.min(x[part])}"
+        )
 
 
 def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u: float, x):
@@ -159,6 +163,8 @@ def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u: float, x):
     MINUS is the reflection -phi_+(-u, -x).  For beta = inf the maps are the
     dilations e^{-2pi u} x (PLUS) and e^{+2pi u} x (MINUS).
     """
+    if not math.isfinite(u):
+        raise DomainViolation(f"flow parameter u must be finite, got {u}")
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
@@ -205,6 +211,8 @@ def gamma_flow_ray(ctx: ThermalContext, direction: RayDirection, tau: float, x):
     MINUS (defined where 1 - (2pi tau/beta) e^{+2pi x/beta} > 0) is the
     reflection -psi_+(-tau, -x).  For beta = inf both reduce to x + tau.
     """
+    if not math.isfinite(tau):
+        raise DomainViolation(f"flow parameter tau must be finite, got {tau}")
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
@@ -229,12 +237,6 @@ def check_translation_commutation(ctx: ThermalContext, u: float, t: float, x_gri
     Returns the maximum absolute deviation over x_grid.
     """
     x = np.asarray(x_grid, dtype=float)
-    if not ctx.finite:
-        # vacuum form: phi(u, x + t-scaled); both sides reduce to
-        # e^{-2pi u}(e^{2pi u} x + t) = x + e^{-2pi u} t
-        lhs = math.exp(-TWO_PI * u) * (math.exp(TWO_PI * u) * x + t)
-        rhs = x + math.exp(-TWO_PI * u) * t
-        return float(np.max(np.abs(lhs - rhs)))
     phi_ut = modular_flow_ray(ctx, RayDirection.PLUS, u, t)
     v = (phi_ut - t) / ctx.beta
     lhs = modular_flow_ray(

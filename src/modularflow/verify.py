@@ -24,6 +24,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import axb_group, cone_wedge
+from .axb_group import TWO_PI
 from .cone_wedge import FigureSpec, Region, SpacetimePoint, figure_lines
 from .errors import DomainViolation
 from .flow_maps import (
@@ -49,9 +50,10 @@ from .weyl_field import (
     two_point_momentum,
     two_point_position,
     weyl_inner,
+    _pair,
+    _transforms,
+    _weight,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,7 @@ class BoundReport:
     rhs: float
     u: float
     t: float
+    M: float  # the Weyl-vector norm bound entering rhs, as computed
 
     @property
     def margin(self) -> float:
@@ -86,19 +89,6 @@ class RateReport:
 # ----------------------------------------------------------------------
 # stable deviation pipeline
 # ----------------------------------------------------------------------
-
-
-def _pair_value(ctx, weight, t_left, t_right) -> complex:
-    p = momentum_grid(ctx)
-    return complex(simpson(weight * t_left * t_right, dx=p[1] - p[0]))
-
-
-def _transforms(ctx, f: TestFunction):
-    """(ft(p), ft(-p)) for a real sampled function; mirrored exactly."""
-    from .weyl_field import fourier
-
-    t = fourier(f, momentum_grid(ctx))
-    return t, t[::-1].copy()
 
 
 def _phase(ctx, shift: float):
@@ -192,7 +182,7 @@ def matrix_element_bound(
     beta = ctx.beta
     p = momentum_grid(ctx)
     dens = two_point_momentum(ctx, spec, p)
-    wgt = p ** (2 * spec.n + 1)
+    wgt = _weight(spec, p)
 
     # M = max(|W(f)O||W(g)O|, |W(-f)O||W(-g)O|) collapses to 1 exactly
     m_plus = abs(weyl_inner(ctx, spec, norm, f, f)) ** 0.5 * (
@@ -214,13 +204,12 @@ def matrix_element_bound(
     ph_p, ph_m = _phase(ctx, shift)
     th2_p, th2_m = tf_p * ph_p, tf_m * ph_m
     td_p, td_m = td_p0 * ph_p, td_m0 * ph_m
-    th1_p, th1_m = th2_p + td_p, th2_m + td_m
 
     def om(left_m, right_p):
-        return _pair_value(ctx, dens, left_m, right_p)
+        return _pair(ctx, dens, left_m, right_p)
 
     def kk(left_m, right_p):
-        return _pair_value(ctx, wgt, left_m, right_p)
+        return _pair(ctx, wgt, left_m, right_p)
 
     o_gg = om(tg_m, tg_p).real
     o_h2h2 = om(th2_m, th2_p).real
@@ -239,7 +228,7 @@ def matrix_element_bound(
     lhs = float(abs(np.exp(z2)) * abs(np.expm1(dz)))
     ratio = abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * t / beta)
     rhs = 2.0 * M * min(ratio, 1.0)
-    return BoundReport(lhs=lhs, rhs=rhs, u=u, t=t)
+    return BoundReport(lhs=lhs, rhs=rhs, u=u, t=t, M=M)
 
 
 def vector_deviation(
@@ -260,15 +249,15 @@ def vector_deviation(
         raise DomainViolation("supp f must lie in the positive half-line")
     p = momentum_grid(ctx)
     dens = two_point_momentum(ctx, spec, p)
-    wgt = p ** (2 * spec.n + 1)
+    wgt = _weight(spec, p)
     tf_p, tf_m = _transforms(ctx, f)
     d, shift = _deviation_samples(ctx, f, u, t)
     td_p0, td_m0 = _transforms(ctx, d)
     ph_p, ph_m = _phase(ctx, shift)
     th2_p, th2_m = tf_p * ph_p, tf_m * ph_m
     td_p, td_m = td_p0 * ph_p, td_m0 * ph_m
-    k_im = _pair_value(ctx, wgt, th2_m, td_p).imag
-    odd = _pair_value(ctx, dens, td_m, td_p).real
+    k_im = _pair(ctx, wgt, th2_m, td_p).imag
+    odd = _pair(ctx, dens, td_m, td_p).real
     x = -norm.c * odd
     y = k_im / 2.0
     d2 = -2.0 * (math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2.0) ** 2)
@@ -370,7 +359,6 @@ def _kms_integrands(ctx: ThermalContext, u: float, x, y, epsilon: float):
     continued = pref / (-bracket + 1j * epsilon) ** 2
     # direct side through the flow map and its derivative
     L = modular_flow_ray(ctx, RayDirection.PLUS, u, y)
-    eL = np.exp(TWO_PI * L / beta)
     dL = np.exp(-TWO_PI * u) * ey / (1.0 + np.exp(-TWO_PI * u) * (ey - 1.0))
     xi = x - L
     direct = two_point_position(ctx, xi, epsilon) * dL
@@ -906,7 +894,7 @@ def _suite_bound(beta: float) -> list[CaseResult]:
             if rep.margin < worst_margin:
                 worst_margin = rep.margin
                 worst_at = (float(u), float(t))
-            m_computed = 1.0
+            m_computed = rep.M
     cases.append(
         _case(
             "matrix-element-bound",

@@ -35,10 +35,9 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 from scipy.signal import czt
 
+from .axb_group import TWO_PI
 from .errors import DomainViolation, QuadratureError, ResolutionError
 from .flow_maps import RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray
-
-TWO_PI = 2.0 * math.pi
 
 
 # ----------------------------------------------------------------------
@@ -233,13 +232,10 @@ def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transform_plus(ctx: ThermalContext, f: TestFunction) -> np.ndarray:
-    return fourier(f, momentum_grid(ctx))
-
-
-def _reverse(t: np.ndarray) -> np.ndarray:
-    """ft(p) -> ft(-p) on the symmetric grid."""
-    return t[::-1]
+def _transforms(ctx: ThermalContext, f: TestFunction):
+    """(ft(p), ft(-p)) on the momentum grid; the mirror is exact on the symmetric grid."""
+    t = fourier(f, momentum_grid(ctx))
+    return t, t[::-1]
 
 
 def _weight(spec: FieldSpec, p: np.ndarray) -> np.ndarray:
@@ -331,6 +327,18 @@ def _tail_check(ctx: ThermalContext, integrand: np.ndarray, what: str):
         )
 
 
+def _pair(ctx: ThermalContext, weight, left, right, what: str | None = None) -> complex:
+    """Momentum pairing: Simpson sum of weight * left * right over the grid.
+
+    With what given, the integrand's tail at the cutoff is checked first.
+    """
+    p = momentum_grid(ctx)
+    integrand = weight * left * right
+    if what is not None:
+        _tail_check(ctx, integrand, what)
+    return complex(simpson(integrand, dx=p[1] - p[0]))
+
+
 def symplectic_K(
     ctx: ThermalContext, spec: FieldSpec, f: TestFunction, g: TestFunction
 ) -> complex:
@@ -341,9 +349,10 @@ def symplectic_K(
     """
     p = momentum_grid(ctx)
     w = _weight(spec, p)
-    tf, tg = _transform_plus(ctx, f), _transform_plus(ctx, g)
-    a = w * _reverse(tf) * tg
-    b = w * _reverse(tg) * tf
+    tf_p, tf_m = _transforms(ctx, f)
+    tg_p, tg_m = _transforms(ctx, g)
+    a = w * tf_m * tg_p
+    b = w * tg_m * tf_p
     integrand = 0.5 * (a - b)
     _tail_check(ctx, a, "symplectic form")
     val = simpson(integrand, dx=p[1] - p[0])
@@ -354,12 +363,10 @@ def omega2(
     ctx: ThermalContext, spec: FieldSpec, f: TestFunction, g: TestFunction
 ) -> complex:
     """Thermal two-point form omega2(f, g); omega2(f, f) is real and >= 0."""
-    p = momentum_grid(ctx)
-    dens = two_point_momentum(ctx, spec, p)
-    tf, tg = _transform_plus(ctx, f), _transform_plus(ctx, g)
-    integrand = dens * _reverse(tf) * tg
-    _tail_check(ctx, integrand, "two-point form")
-    val = complex(simpson(integrand, dx=p[1] - p[0]))
+    dens = two_point_momentum(ctx, spec, momentum_grid(ctx))
+    tf_m = _transforms(ctx, f)[1]
+    tg_p = _transforms(ctx, g)[0]
+    val = _pair(ctx, dens, tf_m, tg_p, "two-point form")
     if f is g:
         val = complex(val.real, 0.0)
     return val
@@ -401,6 +408,23 @@ def weyl_inner(
 # ----------------------------------------------------------------------
 
 
+def _pull_back(ctx: ThermalContext, flow, param: float, f: TestFunction) -> TestFunction:
+    """Move the support along flow(param); pull samples back through flow(-param).
+
+    The flow maps raise DomainViolation at the support edges when the
+    admissibility inequality fails there (the maps are monotone, so the
+    edges are the worst case).
+    """
+    a, b = f.support
+    new_a = flow(ctx, RayDirection.PLUS, param, a)
+    new_b = flow(ctx, RayDirection.PLUS, param, b)
+    y = np.linspace(new_a, new_b, len(f.samples))
+    vals = f(flow(ctx, RayDirection.PLUS, -param, y))
+    vals[0] = 0.0
+    vals[-1] = 0.0
+    return TestFunction(vals, y[0], y[1] - y[0], (new_a, new_b))
+
+
 def modular_transform(
     ctx: ThermalContext, u: float, f: TestFunction, clip: bool = False
 ) -> TestFunction:
@@ -415,20 +439,9 @@ def modular_transform(
     """
     if not f.compact_support:
         raise ValueError("modular transform needs a compactly supported function")
-    a, b = f.support
     if clip and u < 0:
         raise DomainViolation("clipped modular transform is defined for u >= 0 only")
-    # domain check at the left support edge (worst case, map is monotone);
-    # raises when the admissibility inequality fails
-    new_a = modular_flow_ray(ctx, RayDirection.PLUS, u, a)
-    new_b = modular_flow_ray(ctx, RayDirection.PLUS, u, b)
-    n = len(f.samples)
-    y = np.linspace(new_a, new_b, n)
-    back = modular_flow_ray(ctx, RayDirection.PLUS, -u, y)
-    vals = f(back)
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    return TestFunction(vals, y[0], y[1] - y[0], (new_a, new_b))
+    return _pull_back(ctx, modular_flow_ray, u, f)
 
 
 def gamma_transform(ctx: ThermalContext, tau: float, f: TestFunction) -> TestFunction:
@@ -441,16 +454,7 @@ def gamma_transform(ctx: ThermalContext, tau: float, f: TestFunction) -> TestFun
         raise DomainViolation("positive-generator transform is defined for tau >= 0")
     if not f.compact_support:
         raise ValueError("transform needs a compactly supported function")
-    a, b = f.support
-    new_a = gamma_flow_ray(ctx, RayDirection.PLUS, tau, a)
-    new_b = gamma_flow_ray(ctx, RayDirection.PLUS, tau, b)
-    n = len(f.samples)
-    y = np.linspace(new_a, new_b, n)
-    back = gamma_flow_ray(ctx, RayDirection.PLUS, -tau, y)
-    vals = f(back)
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    return TestFunction(vals, y[0], y[1] - y[0], (new_a, new_b))
+    return _pull_back(ctx, gamma_flow_ray, tau, f)
 
 
 # ----------------------------------------------------------------------
@@ -536,19 +540,14 @@ def higher_transform(
     """
     if which not in ("modular", "gamma"):
         raise ValueError(f"which must be 'modular' or 'gamma', got {which!r}")
+    transform = modular_transform if which == "modular" else gamma_transform
     if n == 0:
-        if which == "modular":
-            return modular_transform(ctx, param, f)
-        return gamma_transform(ctx, param, f)
+        return transform(ctx, param, f)
     if f.support[0] <= 0.0:
         raise DomainViolation(
             "higher-index actions need supp f inside the positive half-line"
         )
-    deriv = _resolution_guard(f, n)
-    if which == "modular":
-        moved = modular_transform(ctx, param, deriv)
-    else:
-        moved = gamma_transform(ctx, param, deriv)
+    moved = transform(ctx, param, _resolution_guard(f, n))
     lo = 0.0
     hi = moved.support[1] + max(
         2.0 * (ctx.beta if ctx.finite else 1.0),
@@ -656,8 +655,7 @@ def _omega2_damped(
         raise ValueError("damping scale must stay below beta")
     p = momentum_grid(ctx)
     dens = two_point_momentum(ctx, spec, p) * np.exp(-epsilon * p)
-    tf, tg = _transform_plus(ctx, f), _transform_plus(ctx, g)
-    return complex(simpson(dens * _reverse(tf) * tg, dx=p[1] - p[0]))
+    return _pair(ctx, dens, _transforms(ctx, f)[1], _transforms(ctx, g)[0])
 
 
 def calibrate_fourier_pair(

@@ -77,6 +77,27 @@ class TestFlowCommand:
         assert code == EXIT_DOMAIN
         assert "must be positive" in err
 
+    @pytest.mark.parametrize(
+        "flow,param,value",
+        [("modular", "--u", "nan"), ("gamma", "--tau", "inf"), ("modular", "--u", "inf")],
+    )
+    def test_non_finite_parameter_exit_2(self, capsys, flow, param, value):
+        code, out, err = run(
+            capsys, "flow", "--region", "cone", "--flow", flow,
+            param, value, "--point", "1,0",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "finite" in err
+
+    def test_large_negative_u(self, capsys):
+        code, out, _ = run(
+            capsys, "flow", "--region", "cone", "--flow", "modular",
+            "--u", "-200", "--point", "1,0",
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "200.99970250939845,0"
+
     def test_bad_point_exit_2(self, capsys):
         code, _, err = run(
             capsys, "flow", "--region", "cone", "--flow", "modular",
@@ -219,3 +240,13 @@ class TestVerifyCommand:
         assert run(capsys, "verify", "kernels", "--beta", "2.0", "-o", str(a))[0] == EXIT_OK
         assert run(capsys, "verify", "kernels", "--beta", "2.0", "-o", str(b))[0] == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_infinite_beta_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code, stdout, err = run(
+            capsys, "verify", "group-laws", "--beta", "inf", "-o", str(out)
+        )
+        assert code == EXIT_DOMAIN
+        assert "finite beta" in err
+        assert stdout == ""
+        assert not out.exists()

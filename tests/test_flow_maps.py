@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from modularflow import flow_maps
 from modularflow.errors import DomainViolation
 from modularflow.flow_maps import (
     RayDirection,
@@ -233,6 +234,28 @@ class TestModularFlow:
         with pytest.raises(DomainViolation):
             modular_flow_ray(ctx, MINUS, 1.0, 0.5)
 
+    @pytest.mark.parametrize("u", [-111.0, -112.0, -200.0])
+    def test_translation_dominated_branch(self, u):
+        # x/b - 2 pi u > 700 selects the translation-dominated form; with
+        # e^{-2 pi u} factored out of the logarithm the literal formula is
+        # -u + log(e^{2 pi x} - 1 + e^{2 pi u})/(2 pi) at beta = 1, and
+        # e^{2 pi u} is far below the rounding of e^{2 pi x} - 1
+        ctx = ThermalContext(beta=1.0)
+        x = 0.5
+        expected = -u + math.log(math.expm1(TWO_PI * x)) / TWO_PI
+        got = modular_flow_ray(ctx, PLUS, u, x)
+        assert math.isfinite(got)
+        assert got == pytest.approx(expected, rel=1e-15)
+        with pytest.raises(DomainViolation):
+            modular_flow_ray(ctx, PLUS, u, -0.5)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, u):
+        with pytest.raises(DomainViolation):
+            modular_flow_ray(ThermalContext(beta=1.0), PLUS, u, 0.5)
+        with pytest.raises(DomainViolation):
+            modular_flow_ray(ThermalContext(beta=math.inf), MINUS, u, -0.5)
+
 
 class TestGammaFlow:
     def test_tau_zero_identity(self):
@@ -325,6 +348,13 @@ class TestGammaFlow:
         x = np.linspace(-2.0, 6.0, 300)
         assert np.all(np.diff(gamma_flow_ray(ctx, PLUS, 0.9, x)) > 0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, tau):
+        with pytest.raises(DomainViolation):
+            gamma_flow_ray(ThermalContext(beta=1.0), PLUS, tau, 0.5)
+        with pytest.raises(DomainViolation):
+            gamma_flow_ray(ThermalContext(beta=math.inf), MINUS, tau, -0.5)
+
 
 class TestTranslationCommutation:
     def test_u_zero(self):
@@ -349,3 +379,17 @@ class TestTranslationCommutation:
         for u in (-0.5, 0.2, 0.9):
             for t in (0.1, 1.0, 2.5):
                 assert check_translation_commutation(ctx, u, t, grid) < 1e-10
+
+    def test_vacuum_check_goes_through_the_flow_maps(self, monkeypatch):
+        vacuum = ThermalContext(beta=math.inf)
+        grid = np.linspace(0.01, 5.0, 150)
+        for u in (-0.5, 0.3, 0.9):
+            for t in (0.1, 0.7, 2.0):
+                assert check_translation_commutation(vacuum, u, t, grid) < 1e-13
+        # a map ignoring beta = inf (the beta = 1 flow) must be caught
+        finite = ThermalContext(beta=1.0)
+        real = flow_maps.modular_flow_ray
+        monkeypatch.setattr(
+            flow_maps, "modular_flow_ray", lambda ctx, d, u, x: real(finite, d, u, x)
+        )
+        assert check_translation_commutation(vacuum, 0.3, 0.7, grid) > 0.1

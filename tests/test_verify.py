@@ -12,9 +12,11 @@ import math
 import numpy as np
 import pytest
 
+from modularflow import verify
 from modularflow.errors import DomainViolation
 from modularflow.flow_maps import ThermalContext
 from modularflow.verify import (
+    BoundReport,
     CaseResult,
     convergence_rate,
     gamma_conjugation_deviation,
@@ -81,6 +83,18 @@ class TestBound:
             matrix_element_bound(ctx, N0, f_pos, f_pos, 0.1, 1.0)
         with pytest.raises(DomainViolation):
             matrix_element_bound(ctx, N0, f_pos, g_neg, 0.1, -1.0)
+
+    def test_reports_computed_M(self, ctx, f_pos, g_neg):
+        assert matrix_element_bound(ctx, N0, f_pos, g_neg, 0.3, 1.0).M == 1.0
+
+    def test_suite_records_M_from_the_bound(self, monkeypatch):
+        # the thm22 report carries the M each evaluation used, not a constant
+        monkeypatch.setattr(
+            verify, "matrix_element_bound",
+            lambda ctx, spec, f, g, u, t: BoundReport(lhs=0.0, rhs=1.0, u=u, t=t, M=0.5),
+        )
+        (case,) = run_suite("thm22", beta=1.0)
+        assert case.params["M"] == 0.5
 
 
 class TestRate:
