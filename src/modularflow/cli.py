@@ -62,9 +62,6 @@ class RunConfig:
     epsilon: float = 1e-4
     grid_xmin: float = -3.0
     grid_xmax: float = 3.0
-    grid_n: int = 2048
-    pmax: float | None = None
-    npts: int = 8192
     output: str | None = None
     format: str = "csv"
 
@@ -75,18 +72,12 @@ class RunConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.grid_xmin < self.grid_xmax):
             raise ValueError("grid xmin must be below xmax")
-        if self.grid_n < 16:
-            raise ValueError(f"grid n must be at least 16, got {self.grid_n}")
-        if self.pmax is not None and not self.pmax > 0:
-            raise ValueError(f"pmax must be positive, got {self.pmax}")
-        if self.npts < 16:
-            raise ValueError(f"np must be at least 16, got {self.npts}")
         if self.format not in ("csv", "json", "svg"):
             raise ValueError(f"format must be csv, json or svg, got {self.format!r}")
         return self
 
     def context(self) -> ThermalContext:
-        return ThermalContext(beta=self.beta, pmax=self.pmax, npts=self.npts)
+        return ThermalContext(beta=self.beta)
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
@@ -100,12 +91,6 @@ class RunConfig:
         grid = doc.get("grid", {})
         cfg.grid_xmin = float(grid.get("xmin", cfg.grid_xmin))
         cfg.grid_xmax = float(grid.get("xmax", cfg.grid_xmax))
-        cfg.grid_n = int(grid.get("n", cfg.grid_n))
-        quad = doc.get("quadrature", {})
-        if "pmax" in quad:
-            cfg.pmax = float(quad["pmax"])
-        if "np" in quad:
-            cfg.npts = int(quad["np"])
         if "output" in doc:
             cfg.output = str(doc["output"])
         if "format" in doc:
@@ -120,10 +105,6 @@ def _load_config(args) -> RunConfig:
         cfg.beta = math.inf if args.beta == "inf" else float(args.beta)
     if getattr(args, "epsilon", None) is not None:
         cfg.epsilon = args.epsilon
-    if getattr(args, "pmax", None) is not None:
-        cfg.pmax = args.pmax
-    if getattr(args, "np", None) is not None:
-        cfg.npts = args.np
     if getattr(args, "output", None) is not None:
         cfg.output = args.output
     if getattr(args, "format", None) is not None:
@@ -240,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file (default: $MFL_CONFIG)")
     common.add_argument("--beta", help="inverse temperature (number or 'inf')")
     common.add_argument("--epsilon", type=float, help="kernel regulator")
-    common.add_argument("--pmax", type=float, help="momentum cutoff")
-    common.add_argument("--np", type=int, help="momentum node count")
     common.add_argument("--output", "-o", help="output path")
     common.add_argument("--format", choices=("csv", "json", "svg"))
     sub = ap.add_subparsers(dest="command", required=True)

@@ -126,30 +126,21 @@ def remainder_terms(
     beta = ctx.beta
     b = beta / (2.0 * TWO_PI)  # beta/(4 pi)
 
-    def log_plus(x):
-        # log{1 + (e^{2pi u} - 1) e^{-2pi x/beta}}, the plus-ray remainder
-        arg = math.expm1(TWO_PI * u) * math.exp(-TWO_PI * x / beta)
+    def log_ray(sign, x):
+        # log{1 + (e^{2pi sign u} - 1) e^{-2pi sign x/beta}}, the remainder of
+        # the plus ray (sign = 1) or the minus ray (sign = -1)
+        arg = math.expm1(TWO_PI * (sign * u)) * math.exp(-TWO_PI * (sign * x) / beta)
         if arg <= -1.0:
             raise DomainViolation(
                 f"remainder undefined at x={x}: modular flow domain violated"
             )
         return math.log1p(arg)
 
-    def log_minus(x):
-        # log{1 + (e^{-2pi u} - 1) e^{+2pi x/beta}}, the minus-ray remainder
-        arg = math.expm1(-TWO_PI * u) * math.exp(TWO_PI * x / beta)
-        if arg <= -1.0:
-            raise DomainViolation(
-                f"remainder undefined at x={x}: modular flow domain violated"
-            )
-        return math.log1p(arg)
-
+    aR = log_ray(1.0, p.xR)
     if region is Region.FORWARD_CONE:
-        aR = log_plus(p.xR)
-        aL = log_plus(p.xL)
+        aL = log_ray(1.0, p.xL)
         return b * (aR + aL), b * (aR - aL)
-    aR = log_plus(p.xR)
-    aL = log_minus(p.xL)
+    aL = log_ray(-1.0, p.xL)
     return b * (aR - aL), b * (aR + aL)
 
 

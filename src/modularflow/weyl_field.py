@@ -362,8 +362,22 @@ def symplectic_K(
 def omega2(
     ctx: ThermalContext, spec: FieldSpec, f: TestFunction, g: TestFunction
 ) -> complex:
-    """Thermal two-point form omega2(f, g); omega2(f, f) is real and >= 0."""
-    dens = two_point_momentum(ctx, spec, momentum_grid(ctx))
+    """Thermal two-point form omega2(f, g); omega2(f, f) is real and >= 0.
+
+    Raises QuadratureError when the supports lie too far apart for the grid.
+    """
+    p = momentum_grid(ctx)
+    dens = two_point_momentum(ctx, spec, p)
+    # composite Simpson is (4 T_dp - T_2dp)/3, and T_2dp is periodic in the
+    # separation y - x with period pi/dp; the kernel decays like
+    # e^{-2 pi |y - x|/beta}, so 6 beta of margin keep the alias below 1e-16
+    span = max(g.support[1] - f.support[0], f.support[1] - g.support[0])
+    limit = math.pi / (p[1] - p[0]) - 6.0 * ctx.beta
+    if span > limit:
+        raise QuadratureError(
+            f"two-point form: supports {span:.6g} apart, above the grid's "
+            f"alias-free separation {limit:.6g}; increase npts"
+        )
     tf_m = _transforms(ctx, f)[1]
     tg_p = _transforms(ctx, g)[0]
     val = _pair(ctx, dens, tf_m, tg_p, "two-point form")

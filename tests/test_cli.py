@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from modularflow.cli import EXIT_DOMAIN, EXIT_OK, RunConfig, main
+from modularflow.cone_wedge import Region, SpacetimePoint, modular_flow_2d
+from modularflow.flow_maps import ThermalContext
 from modularflow.weyl_field import TestFunction
 
 TWO_PI = 2.0 * math.pi
@@ -24,8 +26,15 @@ class TestConfig:
         cfg = RunConfig().validate()
         assert cfg.beta == 1.0
         assert cfg.epsilon == 1e-4
-        assert cfg.grid_n == 2048
-        assert cfg.npts == 8192
+
+    @pytest.mark.parametrize("flag", [("--np", "17"), ("--pmax", "3")])
+    def test_quadrature_flags_rejected(self, capsys, flag):
+        # the verify suites and all other commands run on the default
+        # momentum grid, so a grid flag would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "kernels", *flag])
+        assert exc.value.code == EXIT_DOMAIN
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_file_and_flag_layering(self, tmp_path, capsys, monkeypatch):
         cfgfile = tmp_path / "conf.json"
@@ -97,6 +106,18 @@ class TestFlowCommand:
         )
         assert code == EXIT_OK
         assert out.strip() == "200.99970250939845,0"
+
+    def test_negative_values_joined_with_equals(self, capsys):
+        # argparse takes a bare -1e-3 or -0.5,1 for an option; --flag=value works
+        code, out, _ = run(
+            capsys, "flow", "--region", "wedge", "--flow", "modular",
+            "--u=-1e-3", "--point=-0.5,1",
+        )
+        assert code == EXIT_OK
+        q = modular_flow_2d(
+            ThermalContext(), Region.RIGHT_WEDGE, -1e-3, SpacetimePoint(-0.5, 1.0)
+        )
+        assert out.strip() == f"{q.x0:.17g},{q.x1:.17g}"
 
     def test_bad_point_exit_2(self, capsys):
         code, _, err = run(

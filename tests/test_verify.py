@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from modularflow import verify
-from modularflow.errors import DomainViolation
+from modularflow.errors import DomainViolation, QuadratureError
 from modularflow.flow_maps import ThermalContext
 from modularflow.verify import (
     BoundReport,
@@ -83,6 +83,16 @@ class TestBound:
             matrix_element_bound(ctx, N0, f_pos, f_pos, 0.1, 1.0)
         with pytest.raises(DomainViolation):
             matrix_element_bound(ctx, N0, f_pos, g_neg, 0.1, -1.0)
+
+    def test_under_resolved_f_raises(self, ctx, g_neg):
+        narrow = TestFunction.bump(0.5, 0.02)
+        with pytest.raises(QuadratureError, match="symplectic form"):
+            matrix_element_bound(ctx, N0, narrow, g_neg, 0.3, 1.0)
+
+    def test_under_resolved_g_raises(self, ctx, f_pos):
+        narrow = TestFunction.bump(0.5, 0.02).translate(-1.0)
+        with pytest.raises(QuadratureError, match="symplectic form"):
+            matrix_element_bound(ctx, N0, f_pos, narrow, 0.3, 1.0)
 
     def test_reports_computed_M(self, ctx, f_pos, g_neg):
         assert matrix_element_bound(ctx, N0, f_pos, g_neg, 0.3, 1.0).M == 1.0

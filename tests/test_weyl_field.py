@@ -245,6 +245,21 @@ class TestOmega2:
         f, g = random_bumps(rng, 2)
         assert abs(omega2(ctx, N0, g, f) - np.conj(omega2(ctx, N0, f, g))) < 1e-14
 
+    def test_far_supports_match_fine_grid(self):
+        # Simpson's T_2dp part aliases at separation pi/dp ~ 64.35 beta; 50 is clear
+        f = TestFunction.bump(1.5, 0.5)
+        g = f.translate(50.0)
+        ref = omega2(ThermalContext(npts=65536), N0, f, g)
+        assert abs(omega2(ThermalContext(), N0, f, g) - ref) < 1e-12
+
+    # unguarded, d = 62 is off by 2.8e-8 and d = 130 by 5.1e-5; 17 nodes
+    # alias at separation 0.126 and give omega2(f, f) = 0.0208, not 0.01788
+    @pytest.mark.parametrize("npts, d", [(8192, 62.0), (8192, 130.0), (17, 0.0)])
+    def test_aliased_separation_raises(self, npts, d):
+        f = TestFunction.bump(1.5, 0.5)
+        with pytest.raises(QuadratureError, match="two-point form"):
+            omega2(ThermalContext(npts=npts), N0, f, f.translate(d))
+
 
 class TestWeylInner:
     def test_same_function_is_one(self):
