@@ -7,10 +7,11 @@ Subcommands:
   kernel      print the thermal two-point density or the regularized kernel
   verify      run a named verification suite and write its JSON report
 
-Configuration comes from an optional JSON file ($MFL_CONFIG or --config)
-with flags taking precedence.  All numeric output uses 17 significant
-digits, and every file is written to a temporary name and renamed, so a
-failed run leaves no partial output.
+Configuration comes from an optional JSON file ($MFL_CONFIG or the
+subcommand's --config) with flags taking precedence; unknown keys in the
+file are rejected.  All numeric output uses 17 significant digits, and
+every file is written to a temporary name and renamed, so a failed run
+leaves no partial output.
 
 Exit codes: 0 success; 1 failed verification; 2 domain violation or bad
 configuration; 3 I/O failure; 4 unresolved derivative.
@@ -42,7 +43,6 @@ from .weyl_field import (
     FieldSpec,
     TestFunction,
     higher_transform,
-    modular_transform,
     two_point_momentum,
     two_point_position,
 )
@@ -52,6 +52,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_IO = 3
 EXIT_RESOLUTION = 4
+
+_CONFIG_KEYS = {"beta", "epsilon", "grid", "output", "format"}
+_GRID_KEYS = {"xmin", "xmax"}
 
 
 @dataclass
@@ -83,12 +86,16 @@ class RunConfig:
     def from_file(path: str) -> "RunConfig":
         with open(path) as fh:
             doc = json.load(fh)
+        grid = doc.get("grid", {})
+        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        unknown += [f"grid.{k}" for k in sorted(set(grid) - _GRID_KEYS)]
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
         cfg = RunConfig()
         if "beta" in doc:
             cfg.beta = math.inf if doc["beta"] == "inf" else float(doc["beta"])
         if "epsilon" in doc:
             cfg.epsilon = float(doc["epsilon"])
-        grid = doc.get("grid", {})
         cfg.grid_xmin = float(grid.get("xmin", cfg.grid_xmin))
         cfg.grid_xmax = float(grid.get("xmax", cfg.grid_xmax))
         if "output" in doc:
@@ -167,10 +174,7 @@ def cmd_transform(args) -> int:
         print("give one of --u / --tau", file=sys.stderr)
         return EXIT_DOMAIN
     param = args.u if which == "modular" else args.tau
-    if args.n == 0 and which == "modular":
-        g = modular_transform(ctx, param, f, clip=args.clip)
-    else:
-        g = higher_transform(ctx, args.n, which, param, f)
+    g = higher_transform(ctx, args.n, which, param, f)
     out = args.output or cfg.output or (os.path.splitext(args.input)[0] + ".out.json")
     _atomic_write(out, json.dumps(g.to_dict()) + "\n")
     print(out)
@@ -216,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mfl",
         description="thermal modular flows: evaluate, transform, verify",
     )
-    ap.add_argument("--config", help="JSON config file (default: $MFL_CONFIG)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (default: $MFL_CONFIG)")
     common.add_argument("--beta", help="inverse temperature (number or 'inf')")
@@ -242,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0, help="field scaling index")
     p.add_argument("--u", type=float)
     p.add_argument("--tau", type=float)
-    p.add_argument("--clip", action="store_true")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("kernel", parents=[common], help="print two-point kernels")

@@ -66,13 +66,13 @@ class Region(Enum):
         return RayDirection.MINUS
 
 
-def _component_flow(ctx, region, p, flow_left, flow_right) -> SpacetimePoint:
+def _flow_2d(ctx, region, ray, param, p) -> SpacetimePoint:
     try:
-        new_L = flow_left(p.xL)
+        new_L = ray(ctx, region.left_direction, param, p.xL)
     except DomainViolation as e:
         raise DomainViolation(f"left light-cone coordinate xL={p.xL}: {e}") from None
     try:
-        new_R = flow_right(p.xR)
+        new_R = ray(ctx, RayDirection.PLUS, param, p.xR)
     except DomainViolation as e:
         raise DomainViolation(f"right light-cone coordinate xR={p.xR}: {e}") from None
     return SpacetimePoint.from_lightcone(new_L, new_R)
@@ -86,13 +86,7 @@ def modular_flow_2d(
     Componentwise half-line modular flow on (xL, xR); points of the region
     stay in the region for every u.
     """
-    return _component_flow(
-        ctx,
-        region,
-        p,
-        lambda v: modular_flow_ray(ctx, region.left_direction, u, v),
-        lambda v: modular_flow_ray(ctx, RayDirection.PLUS, u, v),
-    )
+    return _flow_2d(ctx, region, modular_flow_ray, u, p)
 
 
 def gamma_flow_2d(
@@ -104,13 +98,7 @@ def gamma_flow_2d(
     is one-sided for the cone and two-sided for the wedge; violations name
     the failing light-cone component.
     """
-    return _component_flow(
-        ctx,
-        region,
-        p,
-        lambda v: gamma_flow_ray(ctx, region.left_direction, tau, v),
-        lambda v: gamma_flow_ray(ctx, RayDirection.PLUS, tau, v),
-    )
+    return _flow_2d(ctx, region, gamma_flow_ray, tau, p)
 
 
 def remainder_terms(
@@ -409,7 +397,7 @@ def _render_json(ctx, region, flow, lines) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def _render_svg(ctx, lines, window: float, stroke_width: float) -> str:
+def _render_svg(lines, window: float, stroke_width: float) -> str:
     # world (x1, x0) -> svg (x, -y): time axis points up
     w = window
     head = (
@@ -439,7 +427,6 @@ def emit_flow_figure(
     path: str,
     fmt: str = "csv",
     spec: FigureSpec = FigureSpec(),
-    stroke_width: float = 0.01,
 ) -> str:
     """Write one flow-pattern dataset (csv, json or svg); returns the path.
 
@@ -453,7 +440,7 @@ def emit_flow_figure(
         text = _render_json(ctx, region, flow, lines)
     elif fmt == "svg":
         w = _default_window(ctx, spec)
-        text = _render_svg(ctx, lines, w, stroke_width * ctx.beta)
+        text = _render_svg(lines, w, 0.01 * ctx.beta)  # line width 0.01 beta
     else:
         raise ValueError(f"format must be csv, json or svg, got {fmt!r}")
     _atomic_write(path, text)

@@ -133,7 +133,9 @@ def _phi_plus(beta: float, u: float, x):
     out = np.empty_like(x)
     big = x / b - TWO_PI * u > 700.0
     if np.any(big):
-        arg = math.expm1(TWO_PI * u) * np.exp(-x[big] / b)
+        # e^{-x/b} overflows only where 2pi u < -1400: arg = -inf fails the check
+        with np.errstate(over="ignore"):
+            arg = math.expm1(TWO_PI * u) * np.exp(-x[big] / b)
         _check_phi_domain(b, u, arg, x, big)
         out[big] = x[big] - beta * u + b * np.log1p(arg)
     small = ~big
@@ -201,7 +203,14 @@ def _psi_plus(beta: float, tau: float, x):
             f"e^{{-2 pi x/beta}} must be positive; needs x > {floor} at "
             f"tau={tau}, got x={np.min(x)}"
         )
-    return x + b * np.log1p(r * np.exp(-x / b))
+    with np.errstate(over="ignore"):
+        arg = r * np.exp(-x / b)
+    # above the floor r e^{-x/b} lies in (-1, 0), but for |r| < e^{-709}
+    # (subnormal tau) e^{-x/b} alone can overflow there
+    over = np.isinf(arg)
+    if np.any(over):
+        arg[over] = -np.exp(math.log(-r) - x[over] / b)
+    return x + b * np.log1p(arg)
 
 
 def gamma_flow_ray(ctx: ThermalContext, direction: RayDirection, tau: float, x):

@@ -313,7 +313,7 @@ def two_point_position(ctx: ThermalContext, xi, epsilon: float):
 _TAIL_RTOL = 1e-3
 
 
-def _tail_check(ctx: ThermalContext, integrand: np.ndarray, what: str):
+def _tail_check(integrand: np.ndarray, what: str):
     n_tail = max(4, len(integrand) // 100)
     tail = max(
         float(np.max(np.abs(integrand[:n_tail]))),
@@ -335,7 +335,7 @@ def _pair(ctx: ThermalContext, weight, left, right, what: str | None = None) -> 
     p = momentum_grid(ctx)
     integrand = weight * left * right
     if what is not None:
-        _tail_check(ctx, integrand, what)
+        _tail_check(integrand, what)
     return complex(simpson(integrand, dx=p[1] - p[0]))
 
 
@@ -354,7 +354,7 @@ def symplectic_K(
     a = w * tf_m * tg_p
     b = w * tg_m * tf_p
     integrand = 0.5 * (a - b)
-    _tail_check(ctx, a, "symplectic form")
+    _tail_check(a, "symplectic form")
     val = simpson(integrand, dx=p[1] - p[0])
     return complex(0.0, float(val.imag))
 
@@ -439,22 +439,16 @@ def _pull_back(ctx: ThermalContext, flow, param: float, f: TestFunction) -> Test
     return TestFunction(vals, y[0], y[1] - y[0], (new_a, new_b))
 
 
-def modular_transform(
-    ctx: ThermalContext, u: float, f: TestFunction, clip: bool = False
-) -> TestFunction:
+def modular_transform(ctx: ThermalContext, u: float, f: TestFunction) -> TestFunction:
     """Smearing-function action of the half-line modular flow.
 
     The support moves forward along the flow while sample values pull back
-    through the inverse point map.  For u < 0 the flow must be defined on
-    all of the support (compact support in the right half-line always
-    qualifies); with clip=True, u >= 0, functions reaching into the left
-    half-line are admitted and the formula vanishes where the flow is
-    undefined.
+    through the inverse point map.  The flow must be defined on all of the
+    support: always for u >= 0, and for u < 0 on any compact support in the
+    right half-line.
     """
     if not f.compact_support:
         raise ValueError("modular transform needs a compactly supported function")
-    if clip and u < 0:
-        raise DomainViolation("clipped modular transform is defined for u >= 0 only")
     return _pull_back(ctx, modular_flow_ray, u, f)
 
 
@@ -617,18 +611,15 @@ def omega2_position(
     f: TestFunction,
     g: TestFunction,
     epsilon: float,
-    boundary: str = "lower",
 ) -> complex:
     """Two-point form smeared with the regularized position kernel.
 
     Integrates kernel(y - x) f(x) g(y) using the correlation
     F(s) = int f(x) g(x + s) dx on a grid fine enough to resolve epsilon.
-    boundary selects the side of the real axis: "upper" is the kernel as
-    written (+i eps), "lower" its complex conjugate, which is the boundary
-    value matching the momentum-space pairing.
+    The kernel is taken on the lower side of the real axis, the complex
+    conjugate of the kernel as written (+i eps): that boundary value matches
+    the momentum-space pairing.
     """
-    if boundary not in ("upper", "lower"):
-        raise ValueError(f"boundary must be 'upper' or 'lower', got {boundary!r}")
     # both functions sampled with one exact common step, so the correlation
     # lattice lines up
     dx = min(f.dx, g.dx)
@@ -647,9 +638,7 @@ def omega2_position(
     h = min(dx, epsilon / 16.0)
     n = int(math.ceil((s[-1] - s[0]) / h)) | 1
     sf = np.linspace(s[0], s[-1], n + 1)
-    k = two_point_position(ctx, sf, epsilon)
-    if boundary == "lower":
-        k = np.conj(k)
+    k = np.conj(two_point_position(ctx, sf, epsilon))
     return complex(simpson(k * F(sf), dx=sf[1] - sf[0]))
 
 
@@ -689,7 +678,7 @@ def calibrate_fourier_pair(
     ratios = []
     for f, g in pairs:
         mom = _omega2_damped(ctx, spec, f, g, epsilon)
-        pos = omega2_position(ctx, f, g, epsilon, boundary="lower")
+        pos = omega2_position(ctx, f, g, epsilon)
         ratios.append(mom / pos)
     c0 = ratios[0]
     dev = max(abs(r - c0) / abs(c0) for r in ratios)

@@ -38,7 +38,7 @@ class TestConfig:
 
     def test_file_and_flag_layering(self, tmp_path, capsys, monkeypatch):
         cfgfile = tmp_path / "conf.json"
-        cfgfile.write_text(json.dumps({"beta": 2.0, "quadrature": {"pmax": 80, "np": 4096}}))
+        cfgfile.write_text(json.dumps({"beta": 2.0}))
         monkeypatch.setenv("MFL_CONFIG", str(cfgfile))
         # flag overrides file: beta 1 makes the pure-dilation value exact
         code, out, _ = run(
@@ -47,6 +47,28 @@ class TestConfig:
         )
         assert code == EXIT_OK
         assert out.strip() == "1,0"
+
+    def test_config_flag_belongs_to_the_subcommand(self, tmp_path, capsys):
+        cfgfile = tmp_path / "conf.json"
+        cfgfile.write_text(json.dumps({"beta": 2.0}))
+        code, out, _ = run(capsys, "kernel", "--config", str(cfgfile), "--p", "1")
+        assert code == EXIT_OK
+        assert out.strip() == "1.1565176427496657"  # 1/(1 - e^{-2}), not the beta = 1 value
+        # a --config before the subcommand used to be dropped silently
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfgfile), "kernel", "--p", "1"])
+        assert exc.value.code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize(
+        "doc,key", [({"epsilo": 1e-3}, "epsilo"), ({"grid": {"xmn": -2.0}}, "grid.xmn")]
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, doc, key):
+        cfgfile = tmp_path / "conf.json"
+        cfgfile.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "kernel", "--config", str(cfgfile), "--p", "1")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert key in err
 
     def test_invalid_config_rejected(self, tmp_path, capsys):
         cfgfile = tmp_path / "conf.json"

@@ -6,9 +6,12 @@ scaling and the positive-generator flow pure translation of xi.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modularflow import flow_maps
 from modularflow.errors import DomainViolation
@@ -249,6 +252,15 @@ class TestModularFlow:
         with pytest.raises(DomainViolation):
             modular_flow_ray(ctx, PLUS, u, -0.5)
 
+    @pytest.mark.parametrize("direction,u,x", [(PLUS, -300.0, -120.0), (MINUS, 300.0, 120.0)])
+    def test_overflowing_branch_raises_without_warning(self, direction, u, x):
+        # e^{-x/b} overflows on the translation-dominated branch here; the
+        # domain violation is the only thing that may come out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation):
+                modular_flow_ray(ThermalContext(beta=1.0), direction, u, x)
+
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_rejected(self, u):
         with pytest.raises(DomainViolation):
@@ -348,6 +360,22 @@ class TestGammaFlow:
         x = np.linspace(-2.0, 6.0, 300)
         assert np.all(np.diff(gamma_flow_ray(ctx, PLUS, 0.9, x)) > 0)
 
+    def test_subnormal_tau_does_not_overflow(self):
+        # |tau/b| < e^{-709} lets e^{-x/b} overflow at x above the floor,
+        # where r e^{-x/b} is still above -1; the value scaled by 2^-100 is
+        # the oracle
+        ctx = ThermalContext(beta=1.0)
+        b = 1.0 / TWO_PI
+        x = -711.0 * b
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gamma_flow_ray(ctx, PLUS, -1e-310, x)
+            got_minus = gamma_flow_ray(ctx, MINUS, 1e-310, -x)
+        arg = -(1e-310 * 2.0**100 / b) * math.exp(711.0 - 100.0 * math.log(2.0))
+        expected = x + b * math.log1p(arg)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got_minus == -got
+
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_rejected(self, tau):
         with pytest.raises(DomainViolation):
@@ -393,3 +421,66 @@ class TestTranslationCommutation:
             flow_maps, "modular_flow_ray", lambda ctx, d, u, x: real(finite, d, u, x)
         )
         assert check_translation_commutation(vacuum, 0.3, 0.7, grid) > 0.1
+
+
+# Properties over the whole parameter range.  x, u and tau are drawn in units
+# of beta, with beta log-uniform in [0.1, 10].
+LOG_BETA = st.floats(min_value=math.log(0.1), max_value=math.log(10.0))
+DIRECTIONS = st.sampled_from([PLUS, MINUS])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    LOG_BETA,
+    DIRECTIONS,
+    st.sampled_from([modular_flow_ray, gamma_flow_ray]),
+    st.floats(min_value=-300.0, max_value=300.0),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+@example(0.0, PLUS, modular_flow_ray, -300.0, -120.0)  # e^{-x/b} overflows
+@example(0.0, MINUS, modular_flow_ray, 300.0, 120.0)
+@example(0.0, PLUS, gamma_flow_ray, -1e-310, -711.0 / TWO_PI)  # subnormal tau
+def test_ray_maps_finite_or_domain_violation(log_beta, direction, flow, s, y):
+    beta = math.exp(log_beta)
+    param = s if flow is modular_flow_ray else s * beta  # u, or tau
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = flow(ThermalContext(beta=beta), direction, param, y * beta)
+        except DomainViolation:
+            return
+    assert math.isfinite(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    LOG_BETA,
+    DIRECTIONS,
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=10.0),
+)
+def test_ray_maps_group_law_and_inverse(log_beta, direction, y, u1, u2, s1, s2):
+    # the MINUS ray is the mirror image: x <= 0 and tau <= 0 there
+    beta = math.exp(log_beta)
+    ctx = ThermalContext(beta=beta)
+    sign = 1.0 if direction is PLUS else -1.0
+    x, tau1, tau2 = sign * y * beta, sign * s1 * beta, sign * s2 * beta
+    # for u > 0 the modular map is accurate to about 1e-17 beta in absolute
+    # terms near its fixed point x = 0 (log(1 - e^{-2 pi u}) carries the
+    # rounding of 1 - e^{-2 pi u}), and an outer map at parameter -|u1|
+    # stretches that by up to e^{2 pi |u1|}
+    tol = 1e-12 * max(beta, abs(x)) + 1e-15 * beta * math.exp(TWO_PI * abs(u1))
+
+    def phi(u, v):
+        return modular_flow_ray(ctx, direction, u, v)
+
+    def psi(tau, v):
+        return gamma_flow_ray(ctx, direction, tau, v)
+
+    assert abs(phi(u1, phi(u2, x)) - phi(u1 + u2, x)) <= tol
+    assert abs(phi(-u1, phi(u1, x)) - x) <= tol
+    assert abs(psi(tau1, psi(tau2, x)) - psi(tau1 + tau2, x)) <= tol
+    assert abs(psi(-tau1, psi(tau1, x)) - x) <= tol

@@ -140,36 +140,36 @@ class TestRate:
 
 class TestOperatorRelations:
     def test_translation_conjugation_trivial(self, ctx, f_pos):
-        assert translation_conjugation_deviation(ctx, N0, f_pos, 0.0, 0.7) < 1e-12
-        assert translation_conjugation_deviation(ctx, N0, f_pos, 0.4, 0.0) < 1e-10
+        assert translation_conjugation_deviation(ctx, f_pos, 0.0, 0.7) < 1e-12
+        assert translation_conjugation_deviation(ctx, f_pos, 0.4, 0.0) < 1e-10
 
     def test_translation_conjugation_reference(self, ctx, f_pos):
-        assert translation_conjugation_deviation(ctx, N0, f_pos, 0.25, 0.5) < 1e-8
+        assert translation_conjugation_deviation(ctx, f_pos, 0.25, 0.5) < 1e-8
 
     def test_parameter_grid(self, ctx, f_pos):
         worst = 0.0
         for u in np.linspace(-0.4, 0.4, 5):
             for t in np.linspace(0.1, 1.2, 5):
                 worst = max(
-                    worst, translation_conjugation_deviation(ctx, N0, f_pos, float(u), float(t))
+                    worst, translation_conjugation_deviation(ctx, f_pos, float(u), float(t))
                 )
         assert worst < 1e-8
 
     def test_gamma_conjugation_trivial(self, ctx, f_pos):
-        assert gamma_conjugation_deviation(ctx, N0, f_pos, 0.0, 0.5) < 1e-12
-        assert gamma_conjugation_deviation(ctx, N0, f_pos, 0.1, 0.0) < 1e-10
+        assert gamma_conjugation_deviation(ctx, f_pos, 0.0, 0.5) < 1e-12
+        assert gamma_conjugation_deviation(ctx, f_pos, 0.1, 0.0) < 1e-10
 
     def test_gamma_conjugation_reference(self, ctx, f_pos):
         # t chosen so the conjugated parameter scale is exactly 2
         t = math.log(2.0) / TWO_PI
-        assert gamma_conjugation_deviation(ctx, N0, f_pos, 0.1, t) < 1e-8
+        assert gamma_conjugation_deviation(ctx, f_pos, 0.1, t) < 1e-8
 
     def test_gamma_grid(self, ctx, f_pos):
         worst = 0.0
         for tau in np.linspace(0.02, 0.3, 5):
             for t in np.linspace(-0.5, 0.5, 5):
                 worst = max(
-                    worst, gamma_conjugation_deviation(ctx, N0, f_pos, float(tau), float(t))
+                    worst, gamma_conjugation_deviation(ctx, f_pos, float(tau), float(t))
                 )
         assert worst < 1e-8
 

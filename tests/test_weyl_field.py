@@ -355,16 +355,13 @@ class TestModularTransform:
         f = TestFunction.bump(-1.0, 0.5)  # support [-1.5, -0.5]
         with pytest.raises(DomainViolation):
             modular_transform(ctx, -1.0, f)
-        # clipping does not rescue u < 0
-        with pytest.raises(DomainViolation):
-            modular_transform(ctx, -1.0, f, clip=True)
 
     def test_clip_left_supported_positive_u(self):
         # u >= 0 admits any compact support; the image squeezes against the
         # flow's floor but nothing is lost
         ctx = ThermalContext()
         f = TestFunction.bump(-1.0, 0.5)
-        g = modular_transform(ctx, 0.8, f, clip=True)
+        g = modular_transform(ctx, 0.8, f)
         floor = (ctx.beta / TWO_PI) * math.log(-math.expm1(-TWO_PI * 0.8))
         assert g.support[0] > floor
         for edge, orig in zip(g.support, f.support):
@@ -374,7 +371,7 @@ class TestModularTransform:
         # value fidelity at mild compression (deep-left supports squeeze the
         # whole shape into a few nodes of the regenerated uniform grid)
         f2 = TestFunction.bump(-0.1, 0.5)
-        g2 = modular_transform(ctx, 0.1, f2, clip=True)
+        g2 = modular_transform(ctx, 0.1, f2)
         x = np.linspace(g2.support[0], g2.support[1], 4001)
         back = modular_flow_ray(ctx, RayDirection.PLUS, -0.1, x)
         assert np.max(np.abs(g2(x) - f2(back))) < 1e-5
@@ -529,7 +526,7 @@ class TestFourierPairCalibration:
         cal = calibrate_fourier_pair(ctx, [(f1, g1)], eps)
         f2, g2 = TestFunction.bump(0.45, 0.3), TestFunction.bump(1.0, 0.5)
         mom = _omega2_damped(ctx, N0, f2, g2, eps)
-        pos = cal.constant * omega2_position(ctx, f2, g2, eps, boundary="lower")
+        pos = cal.constant * omega2_position(ctx, f2, g2, eps)
         assert abs(mom - pos) / abs(mom) < 1e-4
         # removing the regularization moves the value only at O(eps)
         mom0 = omega2(ctx, N0, f2, g2)
