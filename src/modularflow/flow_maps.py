@@ -106,7 +106,30 @@ def xi_inverse(ctx: ThermalContext, direction: RayDirection, xi):
     return out if out.ndim else float(out)
 
 
-def _phi_plus(beta: float, u: float, x):
+def _domain_violation(what: str, conds, floor: float, name: str, param: float, x, mirror: bool):
+    """DomainViolation for a ray map whose argument must exceed floor.
+
+    conds holds the positivity condition of the PLUS and the MINUS map.  A
+    MINUS map is evaluated as the reflection -f_+(-param, -x); mirror=True
+    states the bound, the parameter and the argument as the caller gave them.
+    """
+    if mirror:
+        # 0.0 - floor: a floor of 0.0 reads as 0.0, not -0.0
+        return DomainViolation(
+            f"{what} undefined: {conds[1]} must be positive; needs x < {0.0 - floor} "
+            f"at {name}={-param}, got x={-np.min(x)}"
+        )
+    return DomainViolation(
+        f"{what} undefined: {conds[0]} must be positive; needs x > {floor} "
+        f"at {name}={param}, got x={np.min(x)}"
+    )
+
+
+_PHI_CONDS = ("1 + e^{-2 pi u}(e^{2 pi x/beta} - 1)", "1 + e^{2 pi u}(e^{-2 pi x/beta} - 1)")
+_PSI_CONDS = ("1 + (2 pi tau/beta) e^{-2 pi x/beta}", "1 - (2 pi tau/beta) e^{2 pi x/beta}")
+
+
+def _phi_plus(beta: float, u: float, x, mirror: bool = False):
     """Modular flow on the right half-line.
 
     phi_+(u, x) = (beta/2pi) log{ 1 + e^{-2pi u}(e^{2pi x/beta} - 1) },
@@ -118,7 +141,8 @@ def _phi_plus(beta: float, u: float, x):
 
     with b = beta/2pi.  The first is a sum of exponentials (both terms
     positive), the second isolates the small correction; both stay exact for
-    |x| << beta and |x| >> beta.
+    |x| << beta and |x| >> beta.  mirror marks a MINUS call (see
+    _domain_violation).
     """
     b = beta / TWO_PI
     x = np.asarray(x, dtype=float)
@@ -136,26 +160,23 @@ def _phi_plus(beta: float, u: float, x):
         # e^{-x/b} overflows only where 2pi u < -1400: arg = -inf fails the check
         with np.errstate(over="ignore"):
             arg = math.expm1(TWO_PI * u) * np.exp(-x[big] / b)
-        _check_phi_domain(b, u, arg, x, big)
+        _check_phi_domain(b, u, arg, x, big, mirror)
         out[big] = x[big] - beta * u + b * np.log1p(arg)
     small = ~big
     if np.any(small):
         # capped below overflow: with -2pi u > 709 a small-branch x has
         # x/b < -9, so arg < -1 and the domain check raises either way
         arg = math.exp(min(-TWO_PI * u, 709.0)) * np.expm1(x[small] / b)
-        _check_phi_domain(b, u, arg, x, small)
+        _check_phi_domain(b, u, arg, x, small, mirror)
         out[small] = b * np.log1p(arg)
     return out
 
 
-def _check_phi_domain(b: float, u: float, arg, x, part):
+def _check_phi_domain(b: float, u: float, arg, x, part, mirror: bool):
     """Raise DomainViolation unless arg > -1; arg is the log1p argument at x[part]."""
     if np.any(arg <= -1.0):
         floor = b * math.log(-math.expm1(TWO_PI * u))
-        raise DomainViolation(
-            "modular flow undefined: 1 + e^{-2 pi u}(e^{2 pi x/beta} - 1) "
-            f"must be positive; needs x > {floor} at u={u}, got x={np.min(x[part])}"
-        )
+        raise _domain_violation("modular flow", _PHI_CONDS, floor, "u", u, x[part], mirror)
 
 
 def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u: float, x):
@@ -176,40 +197,42 @@ def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u: float, x):
     elif direction is RayDirection.PLUS:
         out = _phi_plus(ctx.beta, u, x_arr)
     else:
-        out = -_phi_plus(ctx.beta, -u, -x_arr)
+        out = -_phi_plus(ctx.beta, -u, -x_arr, mirror=True)
     return float(out[0]) if scalar else out
 
 
-def _psi_plus(beta: float, tau: float, x):
+def _psi_plus(beta: float, tau: float, x, mirror: bool = False):
     """Positive-generator flow on the right half-line.
 
     psi_+(tau, x) = (beta/2pi) log{ e^{2pi x/beta} + 2pi tau/beta },
     i.e. translation by tau in the plus chart.  For tau > 0 this is a
     logaddexp of two positive terms (exact down to results below the
     smallest subnormal); for tau < 0 the correction form
-    x + b log1p(r e^{-x/b}) is used on its domain x > b log(-r).
+    x + b log1p(r e^{-x/b}) is used on its domain x > b log(-r).  mirror
+    marks a MINUS call (see _domain_violation).
     """
     b = beta / TWO_PI
     x = np.asarray(x, dtype=float)
     if tau == 0.0:
         return x.copy()
     r = tau / b
+    # for b > 2 (beta > 4 pi) a subnormal tau makes r underflow to 0
+    log_r = math.log(abs(r)) if r != 0.0 else math.log(abs(tau)) - math.log(b)
     if tau > 0.0:
-        return b * np.logaddexp(x / b, math.log(r))
-    floor = b * math.log(-r)
+        return b * np.logaddexp(x / b, log_r)
+    floor = b * log_r
     if np.any(x <= floor):
-        raise DomainViolation(
-            "positive-generator flow undefined: 1 + (2 pi tau/beta) "
-            f"e^{{-2 pi x/beta}} must be positive; needs x > {floor} at "
-            f"tau={tau}, got x={np.min(x)}"
+        raise _domain_violation(
+            "positive-generator flow", _PSI_CONDS, floor, "tau", tau, x, mirror
         )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         arg = r * np.exp(-x / b)
     # above the floor r e^{-x/b} lies in (-1, 0), but for |r| < e^{-709}
-    # (subnormal tau) e^{-x/b} alone can overflow there
-    over = np.isinf(arg)
+    # (subnormal tau) e^{-x/b} alone can overflow there: inf, or NaN where
+    # r underflowed to 0
+    over = ~np.isfinite(arg)
     if np.any(over):
-        arg[over] = -np.exp(math.log(-r) - x[over] / b)
+        arg[over] = -np.exp(log_r - x[over] / b)
     return x + b * np.log1p(arg)
 
 
@@ -230,7 +253,7 @@ def gamma_flow_ray(ctx: ThermalContext, direction: RayDirection, tau: float, x):
     elif direction is RayDirection.PLUS:
         out = _psi_plus(ctx.beta, tau, x_arr)
     else:
-        out = -_psi_plus(ctx.beta, -tau, -x_arr)
+        out = -_psi_plus(ctx.beta, -tau, -x_arr, mirror=True)
     return float(out[0]) if scalar else out
 
 

@@ -20,7 +20,10 @@ calibrate_fourier_pair).
 
 All integrals run on a fixed symmetric momentum grid (composite Simpson),
 with transforms evaluated by the chirp-z algorithm, so results are
-deterministic and bit-stable across runs.
+deterministic and bit-stable across runs.  The chirp-z routine keeps its
+chirp and kernel spectrum in a small plan cache keyed on (n, m, w), and a
+TestFunction keeps its transform per momentum grid, so a function paired
+many times on one grid is transformed once.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
-from scipy.signal import czt
 
 from .axb_group import TWO_PI
 from .errors import DomainViolation, QuadratureError, ResolutionError
@@ -205,6 +208,32 @@ def momentum_grid(ctx: ThermalContext) -> np.ndarray:
     return _grid_cached(ctx.pmax, ctx.npts)
 
 
+@lru_cache(maxsize=16)
+def _czt_plan(n: int, m: int, w: complex):
+    """Bluestein plan (Awk2, Fwk2, wk2[:m], nfft) for n samples, m nodes, a = 1."""
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    wk2 = np.complex128(w) ** (k**2 / 2.0)
+    awk2 = (1.0 * (1 + 0j)) ** -k[:n] * wk2[:n]
+    nfft = next_fast_len(n + m - 1)
+    fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
+    for arr in (awk2, fwk2, wk2):
+        arr.setflags(write=False)  # shared by every call with this plan
+    return awk2, fwk2, wk2[:m], nfft
+
+
+def czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
+    """Chirp-z transform X_k = sum_j x_j w^{jk}, k < m, by Bluestein's algorithm.
+
+    The arithmetic and its order are those of scipy.signal.czt with a = 1
+    (Rabiner, Schafer & Rader 1969), so results agree bit for bit; the
+    chirp and kernel spectrum come from a plan cached on (len(x), m, w).
+    """
+    n = len(x)
+    awk2, fwk2, wk2, nfft = _czt_plan(n, m, w)
+    y = ifft(fwk2 * fft(x * awk2, nfft))
+    return y[n - 1 : n + m - 1] * wk2
+
+
 def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
     """Transform ft(p) = (1/2pi) int e^{-ipx} f(x) dx on a uniform symmetric grid.
 
@@ -224,7 +253,7 @@ def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
     if np.max(np.abs(np.diff(p) - dp)) > 1e-9 * dp:
         raise ValueError("momentum grid must be uniform")
     m = len(p) // 2 + 1
-    half = czt(f.samples, m=m, w=np.exp(-1j * dp * f.dx), a=1.0 + 0.0j)
+    half = czt(f.samples, m, np.exp(-1j * dp * f.dx))
     half *= np.exp(-1j * p[m - 1 :] * f.x0) * (f.dx / TWO_PI)
     out = np.empty(len(p), dtype=complex)
     out[m - 1 :] = half
@@ -233,9 +262,28 @@ def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
 
 
 def _transforms(ctx: ThermalContext, f: TestFunction):
-    """(ft(p), ft(-p)) on the momentum grid; the mirror is exact on the symmetric grid."""
-    t = fourier(f, momentum_grid(ctx))
+    """(ft(p), ft(-p)) on the momentum grid; the mirror is exact on the symmetric grid.
+
+    The transform is kept read-only in f's __dict__, keyed on the grid's
+    (pmax, npts), like the cached x and _spline: the samples are read-only
+    and translate, scaled and replace build new instances, so it cannot go
+    stale.
+    """
+    cache = f.__dict__.setdefault("_transforms", {})
+    key = (ctx.pmax, ctx.npts)
+    t = cache.get(key)
+    if t is None:
+        t = fourier(f, momentum_grid(ctx))
+        t.setflags(write=False)
+        cache[key] = t
     return t, t[::-1]
+
+
+def _simpson(y: np.ndarray, dx: float):
+    """Composite Simpson sum over an odd node count, in scipy's operation order."""
+    r = np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    r *= dx / 3.0
+    return r
 
 
 def _weight(spec: FieldSpec, p: np.ndarray) -> np.ndarray:
@@ -336,7 +384,7 @@ def _pair(ctx: ThermalContext, weight, left, right, what: str | None = None) -> 
     integrand = weight * left * right
     if what is not None:
         _tail_check(integrand, what)
-    return complex(simpson(integrand, dx=p[1] - p[0]))
+    return complex(_simpson(integrand, p[1] - p[0]))
 
 
 def symplectic_K(
@@ -355,7 +403,7 @@ def symplectic_K(
     b = w * tg_m * tf_p
     integrand = 0.5 * (a - b)
     _tail_check(a, "symplectic form")
-    val = simpson(integrand, dx=p[1] - p[0])
+    val = _simpson(integrand, p[1] - p[0])
     return complex(0.0, float(val.imag))
 
 

@@ -141,6 +141,14 @@ class TestFlowCommand:
         )
         assert out.strip() == f"{q.x0:.17g},{q.x1:.17g}"
 
+    def test_subnormal_tau_at_large_beta(self, capsys):
+        code, out, err = run(
+            capsys, "flow", "--region", "wedge", "--flow", "gamma", "--beta", "20",
+            "--tau=-5e-324", "--point", "0,1",
+        )
+        assert code == EXIT_OK, err
+        assert out.strip() == "0,1"
+
     def test_bad_point_exit_2(self, capsys):
         code, _, err = run(
             capsys, "flow", "--region", "cone", "--flow", "modular",

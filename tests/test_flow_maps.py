@@ -261,6 +261,22 @@ class TestModularFlow:
             with pytest.raises(DomainViolation):
                 modular_flow_ray(ThermalContext(beta=1.0), direction, u, x)
 
+    def test_minus_message_names_callers_arguments(self):
+        ctx = ThermalContext(beta=1.0)
+        with pytest.raises(DomainViolation) as err:
+            modular_flow_ray(ctx, MINUS, 300.0, 120.0)
+        msg = str(err.value)
+        assert "needs x < 0.0 at u=300.0, got x=120.0" in msg
+        assert "e^{2 pi u}(e^{-2 pi x/beta} - 1)" in msg
+        # the stated upper bound is where the MINUS map stops being defined
+        ceiling = -math.log(-math.expm1(-TWO_PI)) / TWO_PI
+        with pytest.raises(DomainViolation) as err:
+            modular_flow_ray(ctx, MINUS, 1.0, 0.5)
+        assert f"needs x < {ceiling} at u=1.0, got x=0.5" in str(err.value)
+        assert math.isfinite(modular_flow_ray(ctx, MINUS, 1.0, ceiling - 1e-6))
+        with pytest.raises(DomainViolation):
+            modular_flow_ray(ctx, MINUS, 1.0, ceiling + 1e-6)
+
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_rejected(self, u):
         with pytest.raises(DomainViolation):
@@ -375,6 +391,33 @@ class TestGammaFlow:
         expected = x + b * math.log1p(arg)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got_minus == -got
+
+    @pytest.mark.parametrize("tau", [5e-324, -5e-324])
+    def test_subnormal_tau_underflowing_ratio(self, tau):
+        # at beta = 20, tau/b underflows to 0 for the smallest subnormal tau;
+        # the shift it stands for is far below the rounding of x
+        ctx = ThermalContext(beta=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gamma_flow_ray(ctx, PLUS, tau, 1.0) == 1.0
+            assert gamma_flow_ray(ctx, MINUS, -tau, -1.0) == -1.0
+            # e^{-x/b} overflows above the floor b (log|tau| - log b) = -2373.3
+            far = gamma_flow_ray(ctx, PLUS, tau, -2370.0)
+        b = 20.0 / TWO_PI
+        arg = math.copysign(math.exp(-1074.0 * math.log(2.0) - math.log(b) + 2370.0 / b), tau)
+        assert far == pytest.approx(-2370.0 + b * math.log1p(arg), rel=1e-12)
+
+    def test_minus_message_names_callers_arguments(self):
+        ctx = ThermalContext(beta=1.0)
+        ceiling = math.log(1.0 / TWO_PI) / TWO_PI
+        with pytest.raises(DomainViolation) as err:
+            gamma_flow_ray(ctx, MINUS, 1.0, 5.0)
+        msg = str(err.value)
+        assert f"needs x < {ceiling} at tau=1.0, got x=5.0" in msg
+        assert "1 - (2 pi tau/beta) e^{2 pi x/beta}" in msg
+        assert math.isfinite(gamma_flow_ray(ctx, MINUS, 1.0, ceiling - 1e-6))
+        with pytest.raises(DomainViolation):
+            gamma_flow_ray(ctx, MINUS, 1.0, ceiling + 1e-6)
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameter_rejected(self, tau):

@@ -7,17 +7,28 @@ semidefiniteness of Gaussian overlaps.
 """
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
+import modularflow
 from modularflow.errors import DomainViolation, QuadratureError, ResolutionError
 from modularflow.flow_maps import RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray
+from modularflow.verify import _deviation_samples
 from modularflow.weyl_field import (
     FieldSpec,
     StateNormalization,
     TestFunction,
+    _czt_plan,
+    _simpson,
+    _transforms,
     calibrate_fourier_pair,
+    czt,
     fourier,
     gamma_transform,
     higher_transform,
@@ -114,6 +125,89 @@ class TestFourier:
         f = TestFunction.bump(1.0, 0.5)
         with pytest.raises(ValueError, match="symmetric"):
             fourier(f, np.linspace(0.0, 10.0, 11))
+
+
+class TestTransformLayer:
+    @staticmethod
+    def _cases():
+        # (samples, m, w) as fourier passes them: the default bump on the
+        # default 8193-node grid, a deviation grid from the thm22 setting,
+        # and one case each with fewer and more samples than nodes
+        ctx = ThermalContext(beta=1.0)
+        dp = momentum_grid(ctx)[1] - momentum_grid(ctx)[0]
+        f = TestFunction.bump(1.2, 0.5)
+        d, _ = _deviation_samples(ctx, f, 0.5, 2.0)
+        rng = np.random.default_rng(7)
+        return [
+            (f.samples, 4097, np.exp(-1j * dp * f.dx)),
+            (d.samples, 4097, np.exp(-1j * dp * d.dx)),
+            (rng.standard_normal(100), 257, np.exp(-0.013j)),
+            (rng.standard_normal(8193), 4097, np.exp(-1j * dp * 1e-3)),
+        ]
+
+    def test_czt_bitwise_equal_to_scipy(self):
+        from scipy.signal import czt as scipy_czt
+
+        for x, m, w in self._cases():
+            # twice: once building the plan, once from the cache
+            for _ in range(2):
+                got = czt(x, m, w)
+                assert np.array_equal(got, scipy_czt(x, m=m, w=w, a=1.0 + 0.0j))
+
+    def test_plan_cache_bounded(self):
+        info = _czt_plan.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 64
+
+    def test_simpson_bitwise_equal_to_scipy(self):
+        rng = np.random.default_rng(3)
+        for n in (3, 5, 8193):
+            y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert _simpson(y, 0.37) == simpson(y, dx=0.37)
+
+    def test_transform_memoized_read_only(self):
+        ctx = ThermalContext(beta=1.0)
+        f = TestFunction.bump(1.2, 0.5)
+        t_p, t_m = _transforms(ctx, f)
+        assert np.array_equal(t_p, fourier(f, momentum_grid(ctx)))
+        assert _transforms(ctx, f)[0] is t_p
+        for t in (t_p, t_m):
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t[0] = 0.0
+
+    def test_new_instances_do_not_inherit_the_transform(self):
+        ctx = ThermalContext(beta=1.0)
+        p = momentum_grid(ctx)
+        f = TestFunction.bump(1.2, 0.5)
+        _transforms(ctx, f)
+        for g in (f.translate(0.3), f.scaled(2.0), replace(f, samples=f.samples**2)):
+            assert "_transforms" not in g.__dict__
+            assert np.array_equal(_transforms(ctx, g)[0], fourier(g, p))
+            assert not np.array_equal(_transforms(ctx, g)[0], _transforms(ctx, f)[0])
+
+    def test_grids_do_not_share_a_transform(self):
+        f = TestFunction.bump(1.2, 0.5)
+        for ctx in (
+            ThermalContext(beta=1.0, npts=1024),
+            ThermalContext(beta=1.0, npts=2048),
+            ThermalContext(beta=1.0, npts=2048, pmax=150.0),
+        ):
+            got = _transforms(ctx, f)[0]
+            assert np.array_equal(got, fourier(f, momentum_grid(ctx)))
+        assert len(f.__dict__["_transforms"]) == 3
+
+    def test_cli_import_leaves_out_scipy_signal(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(modularflow.__file__)))
+        code = (
+            "import sys, modularflow.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=120,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestTwoPointMomentum:
