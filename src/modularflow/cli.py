@@ -75,6 +75,11 @@ class RunConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.grid_xmin < self.grid_xmax):
             raise ValueError("grid xmin must be below xmax")
+        if self.grid_xmin != -self.grid_xmax:
+            # figures span [-w, w] with w = (xmax - xmin)/2
+            raise ValueError(
+                f"grid xmin={self.grid_xmin} and xmax={self.grid_xmax} must be centred on 0"
+            )
         if self.format not in ("csv", "json", "svg"):
             raise ValueError(f"format must be csv, json or svg, got {self.format!r}")
         return self

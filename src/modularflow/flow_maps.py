@@ -125,6 +125,17 @@ def _domain_violation(what: str, conds, floor: float, name: str, param: float, x
     )
 
 
+def _points(x):
+    """(x as a 1-D float array, whether x was a scalar); NaN or inf x raises."""
+    x_arr = np.asarray(x, dtype=float)
+    scalar = x_arr.ndim == 0
+    # math.isfinite costs far less than a reduction on the per-point flow lines
+    if not (math.isfinite(x_arr) if scalar else np.isfinite(x_arr).all()):
+        bad = x_arr[~np.isfinite(x_arr)][0]
+        raise DomainViolation(f"point x must be finite, got x={bad}")
+    return np.atleast_1d(x_arr), scalar
+
+
 _PHI_CONDS = ("1 + e^{-2 pi u}(e^{2 pi x/beta} - 1)", "1 + e^{2 pi u}(e^{-2 pi x/beta} - 1)")
 _PSI_CONDS = ("1 + (2 pi tau/beta) e^{-2 pi x/beta}", "1 - (2 pi tau/beta) e^{2 pi x/beta}")
 
@@ -188,9 +199,7 @@ def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u: float, x):
     """
     if not math.isfinite(u):
         raise DomainViolation(f"flow parameter u must be finite, got {u}")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+    x_arr, scalar = _points(x)
     if not ctx.finite:
         sign = 1.0 if direction is RayDirection.PLUS else -1.0
         out = math.exp(-TWO_PI * sign * u) * x_arr
@@ -245,9 +254,7 @@ def gamma_flow_ray(ctx: ThermalContext, direction: RayDirection, tau: float, x):
     """
     if not math.isfinite(tau):
         raise DomainViolation(f"flow parameter tau must be finite, got {tau}")
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+    x_arr, scalar = _points(x)
     if not ctx.finite:
         out = x_arr + tau
     elif direction is RayDirection.PLUS:

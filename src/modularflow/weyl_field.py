@@ -18,12 +18,13 @@ position kernel is provided as a cross-check only, related to the momentum
 pairing by one global constant fixed numerically (see
 calibrate_fourier_pair).
 
-All integrals run on a fixed symmetric momentum grid (composite Simpson),
-with transforms evaluated by the chirp-z algorithm, so results are
-deterministic and bit-stable across runs.  The chirp-z routine keeps its
-chirp and kernel spectrum in a small plan cache keyed on (n, m, w), and a
-TestFunction keeps its transform per momentum grid, so a function paired
-many times on one grid is transformed once.
+Every integral, in momentum or position space, is one composite Simpson
+rule (_simpson) on a uniform grid with an odd node count.  Momentum integrals
+run on a fixed symmetric grid, with transforms evaluated by the chirp-z
+algorithm, so results are deterministic and bit-stable across runs.  The
+chirp-z routine keeps its chirp and kernel spectrum in a small plan cache
+keyed on (n, m, w), and a TestFunction keeps its transform per momentum
+grid, so a function paired many times on one grid is transformed once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .axb_group import TWO_PI
@@ -280,8 +281,8 @@ def _transforms(ctx: ThermalContext, f: TestFunction):
 
 
 def _simpson(y: np.ndarray, dx: float):
-    """Composite Simpson sum over an odd node count, in scipy's operation order."""
-    r = np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    """Composite Simpson sum along the last axis (odd node count), in scipy's order."""
+    r = np.sum(y[..., 0:-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2], axis=-1)
     r *= dx / 3.0
     return r
 
@@ -646,7 +647,7 @@ def localization_defect(
     if lo >= hi:
         return 0.0
     x = np.linspace(lo, hi, 4097)
-    return float(simpson(integrand(x), dx=x[1] - x[0]))
+    return float(_simpson(integrand(x), x[1] - x[0]))
 
 
 # ----------------------------------------------------------------------
@@ -685,9 +686,9 @@ def omega2_position(
     F = CubicSpline(s, corr)
     h = min(dx, epsilon / 16.0)
     n = int(math.ceil((s[-1] - s[0]) / h)) | 1
-    sf = np.linspace(s[0], s[-1], n + 1)
+    sf = np.linspace(s[0], s[-1], n)
     k = np.conj(two_point_position(ctx, sf, epsilon))
-    return complex(simpson(k * F(sf), dx=sf[1] - sf[0]))
+    return complex(_simpson(k * F(sf), sf[1] - sf[0]))
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,19 @@ class TestConfig:
         assert code == EXIT_DOMAIN
         assert "beta" in err
 
+    def test_off_centre_grid_rejected(self, tmp_path, capsys):
+        # figures span [-w, w]; a grid on [0, 6] used to draw [-3, 3] silently
+        cfgfile = tmp_path / "conf.json"
+        cfgfile.write_text(json.dumps({"grid": {"xmin": 0, "xmax": 6}}))
+        out = tmp_path / "f1.csv"
+        code, stdout, err = run(
+            capsys, "figure", "--config", str(cfgfile), "--which", "1", "-o", str(out)
+        )
+        assert code == EXIT_DOMAIN
+        assert stdout == ""
+        assert "xmin" in err and "xmax" in err
+        assert not out.exists()
+
 
 class TestFlowCommand:
     def test_identity_case(self, capsys):
@@ -120,6 +133,22 @@ class TestFlowCommand:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "region,flow,param,point",
+        [
+            ("wedge", "gamma", ("--tau", "1"), "nan,1"),
+            ("cone", "modular", ("--u", "0.3"), "1,inf"),
+        ],
+    )
+    def test_non_finite_point_exit_2(self, capsys, region, flow, param, point):
+        code, out, err = run(
+            capsys, "flow", "--region", region, "--flow", flow, *param,
+            f"--point={point}",
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "point x must be finite" in err
 
     def test_large_negative_u(self, capsys):
         code, out, _ = run(

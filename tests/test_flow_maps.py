@@ -427,6 +427,28 @@ class TestGammaFlow:
             gamma_flow_ray(ThermalContext(beta=math.inf), MINUS, tau, -0.5)
 
 
+class TestNonFinitePoint:
+    # a NaN fails every domain comparison, so without its own check a NaN
+    # or infinite point coordinate used to come back as NaN or inf
+    @pytest.mark.parametrize("flow,param", [(modular_flow_ray, 0.3), (gamma_flow_ray, 1.0)])
+    @pytest.mark.parametrize("direction", [PLUS, MINUS])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_scalar_rejected(self, flow, param, direction, x, beta):
+        for p in (param, -param):
+            with pytest.raises(DomainViolation, match="point x must be finite"):
+                flow(ThermalContext(beta=beta), direction, p, x)
+
+    @pytest.mark.parametrize("flow,param", [(modular_flow_ray, 0.3), (gamma_flow_ray, 1.0)])
+    @pytest.mark.parametrize("direction", [PLUS, MINUS])
+    def test_array_rejected_naming_the_value(self, flow, param, direction):
+        x = np.array([0.5, 1.0, math.nan, math.inf])
+        if direction is MINUS:
+            x = -x
+        with pytest.raises(DomainViolation, match="got x=nan"):
+            flow(ThermalContext(beta=1.0), direction, param, x)
+
+
 class TestTranslationCommutation:
     def test_u_zero(self):
         ctx = ThermalContext(beta=1.0)

@@ -210,6 +210,27 @@ class TestKmsBoundary:
         dev = kms_boundary_check(ctx, f, g, np.linspace(-0.5, 0.5, 5), 1e-4)
         assert dev < 1e-6
 
+    def test_mutant_direct_form_detected(self, ctx, monkeypatch):
+        # the check smears the difference of the two forms, so an error in
+        # either one must show: scaling the direct form by 1 + r adds r times
+        # its smear (about 2e-4 at u = 0.3) to the clean value
+        f = TestFunction.bump(0.5, 0.3)
+        g = TestFunction.bump(1.85, 0.35)
+        clean = kms_boundary_check(ctx, f, g, [0.3], 1e-4)
+        original = verify._kms_integrands
+
+        def scaled(r):
+            def mutant(*args):
+                cont, direct = original(*args)
+                return cont, direct * (1.0 + r)
+
+            return mutant
+
+        monkeypatch.setattr(verify, "_kms_integrands", scaled(1e-4))
+        assert kms_boundary_check(ctx, f, g, [0.3], 1e-4) > 100.0 * clean
+        monkeypatch.setattr(verify, "_kms_integrands", scaled(1e-2))
+        assert kms_boundary_check(ctx, f, g, [0.3], 1e-4) > 1e-6
+
     def test_u_zero_matches_commutator(self, ctx):
         # at u = 0 the two sides are the plain two-point smears in either
         # order; their difference is the symplectic form, which vanishes for

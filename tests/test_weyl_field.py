@@ -163,6 +163,33 @@ class TestTransformLayer:
         for n in (3, 5, 8193):
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             assert _simpson(y, 0.37) == simpson(y, dx=0.37)
+        # rows reduce independently along the last axis, each as in 1-D
+        y = rng.standard_normal((4, 801)) + 1j * rng.standard_normal((4, 801))
+        got = _simpson(y, 0.37)
+        assert got.shape == (4,)
+        assert np.array_equal(got, simpson(y, dx=0.37, axis=-1))
+        assert all(got[i] == _simpson(y[i], 0.37) for i in range(4))
+
+    def test_position_integrals_use_the_package_rule(self, monkeypatch):
+        # omega2_position and localization_defect integrate through _simpson,
+        # on an odd node count (no even-count correction)
+        import modularflow.weyl_field as wf
+
+        counts = []
+
+        def spy(y, dx):
+            counts.append(np.shape(y)[-1])
+            return _simpson(y, dx)
+
+        monkeypatch.setattr(wf, "_simpson", spy)
+        ctx = ThermalContext()
+        f, g = TestFunction.bump(0.7, 0.4), TestFunction.bump(1.4, 0.4)
+        omega2_position(ctx, f, g, 1e-3)
+        assert len(counts) == 1
+        localization_defect(ctx, 1, 0.2, TestFunction.bump(1.5, 0.5), (0.0, 50.0))
+        assert len(counts) == 2
+        assert counts[1] == 4097
+        assert all(n % 2 == 1 for n in counts)
 
     def test_transform_memoized_read_only(self):
         ctx = ThermalContext(beta=1.0)
