@@ -181,6 +181,10 @@ def matrix_element_bound(
     2 M min{|e^{2pi u} - 1| / (e^{2pi t/beta} - 1), 1} with M = 1 for Weyl
     vectors, which holds by construction (K(f, f) = 0).  Raises
     QuadratureError when f or g is too narrow for the momentum cutoff.
+
+    lhs is |<W(g)O, W(h1)O> - <W(g)O, W(h2)O>| for h1 the modular image of
+    f(. - t) and h2 = f(. - (t - beta u)), from four pairings of e = h2 - g
+    and the deviation d = h1 - h2 (overlaps as in weyl_inner).
     """
     if f.support[0] <= 0.0:
         raise DomainViolation("supp f must lie in the positive half-line")
@@ -200,27 +204,14 @@ def matrix_element_bound(
     _tail_check(wgt * tf_m * tf_p, "symplectic form")
     _tail_check(wgt * tg_m * tg_p, "symplectic form")
     M = 1.0
-
-    def om(left_m, right_p):
-        return _pair(ctx, dens, left_m, right_p)
-
-    def kk(left_m, right_p):
-        return _pair(ctx, wgt, left_m, right_p)
-
-    o_gg = om(tg_m, tg_p).real
-    o_h2h2 = om(th2_m, th2_p).real
+    te_p, te_m = th2_p - tg_p, th2_m - tg_m
     c = norm.c
-    z2 = kk(tg_m, th2_p) / 2.0 - c * (
-        o_h2h2 + o_gg - om(tg_m, th2_p) - om(th2_m, tg_p)
-    )
-    # z1 - z2 assembled from deviation pairings only (no large-term cancellation)
-    dz = kk(tg_m, td_p) / 2.0 - c * (
-        om(td_m, th2_p)
-        + om(th2_m, td_p)
-        + om(td_m, td_p)
-        - om(td_m, tg_p)
-        - om(tg_m, td_p)
-    )
+    z2 = _pair(ctx, wgt, tg_m, th2_p) / 2.0 - c * _pair(ctx, dens, te_m, te_p).real
+    # z1 - z2 from deviation pairings only (no large-term cancellation), with
+    # omega2(e + d, e + d) - omega2(e, e) = Re omega2(d, d + 2e) for real functions
+    dz = _pair(ctx, wgt, tg_m, td_p) / 2.0 - c * _pair(
+        ctx, dens, td_m, td_p + 2.0 * te_p
+    ).real
     lhs = float(abs(np.exp(z2)) * abs(np.expm1(dz)))
     ratio = abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * t / beta)
     rhs = 2.0 * M * min(ratio, 1.0)
@@ -384,6 +375,9 @@ def kms_boundary_check(
     """
     if f.support[0] <= 0.0 or g.support[0] <= 0.0:
         raise DomainViolation("both supports must lie in the positive half-line")
+    u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
+    if len(u_grid) == 0:
+        raise ValueError("u grid must not be empty")
     n = 801  # Simpson nodes per axis
     x = np.linspace(f.support[0], f.support[1], n)
     y = np.linspace(g.support[0], g.support[1], n)
@@ -395,8 +389,8 @@ def kms_boundary_check(
         return _simpson(_simpson((cont - direct) * weight, y[1] - y[0]), x[1] - x[0])
 
     worst = 0.0
-    for u in np.atleast_1d(np.asarray(u_grid, dtype=float)):
-        worst = max(worst, abs(2.0 * smear(u, epsilon / 2.0) - smear(u, epsilon)))
+    for u in u_grid:
+        worst = _worst(worst, abs(2.0 * smear(u, epsilon / 2.0) - smear(u, epsilon)))
     return float(worst)
 
 
@@ -421,9 +415,14 @@ def _case(check, params, value, tol) -> CaseResult:
     return CaseResult(check=check, params=params, lhs=float(value), rhs=float(tol))
 
 
+def _worst(*values: float) -> float:
+    """Largest value, or NaN if any is NaN: builtin max drops a NaN not in front."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
 def _relative_deviation(left, right) -> float:
     """Largest of the (lam, tau) differences, each relative to max(1, |right|)."""
-    return max(
+    return _worst(
         abs(left.lam - right.lam) / max(1.0, abs(right.lam)),
         abs(left.tau - right.tau) / max(1.0, abs(right.tau)),
     )
@@ -440,7 +439,7 @@ def _suite_group_laws(beta: float) -> list[CaseResult]:
         ]
         left = axb_group.compose(axb_group.compose(gs[0], gs[1]), gs[2])
         right = axb_group.compose(gs[0], axb_group.compose(gs[1], gs[2]))
-        worst = max(worst, _relative_deviation(left, right))
+        worst = _worst(worst, _relative_deviation(left, right))
     cases.append(_case("associativity", {"samples": 200}, worst, 1e-12))
 
     worst = 0.0
@@ -455,7 +454,7 @@ def _suite_group_laws(beta: float) -> list[CaseResult]:
                     axb_group.subgroup_element(pp, 0.7),
                 )
                 rhs = axb_group.subgroup_element(pp, r + 0.7)
-                worst = max(worst, _relative_deviation(lhs, rhs))
+                worst = _worst(worst, _relative_deviation(lhs, rhs))
     cases.append(_case("subgroup-additivity", {"grid": "10x10x10"}, worst, 1e-12))
 
     worst = 0.0
@@ -472,14 +471,14 @@ def _suite_group_laws(beta: float) -> list[CaseResult]:
                 axb_group.subgroup_element(axb_group.SHIFTED_DILATION_PARAMS, F),
                 axb_group.subgroup_element(axb_group.DILATION_PARAMS, -F + s + u),
             )
-            worst = max(worst, _relative_deviation(lhs, rhs))
+            worst = _worst(worst, _relative_deviation(lhs, rhs))
     cases.append(_case("exchange-identity", {"grid": "15x15"}, worst, 1e-12))
 
     worst = 0.0
     for tau in np.linspace(-0.14, 0.14, 15):
         for branch in ("first", "second"):
             gg = axb_group.compose_decomposition(tau, branch)
-            worst = max(worst, abs(gg.lam - 1.0), abs(gg.tau - tau))
+            worst = _worst(worst, abs(gg.lam - 1.0), abs(gg.tau - tau))
     cases.append(_case("translation-decomposition", {"grid": 15}, worst, 1e-12))
 
     worst = 0.0
@@ -494,7 +493,7 @@ def _suite_group_laws(beta: float) -> list[CaseResult]:
             ),
         )
         expected = axb_group.conjugate_translation(pp, r, tau)
-        worst = max(worst, abs(conj.lam - 1.0), abs(conj.tau - expected))
+        worst = _worst(worst, abs(conj.lam - 1.0), abs(conj.tau - expected))
     cases.append(_case("translation-conjugation", {"samples": 100}, worst, 1e-12))
     return cases
 
@@ -510,29 +509,29 @@ def _suite_flows(beta: float) -> list[CaseResult]:
         for u1, u2 in ((0.3, 0.5), (-0.2, 0.6), (0.9, -0.1)):
             a = modular_flow_ray(ctx, d, u1, modular_flow_ray(ctx, d, u2, xs))
             bb = modular_flow_ray(ctx, d, u1 + u2, xs)
-            worst = max(worst, float(np.max(np.abs(a - bb))))
+            worst = _worst(worst, float(np.max(np.abs(a - bb))))
         for t1, t2 in ((0.2, 0.5), (0.8, 0.1)):
             tt1, tt2 = (t1, t2) if d is RayDirection.PLUS else (-t1, -t2)
             a = gamma_flow_ray(ctx, d, tt1, gamma_flow_ray(ctx, d, tt2, xs))
             bb = gamma_flow_ray(ctx, d, tt1 + tt2, xs)
-            worst = max(worst, float(np.max(np.abs(a - bb))))
+            worst = _worst(worst, float(np.max(np.abs(a - bb))))
     cases.append(_case("flow-group-laws", {"beta": beta}, worst, 1e-12))
 
     worst = 0.0
     for d in (RayDirection.PLUS, RayDirection.MINUS):
         xs = x_pos if d is RayDirection.PLUS else -x_pos
         back = modular_flow_ray(ctx, d, -0.4, modular_flow_ray(ctx, d, 0.4, xs))
-        worst = max(worst, float(np.max(np.abs(back - xs))))
+        worst = _worst(worst, float(np.max(np.abs(back - xs))))
         tt = 0.3 if d is RayDirection.PLUS else -0.3
         back = gamma_flow_ray(ctx, d, -tt, gamma_flow_ray(ctx, d, tt, xs))
-        worst = max(worst, float(np.max(np.abs(back - xs))))
+        worst = _worst(worst, float(np.max(np.abs(back - xs))))
     cases.append(_case("flow-inverses", {"beta": beta}, worst, 1e-12))
 
     worst = 0.0
     u, tau = 0.45, 0.35
     xi = xi_chart(ctx, RayDirection.PLUS, x_pos)
     a = modular_flow_ray(ctx, RayDirection.PLUS, u, x_pos)
-    worst = max(
+    worst = _worst(
         worst,
         float(
             np.max(
@@ -541,7 +540,7 @@ def _suite_flows(beta: float) -> list[CaseResult]:
         ),
     )
     a = gamma_flow_ray(ctx, RayDirection.PLUS, tau, x_pos)
-    worst = max(
+    worst = _worst(
         worst,
         float(np.max(np.abs(a - xi_inverse(ctx, RayDirection.PLUS, xi + tau)))),
     )
@@ -551,7 +550,7 @@ def _suite_flows(beta: float) -> list[CaseResult]:
     grid = np.linspace(0.01 * beta, 5.0 * beta, 150)
     for u in (-0.5, 0.3, 0.9):
         for t in (0.1 * beta, 0.7 * beta, 2.0 * beta):
-            worst = max(worst, check_translation_commutation(ctx, u, t, grid))
+            worst = _worst(worst, check_translation_commutation(ctx, u, t, grid))
     cases.append(_case("translation-commutation", {"beta": beta}, worst, 1e-10))
 
     # translation covariance of the positive-generator flow as a point map
@@ -564,7 +563,7 @@ def _suite_flows(beta: float) -> list[CaseResult]:
             rhs = gamma_flow_ray(
                 ctx, RayDirection.PLUS, math.exp(TWO_PI * t / beta) * tau, grid
             )
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = _worst(worst, float(np.max(np.abs(lhs - rhs))))
     cases.append(_case("gamma-translation-covariance", {"beta": beta}, worst, 1e-10))
 
     worst = 0.0
@@ -573,7 +572,7 @@ def _suite_flows(beta: float) -> list[CaseResult]:
         for u in (-0.1, 0.3, 1.0):
             exact = math.exp(-TWO_PI * u) * x
             got = modular_flow_ray(ctx_v, RayDirection.PLUS, u, x)
-            worst = max(worst, abs(got - exact) / abs(x))
+            worst = _worst(worst, abs(got - exact) / abs(x))
     cases.append(_case("vacuum-limit", {"beta_over_x": 1e6}, worst, 1e-5))
 
     tau_full = beta / TWO_PI
@@ -615,7 +614,7 @@ def _suite_geometry(beta: float) -> list[CaseResult]:
             for u in (-0.7, 0.2, 1.1):
                 r0, r1 = cone_wedge.remainder_terms(ctx, region, u, p)
                 q = cone_wedge.modular_flow_2d(ctx, region, u, p)
-                worst = max(
+                worst = _worst(
                     worst,
                     abs(q.x0 - (p.x0 - beta * u + r0)),
                     abs(q.x1 - (p.x1 + r1)),
@@ -626,7 +625,7 @@ def _suite_geometry(beta: float) -> list[CaseResult]:
     deep = SpacetimePoint.from_lightcone(9.0 * beta, 12.0 * beta)
     for u in (-1.0, 0.5, 1.0):
         q = cone_wedge.modular_flow_2d(ctx, cone, u, deep)
-        worst = max(
+        worst = _worst(
             worst, abs(q.x0 - (deep.x0 - beta * u)) / beta, abs(q.x1 - deep.x1) / beta
         )
     cases.append(_case("deep-interior-translation", {"depth": "8 beta"}, worst, 1e-6))
@@ -640,7 +639,7 @@ def _suite_geometry(beta: float) -> list[CaseResult]:
         ):
             q = cone_wedge.modular_flow_2d(ctx, cone, u, p)
             scale = max(abs(p.x0), abs(p.x1))
-            worst = max(
+            worst = _worst(
                 worst, abs(q.x0 - lam * p.x0) / scale, abs(q.x1 - lam * p.x1) / scale
             )
     cases.append(_case("near-apex-dilation", {"x_over_beta": 1e-3}, worst, 1e-2))
@@ -653,7 +652,7 @@ def _suite_geometry(beta: float) -> list[CaseResult]:
         ):
             q = cone_wedge.modular_flow_2d(ctx, wedge, u, p)
             scale = max(abs(p.xR), abs(p.xL))
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(q.xR - math.exp(-TWO_PI * u) * p.xR) / scale,
                 abs(q.xL - math.exp(TWO_PI * u) * p.xL) / scale,
@@ -675,7 +674,7 @@ def _suite_geometry(beta: float) -> list[CaseResult]:
                 qp = cone_wedge.gamma_flow_2d(ctx, region, h, p)
                 qm = cone_wedge.gamma_flow_2d(ctx, region, -h, p)
                 v_num = (qp.x1 - qm.x1) / (qp.x0 - qm.x0)
-                worst = max(
+                worst = _worst(
                     worst, abs(v_num - cone_wedge.velocity_field(ctx, region, p))
                 )
     cases.append(_case("velocity-consistency", {"span": "3 beta"}, worst, 1e-6))
@@ -686,26 +685,26 @@ def _suite_geometry(beta: float) -> list[CaseResult]:
         ctx, cone, "gamma", SpacetimePoint(0.8 * beta, 0.3 * beta), (-0.05 * beta, 4.0 * beta), 101
     )
     consts = ln.points[:, 0] + b * np.log(np.abs(np.sinh(ln.points[:, 1] / b)))
-    worst = max(worst, float(np.max(np.abs(consts - consts[0]))))
+    worst = _worst(worst, float(np.max(np.abs(consts - consts[0]))))
     ln = cone_wedge.flow_line(
         ctx, wedge, "gamma", SpacetimePoint(0.0, 0.5 * beta), (-0.08 * beta, 0.08 * beta), 61
     )
     consts = ln.points[:, 1] + b * np.log(np.cosh(ln.points[:, 0] / b))
-    worst = max(worst, float(np.max(np.abs(consts - consts[0]))))
+    worst = _worst(worst, float(np.max(np.abs(consts - consts[0]))))
     cases.append(_case("closed-form-flow-lines", {"beta": beta}, worst, 1e-8))
 
     delta = 0.37 * beta
     s1 = SpacetimePoint(0.2 * beta, 0.9 * beta)
     s2 = SpacetimePoint(0.2 * beta + delta, 0.9 * beta)
     (_, l1), (_, l2) = figure_lines(ctx, cone, "gamma", FigureSpec(seeds=(s1, s2)))
-    dev = max(
+    dev = _worst(
         float(np.max(np.abs(l2.points[:, 0] - l1.points[:, 0] - delta))),
         float(np.max(np.abs(l2.points[:, 1] - l1.points[:, 1]))),
     )
     s3 = SpacetimePoint(0.1 * beta, 0.8 * beta)
     s4 = SpacetimePoint(0.1 * beta, 0.8 * beta - delta)
     (_, l3), (_, l4) = figure_lines(ctx, wedge, "gamma", FigureSpec(seeds=(s3, s4)))
-    dev = max(
+    dev = _worst(
         dev,
         float(np.max(np.abs(l4.points[:, 1] - l3.points[:, 1] + delta))),
         float(np.max(np.abs(l4.points[:, 0] - l3.points[:, 0]))),
@@ -741,7 +740,7 @@ def _suite_kernels(beta: float) -> list[CaseResult]:
         f, g = fs[i], fs[i + 1]
         lhs = omega2(ctx, spec, f, g) - omega2(ctx, spec, g, f)
         rhs = symplectic_K(ctx, spec, f, g)
-        worst = max(worst, abs(lhs - rhs))
+        worst = _worst(worst, abs(lhs - rhs))
     cases.append(_case("commutator-identity", {"pairs": 3}, worst, 1e-10))
 
     eps = 1e-3 * beta
@@ -782,7 +781,7 @@ def _suite_modular_action(beta: float) -> list[CaseResult]:
     worst = 0.0
     a = modular_transform(ctx, 0.3, modular_transform(ctx, 0.45, f))
     bb = modular_transform(ctx, 0.75, f)
-    worst = max(worst, _sup_norm_difference(a, bb))
+    worst = _worst(worst, _sup_norm_difference(a, bb))
     cases.append(_case("modular-group-law", {"u": (0.3, 0.45)}, worst, 1e-8))
 
     a = gamma_transform(ctx, 0.2 * beta, gamma_transform(ctx, 0.7 * beta, f))
@@ -795,8 +794,8 @@ def _suite_modular_action(beta: float) -> list[CaseResult]:
     worst_o = worst_k = 0.0
     for u in (-0.4, 0.25):
         df, dg = modular_transform(ctx, u, f), modular_transform(ctx, u, g)
-        worst_o = max(worst_o, abs(omega2(ctx, spec, df, dg) - o_fg))
-        worst_k = max(worst_k, abs(symplectic_K(ctx, spec, df, dg) - k_fg))
+        worst_o = _worst(worst_o, abs(omega2(ctx, spec, df, dg) - o_fg))
+        worst_k = _worst(worst_k, abs(symplectic_K(ctx, spec, df, dg) - k_fg))
     cases.append(_case("two-point-invariance", {"u": (-0.4, 0.25)}, worst_o, 1e-6))
     cases.append(_case("symplectic-invariance", {"u": (-0.4, 0.25)}, worst_k, 1e-6))
 
@@ -813,14 +812,14 @@ def _suite_modular_action(beta: float) -> list[CaseResult]:
     for u in (-0.3, 0.5):
         h = modular_transform(ctx, u, f)
         for edge, orig in zip(h.support, f.support):
-            worst = max(
+            worst = _worst(
                 worst,
                 abs(edge - modular_flow_ray(ctx, RayDirection.PLUS, u, orig)),
             )
     for tau in (0.2 * beta, 0.8 * beta):
         h = gamma_transform(ctx, tau, f)
         for edge, orig in zip(h.support, f.support):
-            worst = max(
+            worst = _worst(
                 worst, abs(edge - gamma_flow_ray(ctx, RayDirection.PLUS, tau, orig))
             )
     cases.append(_case("support-interval-mapping", {}, worst, 1e-12))
@@ -839,13 +838,13 @@ def _suite_modular_action(beta: float) -> list[CaseResult]:
     worst = 0.0
     for u in (-0.25, 0.25):
         for t in (0.3 * beta, 0.8 * beta):
-            worst = max(worst, translation_conjugation_deviation(ctx, f, u, t))
+            worst = _worst(worst, translation_conjugation_deviation(ctx, f, u, t))
     cases.append(_case("translation-conjugation-smeared", {}, worst, 1e-8))
 
     worst = 0.0
     for tau in (0.1 * beta, 0.3 * beta):
         for t in (-0.4 * beta, 0.5 * beta):
-            worst = max(worst, gamma_conjugation_deviation(ctx, f, tau, t))
+            worst = _worst(worst, gamma_conjugation_deviation(ctx, f, tau, t))
     cases.append(_case("gamma-conjugation-smeared", {}, worst, 1e-8))
     return cases
 
@@ -862,7 +861,8 @@ def _suite_bound(beta: float) -> list[CaseResult]:
     for u in np.linspace(-1.0, 1.0, 21):
         for t in np.linspace(0.5 * beta, 6.0 * beta, 12):
             rep = matrix_element_bound(ctx, spec, f, g, float(u), float(t))
-            if rep.margin < worst_margin:
+            # a NaN margin is kept as the worst (NaN fails every comparison)
+            if not rep.margin >= worst_margin and not math.isnan(worst_margin):
                 worst_margin = rep.margin
                 worst_at = (float(u), float(t))
             m_computed = rep.M

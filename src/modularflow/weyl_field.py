@@ -292,6 +292,14 @@ def _weight(spec: FieldSpec, p: np.ndarray) -> np.ndarray:
     return p ** (2 * spec.n + 1)
 
 
+def _finite(name: str, values: np.ndarray):
+    """Raise DomainViolation on NaN or inf, worded like flow_maps._points."""
+    if not np.isfinite(values).all():
+        raise DomainViolation(
+            f"{name} must be finite, got {name}={values[~np.isfinite(values)][0]}"
+        )
+
+
 def two_point_momentum(ctx: ThermalContext, spec: FieldSpec, p):
     """Thermal two-point density p^{2n+1}/(1 - e^{-beta p}).
 
@@ -303,6 +311,7 @@ def two_point_momentum(ctx: ThermalContext, spec: FieldSpec, p):
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p).astype(float)
+    _finite("p", p)
     beta = ctx.beta
     out = np.empty_like(p)
     bp = beta * p
@@ -330,13 +339,14 @@ def two_point_position(ctx: ThermalContext, xi, epsilon: float):
     Only the lowest scaling index has this closed form; the asymptotic branch
     avoids complex-overflow artifacts for |xi| >> beta.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not ctx.finite:
         raise DomainViolation("position kernel requires finite beta")
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
+    _finite("xi", xi)
     beta = ctx.beta
     z_re = math.pi * xi / beta
     z_im = math.pi * epsilon / beta
@@ -408,6 +418,22 @@ def symplectic_K(
     return complex(0.0, float(val.imag))
 
 
+def _alias_guard(ctx: ThermalContext, span: float):
+    """Raise QuadratureError when a pairing's supports span more than the grid resolves.
+
+    Composite Simpson is (4 T_dp - T_2dp)/3, and T_2dp is periodic in the
+    separation y - x with period pi/dp; the kernel decays like
+    e^{-2 pi |y - x|/beta}, so 6 beta of margin keep the alias below 1e-16.
+    """
+    p = momentum_grid(ctx)
+    limit = math.pi / (p[1] - p[0]) - 6.0 * ctx.beta
+    if span > limit:
+        raise QuadratureError(
+            f"two-point form: supports {span:.6g} apart, above the grid's "
+            f"alias-free separation {limit:.6g}; increase npts"
+        )
+
+
 def omega2(
     ctx: ThermalContext, spec: FieldSpec, f: TestFunction, g: TestFunction
 ) -> complex:
@@ -415,41 +441,14 @@ def omega2(
 
     Raises QuadratureError when the supports lie too far apart for the grid.
     """
-    p = momentum_grid(ctx)
-    dens = two_point_momentum(ctx, spec, p)
-    # composite Simpson is (4 T_dp - T_2dp)/3, and T_2dp is periodic in the
-    # separation y - x with period pi/dp; the kernel decays like
-    # e^{-2 pi |y - x|/beta}, so 6 beta of margin keep the alias below 1e-16
-    span = max(g.support[1] - f.support[0], f.support[1] - g.support[0])
-    limit = math.pi / (p[1] - p[0]) - 6.0 * ctx.beta
-    if span > limit:
-        raise QuadratureError(
-            f"two-point form: supports {span:.6g} apart, above the grid's "
-            f"alias-free separation {limit:.6g}; increase npts"
-        )
+    dens = two_point_momentum(ctx, spec, momentum_grid(ctx))
+    _alias_guard(ctx, max(g.support[1] - f.support[0], f.support[1] - g.support[0]))
     tf_m = _transforms(ctx, f)[1]
     tg_p = _transforms(ctx, g)[0]
     val = _pair(ctx, dens, tf_m, tg_p, "two-point form")
     if f is g:
         val = complex(val.real, 0.0)
     return val
-
-
-def _common_grid_difference(f: TestFunction, g: TestFunction) -> TestFunction:
-    """f - g as a TestFunction on a grid covering both supports."""
-    if (
-        f.x0 == g.x0
-        and f.dx == g.dx
-        and len(f.samples) == len(g.samples)
-        and f.support == g.support
-    ):
-        return replace(f, samples=f.samples - g.samples)
-    a = min(f.support[0], g.support[0])
-    b = max(f.support[1], g.support[1])
-    dx = min(f.dx, g.dx)
-    n = int(math.ceil((b - a) / dx)) + 1
-    x = np.linspace(a, b, n)
-    return TestFunction(f(x) - g(x), a, x[1] - x[0], (a, b))
 
 
 def weyl_inner(
@@ -459,10 +458,17 @@ def weyl_inner(
     g: TestFunction,
     f: TestFunction,
 ) -> complex:
-    """Gaussian overlap of Weyl vectors, e^{K(g,f)/2} exp(-c omega2(f-g, f-g))."""
+    """Gaussian overlap of Weyl vectors, e^{K(g,f)/2} exp(-c omega2(f-g, f-g)).
+
+    omega2(f-g, f-g) pairs the difference of the cached transforms (both are
+    linear); QuadratureError when the supports together span too far for the grid.
+    """
     k = symplectic_K(ctx, spec, g, f)
-    d = _common_grid_difference(f, g)
-    o = omega2(ctx, spec, d, d).real
+    dens = two_point_momentum(ctx, spec, momentum_grid(ctx))
+    _alias_guard(ctx, max(f.support[1], g.support[1]) - min(f.support[0], g.support[0]))
+    tf_p, tf_m = _transforms(ctx, f)
+    tg_p, tg_m = _transforms(ctx, g)
+    o = _pair(ctx, dens, tf_m - tg_m, tf_p - tg_p, "two-point form").real
     return complex(np.exp(k / 2.0 - norm.c * o))
 
 
@@ -730,5 +736,5 @@ def calibrate_fourier_pair(
         pos = omega2_position(ctx, f, g, epsilon)
         ratios.append(mom / pos)
     c0 = ratios[0]
-    dev = max(abs(r - c0) / abs(c0) for r in ratios)
+    dev = float(np.max([abs(r - c0) / abs(c0) for r in ratios]))  # keeps a NaN
     return FourierPairCalibration(constant=c0, max_relative_deviation=dev)

@@ -298,6 +298,17 @@ class TestKernelCommand:
         assert run(capsys, "kernel")[0] == EXIT_DOMAIN
         assert run(capsys, "kernel", "--p", "1", "--xi", "1")[0] == EXIT_DOMAIN
 
+    # each printed nan (and exited 0) before
+    @pytest.mark.parametrize(
+        "argv",
+        [("--p", "nan"), ("--p=-inf",), ("--xi", "nan"), ("--xi", "1", "--epsilon", "inf")],
+    )
+    def test_non_finite_arguments_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "kernel", *argv)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "finite" in err
+
 
 class TestVerifyCommand:
     def test_group_laws_pass(self, tmp_path, capsys):

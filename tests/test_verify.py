@@ -28,7 +28,13 @@ from modularflow.verify import (
     matrix_element_bound,
     vector_deviation,
 )
-from modularflow.weyl_field import FieldSpec, TestFunction
+from modularflow.weyl_field import (
+    FieldSpec,
+    StateNormalization,
+    TestFunction,
+    modular_transform,
+    weyl_inner,
+)
 
 TWO_PI = 2.0 * math.pi
 N0 = FieldSpec(0)
@@ -93,6 +99,30 @@ class TestBound:
         narrow = TestFunction.bump(0.5, 0.02).translate(-1.0)
         with pytest.raises(QuadratureError, match="symplectic form"):
             matrix_element_bound(ctx, N0, f_pos, narrow, 0.3, 1.0)
+
+    def test_lhs_is_the_overlap_difference(self, ctx, f_pos, g_neg):
+        # at t >= beta the two overlaps agree to every digit and their
+        # difference cancels completely, so compare at t = 0.5 beta
+        u, t = 1.0, 0.5
+        h1 = modular_transform(ctx, u, f_pos.translate(t))
+        h2 = f_pos.translate(t - ctx.beta * u)
+        norm = StateNormalization()
+        direct = abs(weyl_inner(ctx, N0, norm, g_neg, h1) - weyl_inner(ctx, N0, norm, g_neg, h2))
+        rep = matrix_element_bound(ctx, N0, f_pos, g_neg, u, t)
+        assert rep.lhs == pytest.approx(direct, rel=1e-6)
+
+    def test_nan_margin_fails_the_suite(self, monkeypatch):
+        # `rep.margin < worst_margin` is False for NaN, so the NaN node was
+        # skipped; it must stay the worst even where later margins are smaller
+        def bound(ctx, spec, f, g, u, t):
+            lhs = math.nan if abs(u - 0.3) < 1e-9 and t == 2.0 else 0.5 * (u == 1.0)
+            return BoundReport(lhs=lhs, rhs=1.0, u=u, t=t, M=1.0)
+
+        monkeypatch.setattr(verify, "matrix_element_bound", bound)
+        (case,) = run_suite("thm22", beta=1.0)
+        assert math.isnan(case.lhs)
+        assert not case.passed
+        assert case.params["worst_at"] == (pytest.approx(0.3), 2.0)
 
     def test_reports_computed_M(self, ctx, f_pos, g_neg):
         assert matrix_element_bound(ctx, N0, f_pos, g_neg, 0.3, 1.0).M == 1.0
@@ -259,6 +289,12 @@ class TestKmsBoundary:
         with pytest.raises(DomainViolation):
             kms_boundary_check(ctx, f, g, [0.1], 1e-4)
 
+    def test_empty_u_grid_raises(self, ctx):
+        # an empty grid returned a deviation of 0.0, a pass that checked nothing
+        f, g = TestFunction.bump(0.5, 0.3), TestFunction.bump(1.85, 0.35)
+        with pytest.raises(ValueError, match="u grid"):
+            kms_boundary_check(ctx, f, g, [], 1e-4)
+
 
 class TestSuites:
     def test_all_suite_names(self):
@@ -285,6 +321,25 @@ class TestSuites:
         a = report_json(run_suite("kernels"))
         b = report_json(run_suite("kernels"))
         assert a == b
+
+    def test_nan_fails_its_check(self, monkeypatch):
+        # builtin max(worst, nan) returns worst, so a NaN at u = 0.3 used to
+        # pass both checks at 1.8e-15
+        real_ray, real_commutation = verify.modular_flow_ray, verify.check_translation_commutation
+
+        def ray(ctx, d, u, x):
+            out = real_ray(ctx, d, u, x)
+            return out * math.nan if u == 0.3 else out
+
+        def commutation(ctx, u, t, grid):
+            return math.nan if u == 0.3 else real_commutation(ctx, u, t, grid)
+
+        monkeypatch.setattr(verify, "modular_flow_ray", ray)
+        monkeypatch.setattr(verify, "check_translation_commutation", commutation)
+        cases = {c.check: c for c in run_suite("flows", 1.0)}
+        for name in ("flow-group-laws", "translation-commutation"):
+            assert math.isnan(cases[name].lhs)
+            assert not cases[name].passed
 
     def test_case_result_pass_logic(self):
         assert CaseResult("x", {}, 0.5, 1.0).passed

@@ -273,6 +273,12 @@ class TestTwoPointMomentum:
         assert two_point_momentum(ctx, N0, -800.0) == 0.0
         assert two_point_momentum(ctx, N0, 800.0) == 800.0
 
+    # NaN p returned NaN, and so did -inf, whose limit is 0
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, [1.0, math.nan]])
+    def test_non_finite_momentum_raises(self, p):
+        with pytest.raises(DomainViolation, match="p must be finite"):
+            two_point_momentum(ThermalContext(beta=1.0), N0, p)
+
 
 class TestTwoPointPosition:
     def test_decay(self):
@@ -302,6 +308,17 @@ class TestTwoPointPosition:
     def test_epsilon_required(self):
         with pytest.raises(ValueError):
             two_point_position(ThermalContext(), 1.0, 0.0)
+
+    # NaN passed an "epsilon <= 0" test and inf gave NaN
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_epsilon_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            two_point_position(ThermalContext(), 1.0, eps)
+
+    @pytest.mark.parametrize("xi", [math.nan, -math.inf, [0.5, math.inf]])
+    def test_non_finite_separation_raises(self, xi):
+        with pytest.raises(DomainViolation, match="xi must be finite"):
+            two_point_position(ThermalContext(), xi, 1e-4)
 
 
 class TestSymplecticForm:
@@ -410,6 +427,26 @@ class TestWeylInner:
         for _ in range(10):
             f, g = random_bumps(rng, 2)
             assert abs(weyl_inner(ctx, N0, NORM, g, f)) <= 1.0 + 1e-12
+
+    def test_alias_guard_on_the_union_span(self):
+        # f and its translate by d span d + 1 together; the default grid
+        # resolves up to pi/dp - 6 beta ~ 58.3
+        ctx = ThermalContext()
+        f = TestFunction.bump(1.5, 0.5)
+        with pytest.raises(QuadratureError, match="two-point form"):
+            weyl_inner(ctx, N0, NORM, f, f.translate(62.0))
+        assert 0.0 < abs(weyl_inner(ctx, N0, NORM, f, f.translate(50.0))) < 1.0
+
+    def test_pairs_the_cached_transforms(self, monkeypatch):
+        import modularflow.weyl_field as wf
+
+        ctx = ThermalContext()
+        f, g = TestFunction.bump(1.2, 0.5), TestFunction.bump(0.4, 0.3)
+        expected = weyl_inner(ctx, N0, NORM, g, f)
+        calls = []
+        monkeypatch.setattr(wf, "fourier", lambda *a: calls.append(a) or fourier(*a))
+        assert weyl_inner(ctx, N0, NORM, g, f) == expected
+        assert calls == []
 
     def test_gram_positive_semidefinite(self):
         ctx = ThermalContext()
