@@ -38,7 +38,7 @@ from .cone_wedge import (
 )
 from .errors import DomainViolation, QuadratureError, ResolutionError
 from .flow_maps import ThermalContext
-from .verify import report_json, run_suite
+from .verify import SUITES, report_json, run_suite
 from .weyl_field import (
     FieldSpec,
     TestFunction,
@@ -135,13 +135,13 @@ def cmd_flow(args) -> int:
         print(f"bad --point {args.point!r}; expected x0,x1", file=sys.stderr)
         return EXIT_DOMAIN
     if args.flow == "modular":
-        if args.u is None:
-            print("modular flow needs --u", file=sys.stderr)
+        if args.u is None or args.tau is not None:
+            print("modular flow needs --u and takes no --tau", file=sys.stderr)
             return EXIT_DOMAIN
         q = modular_flow_2d(ctx, region, args.u, p)
     else:
-        if args.tau is None:
-            print("gamma flow needs --tau", file=sys.stderr)
+        if args.tau is None or args.u is not None:
+            print("gamma flow needs --tau and takes no --u", file=sys.stderr)
             return EXIT_DOMAIN
         q = gamma_flow_2d(ctx, region, args.tau, p)
     print(f"{_fmt(q.x0)},{_fmt(q.x1)}")
@@ -180,7 +180,7 @@ def cmd_transform(args) -> int:
         return EXIT_DOMAIN
     param = args.u if which == "modular" else args.tau
     g = higher_transform(ctx, args.n, which, param, f)
-    out = args.output or cfg.output or (os.path.splitext(args.input)[0] + ".out.json")
+    out = cfg.output or (os.path.splitext(args.input)[0] + ".out.json")
     _atomic_write(out, json.dumps(g.to_dict()) + "\n")
     print(out)
     return EXIT_OK
@@ -194,6 +194,9 @@ def cmd_kernel(args) -> int:
         print("give exactly one of --p / --xi", file=sys.stderr)
         return EXIT_DOMAIN
     if args.p is not None:
+        if args.epsilon is not None:
+            print("--epsilon regulates the position kernel (--xi) only", file=sys.stderr)
+            return EXIT_DOMAIN
         print(_fmt(two_point_momentum(ctx, spec, args.p)))
         return EXIT_OK
     if spec.n != 0:
@@ -225,12 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mfl",
         description="thermal modular flows: evaluate, transform, verify",
     )
+    # each subcommand takes only the flags it reads; config-file keys are
+    # shared by all of them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (default: $MFL_CONFIG)")
     common.add_argument("--beta", help="inverse temperature (number or 'inf')")
-    common.add_argument("--epsilon", type=float, help="kernel regulator")
-    common.add_argument("--output", "-o", help="output path")
-    common.add_argument("--format", choices=("csv", "json", "svg"))
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--output", "-o", help="output path")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("flow", parents=[common], help="evaluate a 2D flow at a point")
@@ -241,11 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="x0,x1")
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("figure", parents=[common], help="emit a flow-pattern figure")
+    p = sub.add_parser("figure", parents=[common, writes], help="emit a flow-pattern figure")
     p.add_argument("--which", type=int, choices=(1, 2, 3, 4), required=True)
+    p.add_argument("--format", choices=("csv", "json", "svg"))
     p.set_defaults(func=cmd_figure)
 
-    p = sub.add_parser("transform", parents=[common], help="transform a sampled function")
+    p = sub.add_parser(
+        "transform", parents=[common, writes], help="transform a sampled function"
+    )
     p.add_argument("input", help="TestFunction JSON file")
     p.add_argument("--n", type=int, default=0, help="field scaling index")
     p.add_argument("--u", type=float)
@@ -256,13 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--p", type=float, help="momentum argument")
     p.add_argument("--xi", type=float, help="position argument")
+    p.add_argument("--epsilon", type=float, help="position-kernel regulator")
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
-    p.add_argument(
-        "suite",
-        choices=("group-laws", "flows", "kernels", "thm22", "rates", "kms", "all"),
-    )
+    p = sub.add_parser("verify", parents=[common, writes], help="run a verification suite")
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -7,11 +7,11 @@ matrix-element bound and convergence rates become finite computations.
 
 Numerical care: the deviation between the modular action and a pure time
 translation decays like e^{-2pi t/beta}; at large separations it is far
-below the rounding noise of naive grid subtraction, so the deviation
-function is built from the closed-form parameter shift (a log1p expression)
-times a spline derivative.  Bilinear forms of that deviation keep their
-exact symmetries (the symplectic form is purely imaginary, quadratic
-two-point forms real), which the quadratures enforce by construction.
+below the rounding noise of naive grid subtraction, so the matrix-element
+bound and the deviation norm both take the change of the Weyl overlap from
+one routine, weyl_field._deviation_exponents, which builds the deviation
+function from the closed-form parameter shift (a log1p expression) times a
+spline derivative and pairs only that deviation.
 """
 
 from __future__ import annotations
@@ -43,17 +43,13 @@ from .weyl_field import (
     gamma_transform,
     localization_defect,
     modular_transform,
-    momentum_grid,
     omega2,
     symplectic_K,
     two_point_momentum,
     two_point_position,
     weyl_inner,
-    _pair,
+    _deviation_exponents,
     _simpson,
-    _tail_check,
-    _transforms,
-    _weight,
 )
 
 
@@ -63,9 +59,6 @@ class BoundReport:
 
     lhs: float
     rhs: float
-    u: float
-    t: float
-    M: float  # the Weyl-vector norm bound entering rhs, as computed
 
     @property
     def margin(self) -> float:
@@ -76,93 +69,13 @@ class BoundReport:
 class RateReport:
     """Fit of the decay of the modular/translation deviation."""
 
-    t_values: tuple[float, ...]
     deviations: tuple[float, ...]
     fitted_slope: float
-    fit_residual: float
     expected_slope: float
 
     @property
     def slope_relative_error(self) -> float:
         return abs(self.fitted_slope - self.expected_slope) / abs(self.expected_slope)
-
-
-# ----------------------------------------------------------------------
-# stable deviation pipeline
-# ----------------------------------------------------------------------
-
-
-def _deviation_samples(ctx, f: TestFunction, u: float, t: float):
-    """delta_u(f(. - t)) - f(. - (t - beta u)) expressed over f's own coordinates.
-
-    Returns (base TestFunction d, shift) with the actual deviation being
-    d translated by shift = t - beta u.  The parameter shift
-    L(u, y) - y - beta u = (beta/2pi) log1p((e^{-2pi u} - 1) e^{-2pi y/beta})
-    is evaluated in closed form, and where it is below the grid scale the
-    difference of spline values is replaced by derivative * shift, keeping
-    full relative accuracy down to shifts ~ 1e-300.
-    """
-    beta = ctx.beta
-    b = beta / TWO_PI
-    a0, b0 = f.support
-    dx = f.dx
-    shift = t - beta * u
-    # the grid must cover both supports: the translate sits on [a0, b0] in
-    # base coordinates, the modular image on the flow image of [a0+t, b0+t]
-    # pulled back by the shift (defined for all u since a0 + t > 0)
-    img_lo = modular_flow_ray(ctx, RayDirection.PLUS, u, a0 + t) - shift
-    img_hi = modular_flow_ray(ctx, RayDirection.PLUS, u, b0 + t) - shift
-    lo = min(a0, img_lo) - 10 * dx
-    hi = max(b0, img_hi) + 10 * dx
-    n = int(math.ceil((hi - lo) / dx)) + 1
-    a_grid = np.linspace(lo, hi, n)
-    y = a_grid + shift
-    with np.errstate(over="ignore"):
-        inner = math.expm1(-TWO_PI * u) * np.exp(-TWO_PI * y / beta)
-    valid = inner > -1.0
-    delta = np.zeros_like(y)
-    delta[valid] = b * np.log1p(inner[valid])
-    vals = np.zeros(n)
-    dspline = f._spline.derivative()
-
-    small = valid & (np.abs(delta) < 1e-3 * dx)
-    if np.any(small):
-        mid = a_grid[small] + delta[small] / 2.0
-        dv = np.zeros_like(mid)
-        ins = (mid > a0) & (mid < b0)
-        dv[ins] = dspline(mid[ins])
-        vals[small] = dv * delta[small]
-    big = valid & ~small
-    if np.any(big):
-        vals[big] = f(a_grid[big] + delta[big]) - f(a_grid[big])
-    if np.any(~valid):
-        vals[~valid] = -f(a_grid[~valid])
-    d = TestFunction(
-        vals, float(a_grid[0]), float(a_grid[1] - a_grid[0]),
-        (float(a_grid[0]), float(a_grid[-1])),
-    )
-    return d, shift
-
-
-def _deviation_transforms(ctx, spec: FieldSpec, f: TestFunction, u: float, t: float):
-    """Momentum data shared by the bound and the deviation norm.
-
-    Returns (dens, wgt, tf, th2, td): the two-point density and kernel weight
-    on the grid, then (ft(p), ft(-p)) pairs for f, for its time translate h2
-    and for the deviation, both moved by the shift through the phase
-    e^{-ip shift} on p (its conjugate on -p).
-    """
-    p = momentum_grid(ctx)
-    dens = two_point_momentum(ctx, spec, p)
-    wgt = _weight(spec, p)
-    tf_p, tf_m = _transforms(ctx, f)
-    d, shift = _deviation_samples(ctx, f, u, t)
-    td_p, td_m = _transforms(ctx, d)
-    ph_p = np.exp(-1j * p * shift)
-    ph_m = np.conj(ph_p)
-    th2 = (tf_p * ph_p, tf_m * ph_m)
-    td = (td_p * ph_p, td_m * ph_m)
-    return dens, wgt, (tf_p, tf_m), th2, td
 
 
 def matrix_element_bound(
@@ -182,40 +95,18 @@ def matrix_element_bound(
     vectors, which holds by construction (K(f, f) = 0).  Raises
     QuadratureError when f or g is too narrow for the momentum cutoff.
 
-    lhs is |<W(g)O, W(h1)O> - <W(g)O, W(h2)O>| for h1 the modular image of
-    f(. - t) and h2 = f(. - (t - beta u)), from four pairings of e = h2 - g
-    and the deviation d = h1 - h2 (overlaps as in weyl_inner).
+    lhs is |<W(g)O, W(h1)O> - <W(g)O, W(h2)O>| = e^{z2} |expm1(dz)| for h1
+    the modular image of f(. - t) and h2 = f(. - (t - beta u)), with the
+    exponents (z2, dz) of weyl_field._deviation_exponents.
     """
-    if f.support[0] <= 0.0:
-        raise DomainViolation("supp f must lie in the positive half-line")
     if g.support[1] >= 0.0:
         raise DomainViolation("supp g must lie in the negative half-line")
     if t <= 0.0:
         raise DomainViolation("t must be positive")
-    beta = ctx.beta
-    dens, wgt, (tf_p, tf_m), (th2_p, th2_m), (td_p, td_m) = _deviation_transforms(
-        ctx, spec, f, u, t
-    )
-    tg_p, tg_m = _transforms(ctx, g)
-    # M = |W(f)O| |W(g)O| = 1 exactly: the antisymmetrized symplectic_K gives
-    # K(f, f) = 0 and the difference f - f has all-zero samples.  The tail
-    # check symplectic_K runs on K(f, f) stays: it is the bound's only guard
-    # against an f or g too narrow for the momentum cutoff.
-    _tail_check(wgt * tf_m * tf_p, "symplectic form")
-    _tail_check(wgt * tg_m * tg_p, "symplectic form")
-    M = 1.0
-    te_p, te_m = th2_p - tg_p, th2_m - tg_m
-    c = norm.c
-    z2 = _pair(ctx, wgt, tg_m, th2_p) / 2.0 - c * _pair(ctx, dens, te_m, te_p).real
-    # z1 - z2 from deviation pairings only (no large-term cancellation), with
-    # omega2(e + d, e + d) - omega2(e, e) = Re omega2(d, d + 2e) for real functions
-    dz = _pair(ctx, wgt, tg_m, td_p) / 2.0 - c * _pair(
-        ctx, dens, td_m, td_p + 2.0 * te_p
-    ).real
-    lhs = float(abs(np.exp(z2)) * abs(np.expm1(dz)))
-    ratio = abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * t / beta)
-    rhs = 2.0 * M * min(ratio, 1.0)
-    return BoundReport(lhs=lhs, rhs=rhs, u=u, t=t, M=M)
+    z2, dz = _deviation_exponents(ctx, spec, norm, f, u, t, g)
+    lhs = float(math.exp(z2) * abs(np.expm1(dz)))
+    ratio = abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * t / ctx.beta)
+    return BoundReport(lhs=lhs, rhs=2.0 * min(ratio, 1.0))
 
 
 def vector_deviation(
@@ -228,19 +119,13 @@ def vector_deviation(
 ) -> float:
     """Norm of (modular - translated) Weyl vector at separation t.
 
-    D(t)^2 = 2 - 2 Re (W(h2)O, W(h1)O) with h1 the modular image of the
-    t-translate of f and h2 its time translate; evaluated through
-    expm1/cos so the result stays accurate at the e^{-2pi t/beta} scale.
+    D(t)^2 = 2 - 2 Re (W(h2)O, W(h1)O) = -2 Re expm1(dz) with h1 the
+    modular image of the t-translate of f, h2 its time translate and dz the
+    overlap exponent of weyl_field._deviation_exponents at g = h2; expm1
+    keeps the result accurate at the e^{-2pi t/beta} scale.
     """
-    if f.support[0] <= 0.0:
-        raise DomainViolation("supp f must lie in the positive half-line")
-    dens, wgt, _, (_, th2_m), (td_p, td_m) = _deviation_transforms(ctx, spec, f, u, t)
-    k_im = _pair(ctx, wgt, th2_m, td_p).imag
-    odd = _pair(ctx, dens, td_m, td_p).real
-    x = -norm.c * odd
-    y = k_im / 2.0
-    d2 = -2.0 * (math.expm1(x) * math.cos(y) - 2.0 * math.sin(y / 2.0) ** 2)
-    return math.sqrt(max(d2, 0.0))
+    _, dz = _deviation_exponents(ctx, spec, norm, f, u, t)
+    return math.sqrt(max(-2.0 * np.expm1(dz).real, 0.0))
 
 
 def convergence_rate(
@@ -258,13 +143,10 @@ def convergence_rate(
     devs = np.array([vector_deviation(ctx, spec, f, u, t, norm) for t in t_arr])
     if np.any(devs <= 0.0):
         raise RuntimeError("deviation underflowed; use smaller separations")
-    coeffs, residuals, *_ = np.polyfit(t_arr, np.log(devs), 1, full=True)
-    resid = float(residuals[0]) if len(residuals) else 0.0
+    coeffs = np.polyfit(t_arr, np.log(devs), 1)
     return RateReport(
-        t_values=tuple(float(t) for t in t_arr),
         deviations=tuple(float(d) for d in devs),
         fitted_slope=float(coeffs[0]),
-        fit_residual=resid,
         expected_slope=-TWO_PI / ctx.beta,
     )
 
@@ -857,7 +739,6 @@ def _suite_bound(beta: float) -> list[CaseResult]:
     cases = []
     worst_margin = math.inf
     worst_at = None
-    m_computed = None
     for u in np.linspace(-1.0, 1.0, 21):
         for t in np.linspace(0.5 * beta, 6.0 * beta, 12):
             rep = matrix_element_bound(ctx, spec, f, g, float(u), float(t))
@@ -865,11 +746,10 @@ def _suite_bound(beta: float) -> list[CaseResult]:
             if not rep.margin >= worst_margin and not math.isnan(worst_margin):
                 worst_margin = rep.margin
                 worst_at = (float(u), float(t))
-            m_computed = rep.M
     cases.append(
         _case(
             "matrix-element-bound",
-            {"grid": "21x12", "worst_at": worst_at, "M": m_computed},
+            {"grid": "21x12", "worst_at": worst_at, "M": 1.0},
             -worst_margin,
             1e-9,
         )

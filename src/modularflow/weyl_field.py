@@ -472,6 +472,99 @@ def weyl_inner(
     return complex(np.exp(k / 2.0 - norm.c * o))
 
 
+def _deviation_samples(ctx, f: TestFunction, u: float, t: float):
+    """delta_u(f(. - t)) - f(. - (t - beta u)) expressed over f's own coordinates.
+
+    Returns (base TestFunction d, shift) with the actual deviation being
+    d translated by shift = t - beta u.  The parameter shift
+    L(u, y) - y - beta u = (beta/2pi) log1p((e^{-2pi u} - 1) e^{-2pi y/beta})
+    is evaluated in closed form, and where it is below the grid scale the
+    difference of spline values is replaced by derivative * shift, keeping
+    full relative accuracy down to shifts ~ 1e-300.
+    """
+    beta = ctx.beta
+    b = beta / TWO_PI
+    a0, b0 = f.support
+    dx = f.dx
+    shift = t - beta * u
+    # the grid must cover both supports: the translate sits on [a0, b0] in
+    # base coordinates, the modular image on the flow image of [a0+t, b0+t]
+    # pulled back by the shift (defined for all u since a0 + t > 0)
+    img_lo = modular_flow_ray(ctx, RayDirection.PLUS, u, a0 + t) - shift
+    img_hi = modular_flow_ray(ctx, RayDirection.PLUS, u, b0 + t) - shift
+    lo = min(a0, img_lo) - 10 * dx
+    hi = max(b0, img_hi) + 10 * dx
+    n = int(math.ceil((hi - lo) / dx)) + 1
+    a_grid = np.linspace(lo, hi, n)
+    y = a_grid + shift
+    with np.errstate(over="ignore"):
+        inner = math.expm1(-TWO_PI * u) * np.exp(-TWO_PI * y / beta)
+    valid = inner > -1.0
+    delta = np.zeros_like(y)
+    delta[valid] = b * np.log1p(inner[valid])
+    vals = np.zeros(n)
+    dspline = f._spline.derivative()
+
+    small = valid & (np.abs(delta) < 1e-3 * dx)
+    if np.any(small):
+        mid = a_grid[small] + delta[small] / 2.0
+        dv = np.zeros_like(mid)
+        ins = (mid > a0) & (mid < b0)
+        dv[ins] = dspline(mid[ins])
+        vals[small] = dv * delta[small]
+    big = valid & ~small
+    if np.any(big):
+        vals[big] = f(a_grid[big] + delta[big]) - f(a_grid[big])
+    if np.any(~valid):
+        vals[~valid] = -f(a_grid[~valid])
+    d = TestFunction(
+        vals, float(a_grid[0]), float(a_grid[1] - a_grid[0]),
+        (float(a_grid[0]), float(a_grid[-1])),
+    )
+    return d, shift
+
+
+def _deviation_exponents(
+    ctx: ThermalContext, spec: FieldSpec, norm: StateNormalization,
+    f: TestFunction, u: float, t: float, g: TestFunction | None = None,
+) -> tuple[float, complex]:
+    """Exponents (z2, dz) of the Weyl overlaps along the modular deviation.
+
+    With h1 the modular image of f(. - t), h2 = f(. - (t - beta u)),
+    d = h1 - h2 and e = h2 - g: z2 = -c Re omega2(e, e) = log|<W(g)O, W(h2)O>|
+    and dz = i Im K(g, d)/2 - c Re omega2(d, d + 2e), so that
+    |<W(g)O, W(h1)O> - <W(g)O, W(h2)O>| = e^{z2} |expm1(dz)| (Re K = 0 on real
+    functions).  dz pairs d only, so nothing cancels at the e^{-2pi t/beta}
+    scale; those pairings are not tail-checked.  g = None means g = h2 (e = 0,
+    z2 = 0); a given g and f get symplectic_K's tail check on their own
+    transforms, raising QuadratureError when too narrow for the cutoff.
+    """
+    if f.support[0] <= 0.0:
+        raise DomainViolation("supp f must lie in the positive half-line")
+    p = momentum_grid(ctx)
+    dens = two_point_momentum(ctx, spec, p)
+    wgt = _weight(spec, p)
+    tf_p, tf_m = _transforms(ctx, f)
+    if g is not None:
+        tg_p, tg_m = _transforms(ctx, g)
+        _tail_check(wgt * tf_m * tf_p, "symplectic form")
+        _tail_check(wgt * tg_m * tg_p, "symplectic form")
+    d, shift = _deviation_samples(ctx, f, u, t)
+    td_p, td_m = _transforms(ctx, d)
+    # both translates move by the shift through the phase e^{-ip shift}
+    ph_p = np.exp(-1j * p * shift)
+    ph_m = np.conj(ph_p)
+    td_p, td_m = td_p * ph_p, td_m * ph_m
+    if g is None:
+        k = _pair(ctx, wgt, tf_m * ph_m, td_p)
+        return 0.0, complex(-norm.c * _pair(ctx, dens, td_m, td_p).real, k.imag / 2.0)
+    te_p, te_m = tf_p * ph_p - tg_p, tf_m * ph_m - tg_m
+    z2 = -norm.c * _pair(ctx, dens, te_m, te_p).real
+    k = _pair(ctx, wgt, tg_m, td_p)
+    o = _pair(ctx, dens, td_m, td_p + 2.0 * te_p).real
+    return z2, complex(-norm.c * o, k.imag / 2.0)
+
+
 # ----------------------------------------------------------------------
 # flow actions on smearing functions
 # ----------------------------------------------------------------------

@@ -80,6 +80,48 @@ class TestConfig:
         assert code == EXIT_DOMAIN
         assert "beta" in err
 
+    # each was accepted and then ignored, exiting 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("flow", "--region", "cone", "--flow", "modular", "--u", "0",
+             "--point", "1,0", "--format", "svg", "-o", "x.txt", "--epsilon", "3"),
+            ("kernel", "--p", "1", "-o", "x.txt"),
+            ("kernel", "--p", "1", "--format", "json"),
+            ("verify", "rates", "--format", "svg"),
+            ("verify", "rates", "--epsilon", "7"),
+            ("transform", "in.json", "--u", "0", "--format", "csv"),
+            ("transform", "in.json", "--u", "0", "--epsilon", "1"),
+            ("figure", "--which", "1", "--epsilon", "1"),
+        ],
+    )
+    def test_flags_a_command_does_not_read_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_DOMAIN
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_config_keys_shared_by_every_command(self, tmp_path, capsys):
+        # a file's epsilon and format do not make a momentum kernel fail
+        cfgfile = tmp_path / "conf.json"
+        cfgfile.write_text(json.dumps({"epsilon": 1e-3, "format": "svg"}))
+        code, out, _ = run(capsys, "kernel", "--config", str(cfgfile), "--p", "1")
+        assert code == EXIT_OK
+        assert float(out) == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), rel=1e-12)
+
+    def test_verify_choices_are_the_suites(self, tmp_path, monkeypatch, capsys):
+        # the subcommand offers verify.SUITES plus "all", not a copied list
+        from modularflow import verify
+
+        monkeypatch.setitem(verify.SUITES, "empty", lambda beta: [])
+        out = tmp_path / "report.json"
+        code, stdout, _ = run(capsys, "verify", "empty", "-o", str(out))
+        assert code == EXIT_OK
+        assert json.loads(out.read_text()) == []
+        assert "0/0 checks passed" in stdout
+
     def test_off_centre_grid_rejected(self, tmp_path, capsys):
         # figures span [-w, w]; a grid on [0, 6] used to draw [-3, 3] silently
         cfgfile = tmp_path / "conf.json"
@@ -149,6 +191,22 @@ class TestFlowCommand:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert "point x must be finite" in err
+
+    @pytest.mark.parametrize(
+        "flow,params,named",
+        [
+            ("gamma", ("--tau", "0.1", "--u", "5"), "--u"),
+            ("modular", ("--u", "0.3", "--tau", "7"), "--tau"),
+        ],
+    )
+    def test_other_flows_parameter_exit_2(self, capsys, flow, params, named):
+        # the other flow's parameter used to be ignored
+        code, out, err = run(
+            capsys, "flow", "--region", "cone", "--flow", flow, *params, "--point", "1,0"
+        )
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert f"takes no {named}" in err
 
     def test_large_negative_u(self, capsys):
         code, out, _ = run(
@@ -297,6 +355,13 @@ class TestKernelCommand:
     def test_requires_exactly_one_argument(self, capsys):
         assert run(capsys, "kernel")[0] == EXIT_DOMAIN
         assert run(capsys, "kernel", "--p", "1", "--xi", "1")[0] == EXIT_DOMAIN
+
+    def test_epsilon_with_momentum_exit_2(self, capsys):
+        # the regulator belongs to the position kernel; with --p it was ignored
+        code, out, err = run(capsys, "kernel", "--p", "1", "--epsilon", "3")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "--epsilon" in err
 
     # each printed nan (and exited 0) before
     @pytest.mark.parametrize(

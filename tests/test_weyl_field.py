@@ -19,12 +19,12 @@ from scipy.integrate import simpson
 import modularflow
 from modularflow.errors import DomainViolation, QuadratureError, ResolutionError
 from modularflow.flow_maps import RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray
-from modularflow.verify import _deviation_samples
 from modularflow.weyl_field import (
     FieldSpec,
     StateNormalization,
     TestFunction,
     _czt_plan,
+    _deviation_samples,
     _simpson,
     _transforms,
     calibrate_fourier_pair,
