@@ -333,36 +333,77 @@ def two_point_momentum(ctx: ThermalContext, spec: FieldSpec, p):
     return float(out[0]) if scalar else out
 
 
+@lru_cache(maxsize=8)
+def _density(ctx: ThermalContext, spec: FieldSpec) -> np.ndarray:
+    """two_point_momentum on the momentum grid, read-only and cached per
+    (beta, pmax, npts) and n, like the grid itself."""
+    dens = two_point_momentum(ctx, spec, momentum_grid(ctx))
+    dens.setflags(write=False)
+    return dens
+
+
+# |Re z| from which the position kernel takes the asymptote of sinh(z)^2;
+# cosh z itself overflows past 710
+_FAR = 350.0
+
+
+def _sinh_cosh(z: np.ndarray):
+    """Real sinh z and cosh z for the position kernel; 0 where |z| >= _FAR."""
+    near = np.abs(z) < _FAR
+    if near.all():
+        return np.sinh(z), np.cosh(z)
+    return (
+        np.sinh(z, out=np.zeros_like(z), where=near),
+        np.cosh(z, out=np.zeros_like(z), where=near),
+    )
+
+
+def _position_kernel(
+    ctx: ThermalContext, epsilon: float, z: np.ndarray, sinh_z, cosh_z, out=None
+) -> np.ndarray:
+    """(1/beta^2) sinh^{-2}(z + ib), b = pi eps/beta, from the real grids z,
+    sinh z and cosh z of _sinh_cosh, written to out (a complex array of z's
+    shape) when given.
+
+    For real b, sinh(z + ib) = sinh z cos b + i cosh z sin b, so no complex
+    sinh is evaluated.  Where |z| >= _FAR the asymptote
+    sinh(z + ib)^2 ~ e^{2|z|} e^{2ib sgn z}/4 avoids complex overflow.
+    """
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not ctx.finite:
+        raise DomainViolation("position kernel requires finite beta")
+    beta = ctx.beta
+    b = math.pi * epsilon / beta
+    s = np.empty(z.shape, dtype=complex) if out is None else out
+    np.multiply(sinh_z, beta * math.cos(b), out=s.real)
+    np.multiply(cosh_z, beta * math.sin(b), out=s.imag)
+    s *= s  # beta^2 sinh^2(z + ib)
+    far = np.abs(z) >= _FAR
+    if not far.any():
+        return np.divide(1.0, s, out=s)
+    np.divide(1.0, s, out=s, where=~far)
+    s[far] = (
+        4.0
+        / beta**2
+        * np.exp(-2.0 * np.abs(z[far]))
+        * np.exp(-2j * np.sign(z[far]) * b)
+    )
+    return s
+
+
 def two_point_position(ctx: ThermalContext, xi, epsilon: float):
     """Regularized position-space kernel (1/beta^2) sinh^{-2}(pi(xi + i eps)/beta).
 
     Only the lowest scaling index has this closed form; the asymptotic branch
     avoids complex-overflow artifacts for |xi| >> beta.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not ctx.finite:
-        raise DomainViolation("position kernel requires finite beta")
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
     _finite("xi", xi)
-    beta = ctx.beta
-    z_re = math.pi * xi / beta
-    z_im = math.pi * epsilon / beta
-    out = np.empty(xi.shape, dtype=complex)
-    mod = np.abs(z_re) < 350.0
-    if np.any(mod):
-        out[mod] = 1.0 / (beta**2 * np.sinh(z_re[mod] + 1j * z_im) ** 2)
-    far = ~mod
-    if np.any(far):
-        # sinh(z)^2 ~ e^{2|Re z|} e^{2i sgn(Re z) Im z} / 4
-        out[far] = (
-            4.0
-            / beta**2
-            * np.exp(-2.0 * np.abs(z_re[far]))
-            * np.exp(-2j * np.sign(z_re[far]) * z_im)
-        )
+    z = math.pi * xi / ctx.beta
+    out = _position_kernel(ctx, epsilon, z, *_sinh_cosh(z))
     return complex(out.flat[0]) if scalar else out
 
 
@@ -384,6 +425,20 @@ def _tail_check(integrand: np.ndarray, what: str):
             f"{what}: integrand tail {tail:.3e} above {_TAIL_RTOL:.0e} * peak "
             f"{peak:.3e} at the momentum cutoff; increase pmax"
         )
+
+
+def _own_tail_check(ctx: ThermalContext, spec: FieldSpec, f: TestFunction):
+    """The symplectic-form tail check on f's own transform, once per grid and n.
+
+    A pass is recorded in f's __dict__ next to its cached transforms; a
+    failure raises QuadratureError and records nothing, so it raises again.
+    """
+    passed = f.__dict__.setdefault("_tail_checked", set())
+    key = (ctx.pmax, ctx.npts, spec.n)
+    if key not in passed:
+        tf_p, tf_m = _transforms(ctx, f)
+        _tail_check(_weight(spec, momentum_grid(ctx)) * tf_m * tf_p, "symplectic form")
+        passed.add(key)
 
 
 def _pair(ctx: ThermalContext, weight, left, right, what: str | None = None) -> complex:
@@ -441,7 +496,7 @@ def omega2(
 
     Raises QuadratureError when the supports lie too far apart for the grid.
     """
-    dens = two_point_momentum(ctx, spec, momentum_grid(ctx))
+    dens = _density(ctx, spec)
     _alias_guard(ctx, max(g.support[1] - f.support[0], f.support[1] - g.support[0]))
     tf_m = _transforms(ctx, f)[1]
     tg_p = _transforms(ctx, g)[0]
@@ -464,7 +519,7 @@ def weyl_inner(
     linear); QuadratureError when the supports together span too far for the grid.
     """
     k = symplectic_K(ctx, spec, g, f)
-    dens = two_point_momentum(ctx, spec, momentum_grid(ctx))
+    dens = _density(ctx, spec)
     _alias_guard(ctx, max(f.support[1], g.support[1]) - min(f.support[0], g.support[0]))
     tf_p, tf_m = _transforms(ctx, f)
     tg_p, tg_m = _transforms(ctx, g)
@@ -537,18 +592,19 @@ def _deviation_exponents(
     functions).  dz pairs d only, so nothing cancels at the e^{-2pi t/beta}
     scale; those pairings are not tail-checked.  g = None means g = h2 (e = 0,
     z2 = 0); a given g and f get symplectic_K's tail check on their own
-    transforms, raising QuadratureError when too narrow for the cutoff.
+    transforms (once per function and grid), raising QuadratureError when
+    too narrow for the cutoff.
     """
     if f.support[0] <= 0.0:
         raise DomainViolation("supp f must lie in the positive half-line")
     p = momentum_grid(ctx)
-    dens = two_point_momentum(ctx, spec, p)
+    dens = _density(ctx, spec)
     wgt = _weight(spec, p)
     tf_p, tf_m = _transforms(ctx, f)
     if g is not None:
         tg_p, tg_m = _transforms(ctx, g)
-        _tail_check(wgt * tf_m * tf_p, "symplectic form")
-        _tail_check(wgt * tg_m * tg_p, "symplectic form")
+        _own_tail_check(ctx, spec, f)
+        _own_tail_check(ctx, spec, g)
     d, shift = _deviation_samples(ctx, f, u, t)
     td_p, td_m = _transforms(ctx, d)
     # both translates move by the shift through the phase e^{-ip shift}
@@ -805,7 +861,7 @@ def _omega2_damped(
     if epsilon >= ctx.beta:
         raise ValueError("damping scale must stay below beta")
     p = momentum_grid(ctx)
-    dens = two_point_momentum(ctx, spec, p) * np.exp(-epsilon * p)
+    dens = _density(ctx, spec) * np.exp(-epsilon * p)
     return _pair(ctx, dens, _transforms(ctx, f)[1], _transforms(ctx, g)[0])
 
 

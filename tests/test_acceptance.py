@@ -121,7 +121,7 @@ def test_criterion_5_modular_action():
     _report(
         5,
         "modular-action suite: group laws 1e-8, unitarity and symplectic "
-        "invariance 1e-6, thermal boundary identity 1e-6, support mapping, "
+        "invariance 1e-6, thermal boundary identity 1e-6 (relative), support mapping, "
         "nonzero localization defect",
         ok,
         f"boundary identity {by['kms-boundary-identity'].lhs:.2e}, "

@@ -239,8 +239,49 @@ class TestKmsBoundary:
     def test_smeared_identity(self, ctx):
         f = TestFunction.bump(0.5, 0.3)
         g = TestFunction.bump(1.85, 0.35)
-        dev = kms_boundary_check(ctx, f, g, np.linspace(-0.5, 0.5, 5), 1e-4)
-        assert dev < 1e-6
+        rep = kms_boundary_check(ctx, f, g, np.linspace(-0.5, 0.5, 5), 1e-4)
+        assert rep.deviation < 1e-6
+        assert rep.relative < 1e-6
+
+    # reference values: the unnormalized deviation at the suite's inputs from
+    # the complex-sinh kernel evaluated once per regulator
+    @pytest.mark.parametrize(
+        "beta, before",
+        [(0.6, 9.084603943181295e-11), (1.0, 9.084603295796538e-11), (1.7, 9.084601248222811e-11)],
+    )
+    def test_suite_inputs_keep_their_deviation(self, beta, before):
+        rep = kms_boundary_check(
+            ThermalContext(beta=beta),
+            TestFunction.bump(0.5 * beta, 0.3 * beta),
+            TestFunction.bump(1.85 * beta, 0.35 * beta),
+            np.linspace(-0.5, 0.5, 7),
+            1e-4 * beta,
+        )
+        assert abs(rep.deviation - before) <= 1e-15
+        assert rep.relative < 1e-6
+
+    @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
+    def test_epsilon_must_be_positive_and_finite(self, ctx, eps):
+        f, g = TestFunction.bump(0.5, 0.3), TestFunction.bump(1.85, 0.35)
+        with pytest.raises(ValueError, match="positive and finite"):
+            kms_boundary_check(ctx, f, g, [0.1], eps)
+
+    def test_infinite_beta_raises(self):
+        f, g = TestFunction.bump(0.5, 0.3), TestFunction.bump(1.85, 0.35)
+        with pytest.raises(DomainViolation, match="finite beta"):
+            kms_boundary_check(ThermalContext(beta=math.inf), f, g, [0.1], 1e-4)
+
+    @staticmethod
+    def scaled_kernel(r):
+        # scales the direct form by 1 + r through its kernel
+        original = verify._position_kernel
+
+        def mutant(*args, **kwargs):
+            out = original(*args, **kwargs)
+            out *= 1.0 + r
+            return out
+
+        return mutant
 
     def test_mutant_direct_form_detected(self, ctx, monkeypatch):
         # the check smears the difference of the two forms, so an error in
@@ -248,20 +289,24 @@ class TestKmsBoundary:
         # its smear (about 2e-4 at u = 0.3) to the clean value
         f = TestFunction.bump(0.5, 0.3)
         g = TestFunction.bump(1.85, 0.35)
-        clean = kms_boundary_check(ctx, f, g, [0.3], 1e-4)
-        original = verify._kms_integrands
+        clean = kms_boundary_check(ctx, f, g, [0.3], 1e-4).deviation
+        monkeypatch.setattr(verify, "_position_kernel", self.scaled_kernel(1e-4))
+        assert kms_boundary_check(ctx, f, g, [0.3], 1e-4).deviation > 100.0 * clean
+        monkeypatch.setattr(verify, "_position_kernel", self.scaled_kernel(1e-2))
+        assert kms_boundary_check(ctx, f, g, [0.3], 1e-4).deviation > 1e-6
 
-        def scaled(r):
-            def mutant(*args):
-                cont, direct = original(*args)
-                return cont, direct * (1.0 + r)
+    def test_relative_gate_fails_a_direct_form_off_by_1e4(self, monkeypatch):
+        # an absolute 1e-6 on a smear of about 8e-4 let this mutant pass at
+        # 7.9e-8; relative to the smear it reads about 1e-4
+        def boundary_case():
+            (case,) = [c for c in run_suite("kms") if c.check == "kms-boundary-identity"]
+            return case
 
-            return mutant
-
-        monkeypatch.setattr(verify, "_kms_integrands", scaled(1e-4))
-        assert kms_boundary_check(ctx, f, g, [0.3], 1e-4) > 100.0 * clean
-        monkeypatch.setattr(verify, "_kms_integrands", scaled(1e-2))
-        assert kms_boundary_check(ctx, f, g, [0.3], 1e-4) > 1e-6
+        assert boundary_case().passed
+        monkeypatch.setattr(verify, "_position_kernel", self.scaled_kernel(1e-4))
+        case = boundary_case()
+        assert not case.passed
+        assert case.lhs > 5e-5
 
     def test_u_zero_matches_commutator(self, ctx):
         # at u = 0 the two sides are the plain two-point smears in either
@@ -269,7 +314,7 @@ class TestKmsBoundary:
         # disjoint supports
         f = TestFunction.bump(0.5, 0.3)
         g = TestFunction.bump(1.85, 0.35)
-        dev = kms_boundary_check(ctx, f, g, [0.0], 1e-4)
+        dev = kms_boundary_check(ctx, f, g, [0.0], 1e-4).deviation
         assert dev < 1e-9
 
     def test_swap_symmetry_via_group_property(self, ctx):

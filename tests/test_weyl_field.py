@@ -24,8 +24,12 @@ from modularflow.weyl_field import (
     StateNormalization,
     TestFunction,
     _czt_plan,
+    _density,
+    _deviation_exponents,
     _deviation_samples,
+    _position_kernel,
     _simpson,
+    _sinh_cosh,
     _transforms,
     calibrate_fourier_pair,
     czt,
@@ -223,6 +227,46 @@ class TestTransformLayer:
             assert np.array_equal(got, fourier(f, momentum_grid(ctx)))
         assert len(f.__dict__["_transforms"]) == 3
 
+    def test_density_memoized_read_only(self):
+        ctx = ThermalContext(beta=1.3)
+        dens = _density(ctx, N0)
+        assert np.array_equal(dens, two_point_momentum(ctx, N0, momentum_grid(ctx)))
+        assert _density(ThermalContext(beta=1.3), FieldSpec(0)) is dens
+        assert not dens.flags.writeable
+        assert not np.array_equal(_density(ctx, FieldSpec(1)), dens)
+        assert len(_density(ThermalContext(beta=1.3, npts=1024), N0)) == 1025
+
+    def test_deviation_grid_work_done_once(self, monkeypatch):
+        # the density and the tail checks of f and g do not change along a
+        # thm22 grid, so repeated nodes compute neither again
+        import modularflow.weyl_field as wf
+
+        densities, tails = [], []
+        monkeypatch.setattr(
+            wf, "two_point_momentum",
+            lambda *a: densities.append(a) or two_point_momentum(*a),
+        )
+        tail_check = wf._tail_check
+        monkeypatch.setattr(wf, "_tail_check", lambda *a: tails.append(a) or tail_check(*a))
+        ctx = ThermalContext(beta=1.2345)  # a beta no other test caches
+        f = TestFunction.bump(0.5, 0.5).translate(0.02)
+        g = TestFunction.bump(-1.5, 0.5)
+        first = _deviation_exponents(ctx, N0, NORM, f, 0.3, 1.0, g)
+        assert (len(densities), len(tails)) == (1, 2)
+        for u, t in ((0.3, 1.0), (-0.5, 2.0), (1.0, 0.5)):
+            got = _deviation_exponents(ctx, N0, NORM, f, u, t, g)
+        assert (len(densities), len(tails)) == (1, 2)
+        assert _deviation_exponents(ctx, N0, NORM, f, 0.3, 1.0, g) == first
+        assert got == _deviation_exponents(ctx, N0, NORM, f, 1.0, 0.5, g)
+
+    def test_narrow_function_raises_on_every_call(self):
+        ctx = ThermalContext(beta=1.0)
+        narrow = TestFunction.bump(0.5, 0.02)
+        g = TestFunction.bump(-1.5, 0.5)
+        for _ in range(2):
+            with pytest.raises(QuadratureError, match="symplectic form"):
+                _deviation_exponents(ctx, N0, NORM, narrow, 0.3, 1.0, g)
+
     def test_cli_import_leaves_out_scipy_signal(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(modularflow.__file__)))
         code = (
@@ -304,6 +348,31 @@ class TestTwoPointPosition:
         va = two_point_position(ctx, xi_a, eps)
         vb = two_point_position(ctx, xi_b, eps)
         assert abs(va) > abs(vb) > 0.0
+
+    def test_real_sinh_cosh_kernel_against_mpmath(self):
+        # sinh(z + ib) from real sinh z and cosh z, against 50 digits, for
+        # |z| from 1e-9 to 349.9 of both signs, b from 1e-8 to 1, and the
+        # asymptote just past the switch at |z| = 350
+        import mpmath
+
+        rng = np.random.default_rng(11)
+        mags = np.concatenate([
+            np.exp(rng.uniform(math.log(1e-9), math.log(349.9), 120)),
+            [1e-9, 1.0, 349.9, 349.99, 350.0, 350.5, 352.0],
+        ])
+        z = np.concatenate([mags, -mags])
+        worst = 0.0
+        for beta in (0.6, 1.0, 1.7):
+            ctx = ThermalContext(beta=beta)
+            for b_target in np.exp(np.linspace(math.log(1e-8), 0.0, 5)):
+                eps = b_target * beta / math.pi
+                b = math.pi * eps / beta  # the b the kernel forms
+                got = _position_kernel(ctx, eps, z, *_sinh_cosh(z))
+                with mpmath.workdps(50):
+                    for zi, gi in zip(z, got):
+                        ref = 1 / (mpmath.mpf(beta) ** 2 * mpmath.sinh(mpmath.mpc(zi, b)) ** 2)
+                        worst = max(worst, abs(complex(gi) - complex(ref)) / abs(complex(ref)))
+        assert worst < 1e-14
 
     def test_epsilon_required(self):
         with pytest.raises(ValueError):
