@@ -25,6 +25,8 @@ algorithm, so results are deterministic and bit-stable across runs.  The
 chirp-z routine keeps its chirp and kernel spectrum in a small plan cache
 keyed on (n, m, w), and a TestFunction keeps its transform per momentum
 grid, so a function paired many times on one grid is transformed once.
+A deviation function derived from f is sampled on f's own lattice, so it
+shares f's step and chirp-z ratio w.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class TestFunction:
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1 or len(arr) < 2:
             raise ValueError("samples must be a 1D array with at least 2 entries")
+        for name, v in (("samples", arr), ("x0", self.x0), ("dx", self.dx)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite")
         if not self.dx > 0:
             raise ValueError(f"dx must be positive, got {self.dx}")
         a, b = self.support
@@ -211,15 +216,15 @@ def momentum_grid(ctx: ThermalContext) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _czt_plan(n: int, m: int, w: complex):
-    """Bluestein plan (Awk2, Fwk2, wk2[:m], nfft) for n samples, m nodes, a = 1."""
+    """Bluestein plan (Awk2, Fwk2, wk2[:m], nfft) for n samples, m nodes, a = 1,
+    where Awk2 = a^{-k} wk2[:n] is wk2[:n] itself."""
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     wk2 = np.complex128(w) ** (k**2 / 2.0)
-    awk2 = (1.0 * (1 + 0j)) ** -k[:n] * wk2[:n]
     nfft = next_fast_len(n + m - 1)
     fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
-    for arr in (awk2, fwk2, wk2):
+    for arr in (fwk2, wk2):
         arr.setflags(write=False)  # shared by every call with this plan
-    return awk2, fwk2, wk2[:m], nfft
+    return wk2[:n], fwk2, wk2[:m], nfft
 
 
 def czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
@@ -531,11 +536,13 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: float):
     """delta_u(f(. - t)) - f(. - (t - beta u)) expressed over f's own coordinates.
 
     Returns (base TestFunction d, shift) with the actual deviation being
-    d translated by shift = t - beta u.  The parameter shift
+    d translated by shift = t - beta u.  d lives on f's lattice f.x0 + k f.dx,
+    so the translate is f's own samples and every d shares f's chirp-z step.
+    The parameter shift
     L(u, y) - y - beta u = (beta/2pi) log1p((e^{-2pi u} - 1) e^{-2pi y/beta})
     is evaluated in closed form, and where it is below the grid scale the
-    difference of spline values is replaced by derivative * shift, keeping
-    full relative accuracy down to shifts ~ 1e-300.
+    difference is replaced by spline derivative * shift, keeping full
+    relative accuracy down to shifts ~ 1e-300.
     """
     beta = ctx.beta
     b = beta / TWO_PI
@@ -547,35 +554,30 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: float):
     # pulled back by the shift (defined for all u since a0 + t > 0)
     img_lo = modular_flow_ray(ctx, RayDirection.PLUS, u, a0 + t) - shift
     img_hi = modular_flow_ray(ctx, RayDirection.PLUS, u, b0 + t) - shift
-    lo = min(a0, img_lo) - 10 * dx
-    hi = max(b0, img_hi) + 10 * dx
-    n = int(math.ceil((hi - lo) / dx)) + 1
-    a_grid = np.linspace(lo, hi, n)
+    k = np.arange(
+        math.floor((min(a0, img_lo) - f.x0) / dx) - 10,
+        math.ceil((max(b0, img_hi) - f.x0) / dx) + 11,
+    )
+    a_grid = f.x0 + k * dx
     y = a_grid + shift
     with np.errstate(over="ignore"):
         inner = math.expm1(-TWO_PI * u) * np.exp(-TWO_PI * y / beta)
     valid = inner > -1.0
     delta = np.zeros_like(y)
     delta[valid] = b * np.log1p(inner[valid])
-    vals = np.zeros(n)
-    dspline = f._spline.derivative()
-
+    own = (k >= 0) & (k < len(f.samples))
+    vals = np.zeros(len(k))
+    vals[own] = -f.samples[k[own]]
     small = valid & (np.abs(delta) < 1e-3 * dx)
     if np.any(small):
         mid = a_grid[small] + delta[small] / 2.0
         dv = np.zeros_like(mid)
         ins = (mid > a0) & (mid < b0)
-        dv[ins] = dspline(mid[ins])
+        dv[ins] = f._spline.derivative()(mid[ins])
         vals[small] = dv * delta[small]
     big = valid & ~small
-    if np.any(big):
-        vals[big] = f(a_grid[big] + delta[big]) - f(a_grid[big])
-    if np.any(~valid):
-        vals[~valid] = -f(a_grid[~valid])
-    d = TestFunction(
-        vals, float(a_grid[0]), float(a_grid[1] - a_grid[0]),
-        (float(a_grid[0]), float(a_grid[-1])),
-    )
+    vals[big] += f(a_grid[big] + delta[big])
+    d = TestFunction(vals, float(a_grid[0]), dx, (float(a_grid[0]), float(a_grid[-1])))
     return d, shift
 
 
@@ -714,7 +716,7 @@ def nth_derivative(f: TestFunction, n: int) -> TestFunction:
     decayed at the grid's Nyquist band, otherwise repeated 4th-order finite
     differences.
     """
-    if n == 0:
+    if FieldSpec(n).n == 0:
         return f
     vals = _derivative_values(f.samples, f.dx, n).copy()
     vals[0] = 0.0
@@ -750,6 +752,7 @@ def higher_transform(
     x^{n-1} and is returned on an extended grid with compact_support=False.
     Requires supp f inside the positive half-line for n >= 1.
     """
+    FieldSpec(n)
     if which not in ("modular", "gamma"):
         raise ValueError(f"which must be 'modular' or 'gamma', got {which!r}")
     transform = modular_transform if which == "modular" else gamma_transform
@@ -789,7 +792,7 @@ def localization_defect(
     the transformed function is returned; it vanishes once the interval
     covers the image support (compact support is preserved).
     """
-    if n >= 1:
+    if FieldSpec(n).n >= 1:
         if f.support[0] <= 0.0:
             raise DomainViolation(
                 "localization defect needs supp f inside the positive half-line"

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,24 @@ class TestTransformCommand:
         TestFunction.bump(1.0, 0.4, n=80).save(str(src))
         code, _, err = run(capsys, "transform", str(src), "--u", "0.2", "--n", "3")
         assert code == 4
+
+    def test_non_finite_sample_exit_2(self, tmp_path, capsys):
+        doc = TestFunction.bump(1.5, 0.5).to_dict()
+        doc["samples"][100] = math.nan
+        src = tmp_path / "nan.json"
+        src.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "transform", str(src), "--u", "0.2")
+        assert code == EXIT_DOMAIN
+        assert "samples must be finite" in err
+
+    def test_negative_index_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        TestFunction.bump(1.5, 0.5).save(str(src))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NaN derivative used to warn here
+            code, _, err = run(capsys, "transform", str(src), "--u", "0.2", "--n", "-1")
+        assert code == EXIT_DOMAIN
+        assert "non-negative integer" in err
 
     def test_no_partial_file_on_error(self, tmp_path, capsys):
         src = tmp_path / "in.json"

@@ -1,0 +1,89 @@
+"""Golden verify reports: a fresh `mfl verify all` against the committed ones.
+
+golden/verify_all_beta{0.6,1,1.7}.json are the reports of
+`mfl verify all --beta B`, and golden/toolchain.json names the Python,
+numpy and scipy versions and numpy's enabled CPU features they were made
+with.  On that toolchain a fresh report must match byte for byte.  On
+another, the check names, param keys and pass flags must match, and each
+lhs may move by at most 1e-2 * rhs.  Either way a failure lists every
+moved value.  A change that moves a value rewrites the files with
+`PYTHONPATH=src python tests/test_golden.py`, so the move shows in its diff.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from modularflow.verify import report_json, run_suite
+
+GOLDEN = Path(__file__).parent / "golden"
+BETAS = ("0.6", "1", "1.7")
+
+
+def toolchain() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {
+        "python": "%d.%d" % sys.version_info[:2],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
+    }
+
+
+def fresh_report(beta: str) -> str:
+    return report_json(run_suite("all", beta=float(beta)))
+
+
+def moved_values(old: list, new: list) -> list[str]:
+    """One line per value that differs: the check, the key, old and new
+    values, and the absolute and relative change of numbers."""
+    lines = []
+    if len(old) != len(new):
+        lines.append(f"case count {len(old)} -> {len(new)}")
+    for i, (a, b) in enumerate(zip(old, new)):
+        fields = {"check": (a["check"], b["check"]), "pass": (a["pass"], b["pass"])}
+        fields.update(lhs=(a["lhs"], b["lhs"]), rhs=(a["rhs"], b["rhs"]))
+        for k in sorted(a["params"].keys() | b["params"].keys()):
+            fields[f"params.{k}"] = (a["params"].get(k), b["params"].get(k))
+        for key, (x, y) in fields.items():
+            if json.dumps(x) == json.dumps(y):
+                continue
+            line = f"#{i} {a['check']} {key}: {x!r} -> {y!r}"
+            if all(isinstance(v, float) for v in (x, y)):
+                rel = abs(y - x) / abs(x) if x else math.inf
+                line += f" (abs {abs(y - x):.3e}, rel {rel:.3e})"
+            lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_verify_all_matches_golden(beta):
+    golden = (GOLDEN / f"verify_all_beta{beta}.json").read_text()
+    text = fresh_report(beta)
+    old, new = json.loads(golden), json.loads(text)
+    moved = "\n".join(moved_values(old, new))
+    if json.loads((GOLDEN / "toolchain.json").read_text()) == toolchain():
+        assert text == golden, f"values moved at beta {beta}:\n{moved}"
+        return
+    shape = [(c["check"], sorted(c["params"]), c["pass"]) for c in new]
+    assert shape == [(c["check"], sorted(c["params"]), c["pass"]) for c in old], moved
+    far = [
+        (c["check"], c["lhs"], o["lhs"])
+        for c, o in zip(new, old)
+        if not abs(c["lhs"] - o["lhs"]) <= 1e-2 * c["rhs"]
+    ]
+    assert not far, f"lhs moved by more than 1e-2 * rhs at beta {beta}:\n{moved}"
+
+
+if __name__ == "__main__":
+    for beta in BETAS:
+        (GOLDEN / f"verify_all_beta{beta}.json").write_text(fresh_report(beta))
+    (GOLDEN / "toolchain.json").write_text(json.dumps(toolchain(), indent=1) + "\n")

@@ -32,6 +32,7 @@ from modularflow.weyl_field import (
     FieldSpec,
     StateNormalization,
     TestFunction,
+    _czt_plan,
     modular_transform,
     weyl_inner,
 )
@@ -110,6 +111,24 @@ class TestBound:
         direct = abs(weyl_inner(ctx, N0, norm, g_neg, h1) - weyl_inner(ctx, N0, norm, g_neg, h2))
         rep = matrix_element_bound(ctx, N0, f_pos, g_neg, u, t)
         assert rep.lhs == pytest.approx(direct, rel=1e-6)
+
+    def test_lhs_matches_refined_reference(self, ctx, f_pos, g_neg):
+        # the thm22 bumps at u = 0.1, t = 2.5 beta against the same bumps on
+        # 8192 samples and 16384 momentum nodes; a deviation on a grid of
+        # its own put the lhs 2.35% off
+        fine_f = TestFunction.bump(0.5, 0.5, n=8192).translate(0.02)
+        fine_g = TestFunction.bump(-1.5, 0.5, n=8192)
+        fine_ctx = ThermalContext(beta=1.0, npts=16384)
+        ref = matrix_element_bound(fine_ctx, N0, fine_f, fine_g, 0.1, 2.5).lhs
+        lhs = matrix_element_bound(ctx, N0, f_pos, g_neg, 0.1, 2.5).lhs
+        assert lhs == pytest.approx(ref, rel=1e-3, abs=0.0)
+
+    def test_thm22_pass_builds_few_plans(self):
+        # every deviation shares f's step, so its chirp-z plans differ only
+        # in length; one plan per node was 178 builds
+        _czt_plan.cache_clear()
+        run_suite("thm22", beta=1.0)
+        assert _czt_plan.cache_info().misses <= 12
 
     def test_nan_margin_fails_the_suite(self, monkeypatch):
         # `rep.margin < worst_margin` is False for NaN, so the NaN node was

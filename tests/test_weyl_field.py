@@ -78,6 +78,16 @@ class TestTestFunction:
         with pytest.raises(ValueError, match="interior"):
             TestFunction(np.zeros(32), 0.0, 1.0, (0.0, 0.5))
 
+    def test_rejects_non_finite_inputs(self):
+        # a NaN sample used to turn every pairing into NaN without an error
+        f = TestFunction.bump(1.5, 0.5)
+        for bad in (math.nan, math.inf):
+            vals = f.samples.copy()
+            vals[100] = bad
+            for field, value in (("samples", vals), ("x0", bad), ("dx", bad)):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    replace(f, **{field: value})
+
     def test_translate_exact(self):
         f = TestFunction.bump(1.0, 0.3)
         g = f.translate(2.5)
@@ -695,6 +705,21 @@ class TestHigherTransform:
         f = TestFunction.bump(1.0, 0.4, n=48)
         with pytest.raises(ResolutionError):
             higher_transform(ctx, 3, "modular", 0.2, f)
+
+
+    @pytest.mark.parametrize("n", [-1, 1.5])
+    def test_index_rule(self, n):
+        # FieldSpec's rule for every index: localization_defect used to
+        # return the n = 0 value at n = -1, nth_derivative NaN samples
+        ctx = ThermalContext()
+        f = TestFunction.bump(1.5, 0.5)
+        for call in (
+            lambda: higher_transform(ctx, n, "modular", 0.2, f),
+            lambda: localization_defect(ctx, n, 0.2, f, (0.0, 50.0)),
+            lambda: nth_derivative(f, n),
+        ):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                call()
 
 
 class TestLocalizationDefect:
