@@ -80,6 +80,30 @@ class RateReport:
         return abs(self.fitted_slope - self.expected_slope) / abs(self.expected_slope)
 
 
+def _bound_row(
+    ctx: ThermalContext,
+    spec: FieldSpec,
+    f: TestFunction,
+    g: TestFunction,
+    u: float,
+    t: np.ndarray,
+    norm: StateNormalization = StateNormalization(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of matrix_element_bound at one u for each entry of the
+    1-D array t, from one row of weyl_field._deviation_exponents."""
+    if g.support[1] >= 0.0:
+        raise DomainViolation("supp g must lie in the negative half-line")
+    if not np.all(t > 0.0):
+        raise DomainViolation("t must be positive")
+    z2, dz = _deviation_exponents(ctx, spec, norm, f, u, t, g)
+    lhs = np.exp(z2) * np.abs(np.expm1(dz))
+    rhs = [
+        2.0 * min(abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * tj / ctx.beta), 1.0)
+        for tj in t
+    ]
+    return lhs, np.array(rhs)
+
+
 def matrix_element_bound(
     ctx: ThermalContext,
     spec: FieldSpec,
@@ -101,14 +125,14 @@ def matrix_element_bound(
     the modular image of f(. - t) and h2 = f(. - (t - beta u)), with the
     exponents (z2, dz) of weyl_field._deviation_exponents.
     """
-    if g.support[1] >= 0.0:
-        raise DomainViolation("supp g must lie in the negative half-line")
-    if t <= 0.0:
-        raise DomainViolation("t must be positive")
-    z2, dz = _deviation_exponents(ctx, spec, norm, f, u, t, g)
-    lhs = float(math.exp(z2) * abs(np.expm1(dz)))
-    ratio = abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * t / ctx.beta)
-    return BoundReport(lhs=lhs, rhs=2.0 * min(ratio, 1.0))
+    (lhs,), (rhs,) = _bound_row(ctx, spec, f, g, u, np.array([t], dtype=float), norm)
+    return BoundReport(lhs=float(lhs), rhs=float(rhs))
+
+
+def _deviation_norms(ctx, spec, f, u, t, norm) -> np.ndarray:
+    """vector_deviation at one u for each entry of the 1-D array t."""
+    _, dz = _deviation_exponents(ctx, spec, norm, f, u, t)
+    return np.sqrt(np.maximum(-2.0 * np.expm1(dz).real, 0.0))
 
 
 def vector_deviation(
@@ -126,8 +150,7 @@ def vector_deviation(
     overlap exponent of weyl_field._deviation_exponents at g = h2; expm1
     keeps the result accurate at the e^{-2pi t/beta} scale.
     """
-    _, dz = _deviation_exponents(ctx, spec, norm, f, u, t)
-    return math.sqrt(max(-2.0 * np.expm1(dz).real, 0.0))
+    return float(_deviation_norms(ctx, spec, f, u, np.array([t], dtype=float), norm)[0])
 
 
 def convergence_rate(
@@ -138,11 +161,14 @@ def convergence_rate(
     t_list,
     norm: StateNormalization = StateNormalization(),
 ) -> RateReport:
-    """Fit log D(t) against t; the slope must reproduce -2 pi / beta."""
+    """Fit log D(t) against t; the slope must reproduce -2 pi / beta.
+
+    The deviations of all of t_list come from one row of
+    weyl_field._deviation_exponents."""
     t_arr = np.asarray(list(t_list), dtype=float)
     if len(t_arr) < 2 or np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_list must be increasing with at least 2 entries")
-    devs = np.array([vector_deviation(ctx, spec, f, u, t, norm) for t in t_arr])
+    devs = _deviation_norms(ctx, spec, f, u, t_arr, norm)
     if np.any(devs <= 0.0):
         raise RuntimeError("deviation underflowed; use smaller separations")
     coeffs = np.polyfit(t_arr, np.log(devs), 1)
@@ -215,7 +241,10 @@ def _kms_integrands(ctx: ThermalContext, u_grid, x, y, epsilons):
     regulator; a regulator adds only the two complex reciprocal squares.
     Every pair is the same two buffers, refilled, so one regulator's complex
     grids exist at a time and none is allocated per u; a consumer reduces
-    the pair before asking for the next.
+    the pair before asking for the next.  kms_boundary_check passes one
+    block of _KMS_ROWS x rows at a time, so the buffers stay near the cache
+    size; the grids are elementwise, so a block's values are those of the
+    whole grid's rows.
     """
     beta = ctx.beta
     ey = np.exp(TWO_PI * y / beta)
@@ -237,9 +266,9 @@ def _kms_integrands(ctx: ThermalContext, u_grid, x, y, epsilons):
         xi = x - L
         _finite("xi", xi)
         z = math.pi * xi / beta
-        sinh_z, cosh_z = _sinh_cosh(z)
+        sinh_z, cosh_z, far = _sinh_cosh(z)
         for eps in epsilons:
-            _position_kernel(ctx, eps, z, sinh_z, cosh_z, out=direct)
+            _position_kernel(ctx, eps, z, sinh_z, cosh_z, far, out=direct)
             direct *= dL
             np.negative(bracket, out=continued.real)
             continued.imag = eps
@@ -270,6 +299,10 @@ class KmsReport:
     relative: float
 
 
+# x rows per block of the KMS smear: a 64 x 801 complex grid is 0.8 MB
+_KMS_ROWS = 64
+
+
 def kms_boundary_check(
     ctx: ThermalContext,
     f: TestFunction,
@@ -288,6 +321,12 @@ def kms_boundary_check(
     an O(eps) discrepancy that cancels in the boundary value; the smeared
     difference is therefore extrapolated to eps -> 0 from eps and eps/2.
     The direct form is smeared at eps/2 only: at eps it differs by O(eps).
+
+    The 801 x 801 grid is walked in blocks of _KMS_ROWS x rows.  A block
+    leaves, for each u, the inner Simpson sums over y of the three smears
+    (the eps/2 and eps differences and the direct form); the outer sum over
+    x runs once at the end.  Each row's inner sum is the one the whole grid
+    gives, so the result does not depend on the block size.
     """
     if f.support[0] <= 0.0 or g.support[0] <= 0.0:
         raise DomainViolation("both supports must lie in the positive half-line")
@@ -297,26 +336,34 @@ def kms_boundary_check(
     n = 801  # Simpson nodes per axis
     x = np.linspace(f.support[0], f.support[1], n)
     y = np.linspace(g.support[0], g.support[1], n)
-    weight = f(x)[:, None] * g(y)[None, :]
-
-    def smear(values):
-        return _simpson(_simpson(values, y[1] - y[0]), x[1] - x[0])
-
-    def difference(continued, direct):
-        # (continued - direct) * weight, formed in place
-        continued -= direct
-        continued *= weight
-        return smear(continued)
-
-    # two pairs per u, in u_grid's order: eps/2, then eps
-    forms = _kms_integrands(ctx, u_grid, x[:, None], y[None, :], (epsilon / 2.0, epsilon))
+    dy = y[1] - y[0]
+    fx, gy = f(x), g(y)
+    # inner sums over y, per u and x row: eps/2 difference, eps difference, direct
+    half, full, direct_sum = (np.empty((len(u_grid), n), dtype=complex) for _ in range(3))
+    for lo in range(0, n, _KMS_ROWS):
+        rows = slice(lo, lo + _KMS_ROWS)
+        weight = fx[rows, None] * gy[None, :]
+        # two pairs per u, in u_grid's order: eps/2, then eps
+        forms = _kms_integrands(
+            ctx, u_grid, x[rows, None], y[None, :], (epsilon / 2.0, epsilon)
+        )
+        for i in range(len(u_grid)):
+            continued, direct = next(forms)
+            # (continued - direct) * weight, formed in place
+            continued -= direct
+            continued *= weight
+            half[i, rows] = _simpson(continued, dy)
+            direct *= weight
+            direct_sum[i, rows] = _simpson(direct, dy)
+            continued, direct = next(forms)
+            continued -= direct
+            continued *= weight
+            full[i, rows] = _simpson(continued, dy)
+    dx = x[1] - x[0]
+    devs = np.abs(2.0 * _simpson(half, dx) - _simpson(full, dx))
+    scales = np.abs(_simpson(direct_sum, dx))
     worst = worst_rel = 0.0
-    for _ in u_grid:
-        continued, direct = next(forms)
-        half = difference(continued, direct)
-        direct *= weight
-        scale = abs(smear(direct))
-        dev = abs(2.0 * half - difference(*next(forms)))
+    for dev, scale in zip(devs, scales):
         worst = _worst(worst, dev)
         worst_rel = _worst(worst_rel, dev / scale if scale else math.inf)
     return KmsReport(deviation=float(worst), relative=float(worst_rel))
@@ -789,12 +836,13 @@ def _suite_bound(beta: float) -> list[CaseResult]:
     cases = []
     worst_margin = math.inf
     worst_at = None
+    ts = np.linspace(0.5 * beta, 6.0 * beta, 12)
     for u in np.linspace(-1.0, 1.0, 21):
-        for t in np.linspace(0.5 * beta, 6.0 * beta, 12):
-            rep = matrix_element_bound(ctx, spec, f, g, float(u), float(t))
+        lhs, rhs = _bound_row(ctx, spec, f, g, float(u), ts)
+        for t, margin in zip(ts, rhs - lhs):
             # a NaN margin is kept as the worst (NaN fails every comparison)
-            if not rep.margin >= worst_margin and not math.isnan(worst_margin):
-                worst_margin = rep.margin
+            if not margin >= worst_margin and not math.isnan(worst_margin):
+                worst_margin = float(margin)
                 worst_at = (float(u), float(t))
     cases.append(
         _case(

@@ -26,7 +26,8 @@ chirp-z routine keeps its chirp and kernel spectrum in a small plan cache
 keyed on (n, m, w), and a TestFunction keeps its transform per momentum
 grid, so a function paired many times on one grid is transformed once.
 A deviation function derived from f is sampled on f's own lattice, so it
-shares f's step and chirp-z ratio w.
+shares f's step and chirp-z ratio w, and the deviations at one flow
+parameter u and a row of separations t go through one 2-D chirp-z call.
 """
 
 from __future__ import annotations
@@ -228,16 +229,18 @@ def _czt_plan(n: int, m: int, w: complex):
 
 
 def czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
-    """Chirp-z transform X_k = sum_j x_j w^{jk}, k < m, by Bluestein's algorithm.
+    """Chirp-z transform X_k = sum_j x_j w^{jk}, k < m, by Bluestein's algorithm,
+    along the last axis of x.
 
     The arithmetic and its order are those of scipy.signal.czt with a = 1
     (Rabiner, Schafer & Rader 1969), so results agree bit for bit; the
-    chirp and kernel spectrum come from a plan cached on (len(x), m, w).
+    chirp and kernel spectrum come from a plan cached on (n, m, w), n the
+    length of x's last axis, and every row of a 2-D x shares it.
     """
-    n = len(x)
+    n = x.shape[-1]
     awk2, fwk2, wk2, nfft = _czt_plan(n, m, w)
     y = ifft(fwk2 * fft(x * awk2, nfft))
-    return y[n - 1 : n + m - 1] * wk2
+    return y[..., n - 1 : n + m - 1] * wk2
 
 
 def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
@@ -258,12 +261,19 @@ def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
         raise ValueError("momentum grid must be symmetric about 0")
     if np.max(np.abs(np.diff(p) - dp)) > 1e-9 * dp:
         raise ValueError("momentum grid must be uniform")
+    return _lattice_fourier(f.samples, f.x0, f.dx, p)
+
+
+def _lattice_fourier(samples: np.ndarray, x0: float, dx: float, p: np.ndarray):
+    """fourier's transform of samples on the lattice x0 + k dx, row by row
+    along the last axis: one chirp-z call and one phase e^{-ip x0} serve
+    every row."""
     m = len(p) // 2 + 1
-    half = czt(f.samples, m, np.exp(-1j * dp * f.dx))
-    half *= np.exp(-1j * p[m - 1 :] * f.x0) * (f.dx / TWO_PI)
-    out = np.empty(len(p), dtype=complex)
-    out[m - 1 :] = half
-    out[: m - 1] = np.conj(half[1:])[::-1]
+    half = czt(samples, m, np.exp(-1j * (p[1] - p[0]) * dx))
+    half *= np.exp(-1j * p[m - 1 :] * x0) * (dx / TWO_PI)
+    out = np.empty(half.shape[:-1] + (len(p),), dtype=complex)
+    out[..., m - 1 :] = half
+    out[..., : m - 1] = np.conj(half[..., 1:])[..., ::-1]
     return out
 
 
@@ -290,6 +300,14 @@ def _simpson(y: np.ndarray, dx: float):
     r = np.sum(y[..., 0:-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2], axis=-1)
     r *= dx / 3.0
     return r
+
+
+def _product(first, *rest):
+    """first * rest[0] * rest[1] * ..., left to right, in one new array."""
+    out = first * rest[0]
+    for r in rest[1:]:
+        out *= r
+    return out
 
 
 def _weight(spec: FieldSpec, p: np.ndarray) -> np.ndarray:
@@ -353,22 +371,25 @@ _FAR = 350.0
 
 
 def _sinh_cosh(z: np.ndarray):
-    """Real sinh z and cosh z for the position kernel; 0 where |z| >= _FAR."""
-    near = np.abs(z) < _FAR
-    if near.all():
-        return np.sinh(z), np.cosh(z)
+    """Real sinh z and cosh z for the position kernel, 0 where |z| >= _FAR,
+    and that mask itself."""
+    far = np.abs(z) >= _FAR
+    if not far.any():
+        return np.sinh(z), np.cosh(z), far
+    near = ~far
     return (
         np.sinh(z, out=np.zeros_like(z), where=near),
         np.cosh(z, out=np.zeros_like(z), where=near),
+        far,
     )
 
 
 def _position_kernel(
-    ctx: ThermalContext, epsilon: float, z: np.ndarray, sinh_z, cosh_z, out=None
+    ctx: ThermalContext, epsilon: float, z: np.ndarray, sinh_z, cosh_z, far, out=None
 ) -> np.ndarray:
     """(1/beta^2) sinh^{-2}(z + ib), b = pi eps/beta, from the real grids z,
-    sinh z and cosh z of _sinh_cosh, written to out (a complex array of z's
-    shape) when given.
+    sinh z, cosh z and the |z| >= _FAR mask of _sinh_cosh, written to out (a
+    complex array of z's shape) when given.
 
     For real b, sinh(z + ib) = sinh z cos b + i cosh z sin b, so no complex
     sinh is evaluated.  Where |z| >= _FAR the asymptote
@@ -384,7 +405,6 @@ def _position_kernel(
     np.multiply(sinh_z, beta * math.cos(b), out=s.real)
     np.multiply(cosh_z, beta * math.sin(b), out=s.imag)
     s *= s  # beta^2 sinh^2(z + ib)
-    far = np.abs(z) >= _FAR
     if not far.any():
         return np.divide(1.0, s, out=s)
     np.divide(1.0, s, out=s, where=~far)
@@ -532,12 +552,21 @@ def weyl_inner(
     return complex(np.exp(k / 2.0 - norm.c * o))
 
 
-def _deviation_samples(ctx, f: TestFunction, u: float, t: float):
-    """delta_u(f(. - t)) - f(. - (t - beta u)) expressed over f's own coordinates.
+# deviation rows are zero-padded to a multiple of this many lattice nodes
+_DEVIATION_PAD = 64
 
-    Returns (base TestFunction d, shift) with the actual deviation being
-    d translated by shift = t - beta u.  d lives on f's lattice f.x0 + k f.dx,
-    so the translate is f's own samples and every d shares f's chirp-z step.
+
+def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
+    """delta_u(f(. - t)) - f(. - (t - beta u)) over f's own coordinates, one
+    row per entry of the 1-D array t.
+
+    Returns (rows, x0, shift): row j is the deviation at t[j] translated back
+    by shift[j] = t[j] - beta u, sampled on f's lattice x0 + k f.dx, so the
+    translate is f's own samples and every row shares f's chirp-z step.  The
+    rows span the union of the nodes' index ranges, rounded up to whole
+    _DEVIATION_PAD blocks; outside its own range a row is exactly 0 (both
+    functions vanish there), so each row is its node's deviation
+    zero-padded to the common range.
     The parameter shift
     L(u, y) - y - beta u = (beta/2pi) log1p((e^{-2pi u} - 1) e^{-2pi y/beta})
     is evaluated in closed form, and where it is below the grid scale the
@@ -554,38 +583,40 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: float):
     # pulled back by the shift (defined for all u since a0 + t > 0)
     img_lo = modular_flow_ray(ctx, RayDirection.PLUS, u, a0 + t) - shift
     img_hi = modular_flow_ray(ctx, RayDirection.PLUS, u, b0 + t) - shift
-    k = np.arange(
-        math.floor((min(a0, img_lo) - f.x0) / dx) - 10,
-        math.ceil((max(b0, img_hi) - f.x0) / dx) + 11,
-    )
+    lo = math.floor((min(a0, img_lo.min()) - f.x0) / dx) - 10
+    hi = math.ceil((max(b0, img_hi.max()) - f.x0) / dx) + 11
+    # whole blocks, so rows of nearby ranges share one chirp-z plan
+    k = np.arange(lo, lo - (lo - hi) // _DEVIATION_PAD * _DEVIATION_PAD)
     a_grid = f.x0 + k * dx
-    y = a_grid + shift
+    y = a_grid + shift[:, None]
     with np.errstate(over="ignore"):
         inner = math.expm1(-TWO_PI * u) * np.exp(-TWO_PI * y / beta)
     valid = inner > -1.0
     delta = np.zeros_like(y)
     delta[valid] = b * np.log1p(inner[valid])
     own = (k >= 0) & (k < len(f.samples))
-    vals = np.zeros(len(k))
-    vals[own] = -f.samples[k[own]]
+    rows = np.zeros(y.shape)
+    rows[:, own] = -f.samples[k[own]]
     small = valid & (np.abs(delta) < 1e-3 * dx)
     if np.any(small):
-        mid = a_grid[small] + delta[small] / 2.0
+        mid = (a_grid + delta / 2.0)[small]
         dv = np.zeros_like(mid)
         ins = (mid > a0) & (mid < b0)
         dv[ins] = f._spline.derivative()(mid[ins])
-        vals[small] = dv * delta[small]
+        rows[small] = dv * delta[small]
     big = valid & ~small
-    vals[big] += f(a_grid[big] + delta[big])
-    d = TestFunction(vals, float(a_grid[0]), dx, (float(a_grid[0]), float(a_grid[-1])))
-    return d, shift
+    rows[big] += f((a_grid + delta)[big])
+    if not np.isfinite(rows).all():
+        raise ValueError("deviation samples must be finite")
+    return rows, float(a_grid[0]), shift
 
 
 def _deviation_exponents(
     ctx: ThermalContext, spec: FieldSpec, norm: StateNormalization,
-    f: TestFunction, u: float, t: float, g: TestFunction | None = None,
-) -> tuple[float, complex]:
-    """Exponents (z2, dz) of the Weyl overlaps along the modular deviation.
+    f: TestFunction, u: float, t: np.ndarray, g: TestFunction | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (z2, dz) of the Weyl overlaps along the modular deviation,
+    at one u for each entry of the 1-D array t.
 
     With h1 the modular image of f(. - t), h2 = f(. - (t - beta u)),
     d = h1 - h2 and e = h2 - g: z2 = -c Re omega2(e, e) = log|<W(g)O, W(h2)O>|
@@ -596,10 +627,16 @@ def _deviation_exponents(
     z2 = 0); a given g and f get symplectic_K's tail check on their own
     transforms (once per function and grid), raising QuadratureError when
     too narrow for the cutoff.
+
+    The t values form one row: their deviations, zero-padded to a common
+    range of f's lattice, go through one 2-D chirp-z call, and every
+    pairing is a Simpson sum along the last axis.  A row of a dozen nodes
+    keeps the stacks near the cache size; padding moves last bits only.
     """
     if f.support[0] <= 0.0:
         raise DomainViolation("supp f must lie in the positive half-line")
     p = momentum_grid(ctx)
+    dp = p[1] - p[0]
     dens = _density(ctx, spec)
     wgt = _weight(spec, p)
     tf_p, tf_m = _transforms(ctx, f)
@@ -607,20 +644,33 @@ def _deviation_exponents(
         tg_p, tg_m = _transforms(ctx, g)
         _own_tail_check(ctx, spec, f)
         _own_tail_check(ctx, spec, g)
-    d, shift = _deviation_samples(ctx, f, u, t)
-    td_p, td_m = _transforms(ctx, d)
-    # both translates move by the shift through the phase e^{-ip shift}
-    ph_p = np.exp(-1j * p * shift)
-    ph_m = np.conj(ph_p)
-    td_p, td_m = td_p * ph_p, td_m * ph_m
+    rows, x0, shift = _deviation_samples(ctx, f, u, t)
+    td_p = _lattice_fourier(rows, x0, f.dx, p)
+    # both translates move by the shift through the phase e^{-ip shift},
+    # mirrored like the transforms, so each factor at -p is a reversed view
+    m = len(p) // 2
+    ph = np.empty_like(td_p)
+    ph[..., m:] = np.exp(-1j * p[m:] * shift[:, None])
+    ph[..., :m] = np.conj(ph[..., :m:-1])
+    td_p *= ph
+    td_m = td_p[..., ::-1]
+    # the rest is formed in ph's buffer, so at most three row-sized arrays
+    # are alive at once: a freed row-sized temporary per product costs page
+    # faults once the heap is trimmed
+    th2_p = ph
+    th2_p *= tf_p  # h2's transform
     if g is None:
-        k = _pair(ctx, wgt, tf_m * ph_m, td_p)
-        return 0.0, complex(-norm.c * _pair(ctx, dens, td_m, td_p).real, k.imag / 2.0)
-    te_p, te_m = tf_p * ph_p - tg_p, tf_m * ph_m - tg_m
-    z2 = -norm.c * _pair(ctx, dens, te_m, te_p).real
-    k = _pair(ctx, wgt, tg_m, td_p)
-    o = _pair(ctx, dens, td_m, td_p + 2.0 * te_p).real
-    return z2, complex(-norm.c * o, k.imag / 2.0)
+        k = _simpson(_product(wgt, th2_p[..., ::-1], td_p), dp)
+        o = _simpson(_product(dens, td_m, td_p), dp).real
+        return np.zeros(len(t)), -norm.c * o + 1j * (k.imag / 2.0)
+    te_p = th2_p
+    te_p -= tg_p
+    z2 = -norm.c * _simpson(_product(dens, te_p[..., ::-1], te_p), dp).real
+    k = _simpson(_product(wgt * tg_m, td_p), dp)
+    te_p *= 2.0
+    te_p += td_p  # td_p + 2 te_p
+    o = _simpson(_product(dens, td_m, te_p), dp).real
+    return z2, -norm.c * o + 1j * (k.imag / 2.0)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from modularflow import verify
 from modularflow.errors import DomainViolation, QuadratureError
 from modularflow.flow_maps import ThermalContext
 from modularflow.verify import (
-    BoundReport,
     CaseResult,
     convergence_rate,
     gamma_conjugation_deviation,
@@ -68,8 +67,10 @@ class TestBound:
         # t = 5 beta, u = 0.1: bound is 2 (e^{0.2 pi} - 1)/(e^{10 pi} - 1)
         rep = matrix_element_bound(ctx, N0, f_pos, g_neg, 0.1, 5.0)
         expected = 2.0 * (math.exp(0.2 * math.pi) - 1.0) / (math.exp(10 * math.pi) - 1.0)
-        assert rep.rhs == pytest.approx(expected, rel=1e-12)
-        assert rep.lhs <= rep.rhs + 1e-9
+        # rhs is 3.97e-14: approx's default absolute tolerance of 1e-12 would
+        # let rhs = 0 or 2 * expected pass
+        assert rep.rhs == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert rep.lhs <= rep.rhs
 
     def test_small_t_branch_saturates(self, ctx, f_pos, g_neg):
         # for t -> 0+ the min picks 1 and the bound is 2M = 2
@@ -131,17 +132,39 @@ class TestBound:
         assert _czt_plan.cache_info().misses <= 12
 
     def test_nan_margin_fails_the_suite(self, monkeypatch):
-        # `rep.margin < worst_margin` is False for NaN, so the NaN node was
-        # skipped; it must stay the worst even where later margins are smaller
-        def bound(ctx, spec, f, g, u, t):
-            lhs = math.nan if abs(u - 0.3) < 1e-9 and t == 2.0 else 0.5 * (u == 1.0)
-            return BoundReport(lhs=lhs, rhs=1.0)
+        # `margin < worst_margin` is False for NaN, so the NaN node was
+        # skipped; it must stay the worst even where later margins are smaller.
+        # The suite evaluates one u row of t values per call.
+        def bound_row(ctx, spec, f, g, u, t):
+            nan_at = (abs(u - 0.3) < 1e-9) & (t == 2.0)
+            return np.where(nan_at, math.nan, 0.5 * (u == 1.0)), np.ones_like(t)
 
-        monkeypatch.setattr(verify, "matrix_element_bound", bound)
+        monkeypatch.setattr(verify, "_bound_row", bound_row)
         (case,) = run_suite("thm22", beta=1.0)
         assert math.isnan(case.lhs)
         assert not case.passed
         assert case.params["worst_at"] == (pytest.approx(0.3), 2.0)
+
+    @pytest.mark.parametrize("u", [-1.0, -0.3, 0.0, 0.4, 1.0])
+    def test_row_matches_single_nodes(self, ctx, f_pos, g_neg, u):
+        # a row of 12 t values is zero-padded to one length and transformed
+        # at once; each node alone is padded to its own range only
+        ts = np.linspace(0.5, 6.0, 12)
+        lhs, rhs = verify._bound_row(ctx, N0, f_pos, g_neg, u, ts)
+        single = [matrix_element_bound(ctx, N0, f_pos, g_neg, u, float(t)) for t in ts]
+        assert np.array_equal(rhs, [rep.rhs for rep in single])
+        if u == 0.0:
+            assert np.all(lhs == 0.0)
+            assert all(rep.lhs == 0.0 for rep in single)
+        else:
+            assert np.all(lhs > 0.0)
+            assert lhs == pytest.approx([rep.lhs for rep in single], rel=1e-6, abs=0.0)
+
+    def test_rate_row_matches_single_nodes(self, ctx, f_pos):
+        ts = [3.0, 4.0, 5.0, 6.0]
+        rep = convergence_rate(ctx, N0, f_pos, 0.3, ts)
+        single = [vector_deviation(ctx, N0, f_pos, 0.3, t) for t in ts]
+        assert rep.deviations == pytest.approx(single, rel=1e-6, abs=0.0)
 
 
 class TestRate:
@@ -278,6 +301,34 @@ class TestKmsBoundary:
         )
         assert abs(rep.deviation - before) <= 1e-15
         assert rep.relative < 1e-6
+
+    @staticmethod
+    def suite_check(beta):
+        return kms_boundary_check(
+            ThermalContext(beta=beta),
+            TestFunction.bump(0.5 * beta, 0.3 * beta),
+            TestFunction.bump(1.85 * beta, 0.35 * beta),
+            np.linspace(-0.5, 0.5, 7),
+            1e-4 * beta,
+        )
+
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+    def test_row_blocks_leave_the_result_bitwise_unchanged(self, beta, monkeypatch):
+        blocked = self.suite_check(beta)
+        monkeypatch.setattr(verify, "_KMS_ROWS", 801)  # the whole grid at once
+        assert self.suite_check(beta) == blocked
+
+    def test_traced_peak_stays_small(self):
+        # the whole 801 x 801 complex grids peaked at 59 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            self.suite_check(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
     def test_epsilon_must_be_positive_and_finite(self, ctx, eps):

@@ -150,11 +150,11 @@ class TestTransformLayer:
         ctx = ThermalContext(beta=1.0)
         dp = momentum_grid(ctx)[1] - momentum_grid(ctx)[0]
         f = TestFunction.bump(1.2, 0.5)
-        d, _ = _deviation_samples(ctx, f, 0.5, 2.0)
+        (d,), _, _ = _deviation_samples(ctx, f, 0.5, np.array([2.0]))
         rng = np.random.default_rng(7)
         return [
             (f.samples, 4097, np.exp(-1j * dp * f.dx)),
-            (d.samples, 4097, np.exp(-1j * dp * d.dx)),
+            (d, 4097, np.exp(-1j * dp * f.dx)),
             (rng.standard_normal(100), 257, np.exp(-0.013j)),
             (rng.standard_normal(8193), 4097, np.exp(-1j * dp * 1e-3)),
         ]
@@ -261,13 +261,15 @@ class TestTransformLayer:
         ctx = ThermalContext(beta=1.2345)  # a beta no other test caches
         f = TestFunction.bump(0.5, 0.5).translate(0.02)
         g = TestFunction.bump(-1.5, 0.5)
-        first = _deviation_exponents(ctx, N0, NORM, f, 0.3, 1.0, g)
+        first = _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]), g)
         assert (len(densities), len(tails)) == (1, 2)
-        for u, t in ((0.3, 1.0), (-0.5, 2.0), (1.0, 0.5)):
-            got = _deviation_exponents(ctx, N0, NORM, f, u, t, g)
+        for u, t in ((0.3, [1.0]), (-0.5, [2.0, 3.0]), (1.0, [0.5])):
+            got = _deviation_exponents(ctx, N0, NORM, f, u, np.array(t), g)
         assert (len(densities), len(tails)) == (1, 2)
-        assert _deviation_exponents(ctx, N0, NORM, f, 0.3, 1.0, g) == first
-        assert got == _deviation_exponents(ctx, N0, NORM, f, 1.0, 0.5, g)
+        again = _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]), g)
+        assert all(np.array_equal(a, b) for a, b in zip(again, first))
+        again = _deviation_exponents(ctx, N0, NORM, f, 1.0, np.array([0.5]), g)
+        assert all(np.array_equal(a, b) for a, b in zip(again, got))
 
     def test_narrow_function_raises_on_every_call(self):
         ctx = ThermalContext(beta=1.0)
@@ -275,7 +277,7 @@ class TestTransformLayer:
         g = TestFunction.bump(-1.5, 0.5)
         for _ in range(2):
             with pytest.raises(QuadratureError, match="symplectic form"):
-                _deviation_exponents(ctx, N0, NORM, narrow, 0.3, 1.0, g)
+                _deviation_exponents(ctx, N0, NORM, narrow, 0.3, np.array([1.0]), g)
 
     def test_cli_import_leaves_out_scipy_signal(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(modularflow.__file__)))
