@@ -1,4 +1,4 @@
-"""Golden verify reports: a fresh `mfl verify all` against the committed ones.
+"""Golden verify reports and flow figures against the committed ones.
 
 golden/verify_all_beta{0.6,1,1.7}.json are the reports of
 `mfl verify all --beta B`, and golden/toolchain.json names the Python,
@@ -6,12 +6,21 @@ numpy and scipy versions and numpy's enabled CPU features they were made
 with.  On that toolchain a fresh report must match byte for byte.  On
 another, the check names, param keys and pass flags must match, and each
 lhs may move by at most 1e-2 * rhs.  Either way a failure lists every
-moved value.  A change that moves a value rewrites the files with
+moved value.
+
+golden/figure{1..4}_beta{1,1.7}.{csv,json,svg} are the four flow figures
+(`mfl figure --which N` numbering) drawn with FIGURE_SPEC.  On the recorded
+toolchain they must match byte for byte; elsewhere the text between the
+numbers must match and each number may move by at most
+1e-12 * max(beta, |x|).
+
+A change that moves a value rewrites the files with
 `PYTHONPATH=src python tests/test_golden.py`, so the move shows in its diff.
 """
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -19,10 +28,23 @@ import numpy as np
 import pytest
 import scipy
 
+from modularflow.cone_wedge import FigureSpec, Region, emit_flow_figure
+from modularflow.flow_maps import ThermalContext
 from modularflow.verify import report_json, run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 BETAS = ("0.6", "1", "1.7")
+FIGURE_BETAS = ("1", "1.7")
+FIGURE_SPEC = FigureSpec(n_lines=3, n_samples=9)
+# `mfl figure --which N`
+FIGURES = {
+    1: (Region.FORWARD_CONE, "modular"),
+    2: (Region.RIGHT_WEDGE, "modular"),
+    3: (Region.FORWARD_CONE, "gamma"),
+    4: (Region.RIGHT_WEDGE, "gamma"),
+}
+FORMATS = ("csv", "json", "svg")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|-?inf")
 
 
 def toolchain() -> dict:
@@ -83,7 +105,62 @@ def test_verify_all_matches_golden(beta):
     assert not far, f"lhs moved by more than 1e-2 * rhs at beta {beta}:\n{moved}"
 
 
+def figure_name(which: int, beta: str, fmt: str) -> str:
+    return f"figure{which}_beta{beta}.{fmt}"
+
+
+def write_figure(which: int, beta: str, fmt: str, path: Path):
+    region, flow = FIGURES[which]
+    ctx = ThermalContext(beta=float(beta))
+    emit_flow_figure(ctx, region, flow, str(path), fmt=fmt, spec=FIGURE_SPEC)
+
+
+def moved_numbers(old: str, new: str, beta: float) -> list[str]:
+    """One line per number of new that differs from old by more than
+    1e-12 * max(beta, |x|); any difference in the text between the numbers
+    is reported as one line."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return ["text between the numbers differs"]
+    lines = []
+    for i, (a, b) in enumerate(zip(NUMBER.findall(old), NUMBER.findall(new))):
+        x, y = float(a), float(b)
+        if not abs(y - x) <= 1e-12 * max(beta, abs(x)):
+            lines.append(f"number #{i}: {a} -> {b} (abs {abs(y - x):.3e})")
+    return lines
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("beta", FIGURE_BETAS)
+@pytest.mark.parametrize("which", sorted(FIGURES))
+def test_figure_matches_golden(which, beta, fmt, tmp_path):
+    name = figure_name(which, beta, fmt)
+    golden = (GOLDEN / name).read_text()
+    write_figure(which, beta, fmt, tmp_path / name)
+    text = (tmp_path / name).read_text()
+    moved = moved_numbers(golden, text, float(beta))
+    if json.loads((GOLDEN / "toolchain.json").read_text()) == toolchain():
+        assert text == golden, f"{name} moved:\n" + "\n".join(moved)
+        return
+    assert not moved, f"{name} moved:\n" + "\n".join(moved)
+
+
+def test_figure_diff_reports_moved_number():
+    old = "1,0.5,-2.25e-3\n"
+    assert moved_numbers(old, old, 1.0) == []
+    assert moved_numbers(old, "1,0.5000000000001,-2.25e-3\n", 1.0) == []
+    assert moved_numbers(old, "1,0.50000000001,-2.25e-3\n", 1.0) == [
+        "number #1: 0.5 -> 0.50000000001 (abs 1.000e-11)"
+    ]
+    assert moved_numbers(old, "1;0.5,-2.25e-3\n", 1.0) == [
+        "text between the numbers differs"
+    ]
+
+
 if __name__ == "__main__":
     for beta in BETAS:
         (GOLDEN / f"verify_all_beta{beta}.json").write_text(fresh_report(beta))
+    for which in FIGURES:
+        for beta in FIGURE_BETAS:
+            for fmt in FORMATS:
+                write_figure(which, beta, fmt, GOLDEN / figure_name(which, beta, fmt))
     (GOLDEN / "toolchain.json").write_text(json.dumps(toolchain(), indent=1) + "\n")
