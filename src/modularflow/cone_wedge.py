@@ -67,15 +67,33 @@ class Region(Enum):
 
 
 def _flow_2d(ctx, region, ray, param, p) -> SpacetimePoint:
-    try:
-        new_L = ray(ctx, region.left_direction, param, p.xL)
-    except DomainViolation as e:
-        raise DomainViolation(f"left light-cone coordinate xL={p.xL}: {e}") from None
-    try:
-        new_R = ray(ctx, RayDirection.PLUS, param, p.xR)
-    except DomainViolation as e:
-        raise DomainViolation(f"right light-cone coordinate xR={p.xR}: {e}") from None
-    return SpacetimePoint.from_lightcone(new_L, new_R)
+    """Image of p under ray at param, one ray call per light-cone coordinate.
+
+    param is a float or a 1-D array; with an array the coordinates of the
+    result are arrays over it.  When both coordinates leave the domain, the
+    error names the one that leaves at the earlier parameter, xL on a tie.
+    """
+    images, errors = [], []
+    for side, name, x, direction in (
+        ("left", "xL", p.xL, region.left_direction),
+        ("right", "xR", p.xR, RayDirection.PLUS),
+    ):
+        try:
+            images.append(ray(ctx, direction, param, x))
+        except DomainViolation as e:
+            msg = f"{side} light-cone coordinate {name}={x}: {e}"
+            errors.append((_exit_index(param, e.exit_param), msg, e.exit_param))
+    if errors:
+        _, msg, r = min(errors, key=lambda err: err[0])
+        raise DomainViolation(msg, exit_param=r)
+    return SpacetimePoint.from_lightcone(*images)
+
+
+def _exit_index(param, r) -> int:
+    """Index in param of the parameter r a ray map failed at; 0 for a failing point."""
+    if r is None or np.ndim(param) == 0:
+        return 0
+    return int(np.argmax(np.isnan(param) if math.isnan(r) else param == r))
 
 
 def modular_flow_2d(
@@ -168,19 +186,18 @@ def flow_line(
     if flow not in ("modular", "gamma"):
         raise ValueError(f"flow must be 'modular' or 'gamma', got {flow!r}")
     lo, hi = param_range
-    params = np.linspace(lo, hi, n_samples)
-    step = modular_flow_2d if flow == "modular" else gamma_flow_2d
-    pts = np.empty((n_samples, 2))
-    for i, r in enumerate(params):
-        try:
-            q = step(ctx, region, float(r), seed)
-        except DomainViolation as e:
-            raise DomainViolation(
-                f"flow line leaves the domain at parameter {r}: {e}",
-                exit_param=float(r),
-            ) from None
-        pts[i] = (q.x0, q.x1)
-    return FlowLine(params, pts)
+    with np.errstate(invalid="ignore"):  # a non-finite end fails at its parameter below
+        params = np.linspace(lo, hi, n_samples)
+    ray = modular_flow_ray if flow == "modular" else gamma_flow_ray
+    try:
+        q = _flow_2d(ctx, region, ray, params, seed)
+    except DomainViolation as e:
+        # a seed the ray maps reject fails at the first parameter
+        r = float(params[0] if e.exit_param is None else e.exit_param)
+        raise DomainViolation(
+            f"flow line leaves the domain at parameter {r}: {e}", exit_param=r
+        ) from None
+    return FlowLine(params, np.column_stack([q.x0, q.x1]))
 
 
 def gamma_line_constant(ctx: ThermalContext, region: Region, p: SpacetimePoint) -> float:
@@ -189,6 +206,8 @@ def gamma_line_constant(ctx: ThermalContext, region: Region, p: SpacetimePoint) 
     Cone lines satisfy x0 = -(beta/2pi) log|sinh(2pi x1/beta)| + C away from
     the time axis; wedge lines satisfy x1 = -(beta/2pi) log(cosh(2pi x0/beta)) + C.
     """
+    if not ctx.finite:
+        raise DomainViolation("closed-form positive-generator flow lines require finite beta")
     b = ctx.beta / TWO_PI
     if region is Region.FORWARD_CONE:
         s = math.sinh(p.x1 / b)
@@ -306,6 +325,8 @@ def _gamma_figure_lines(ctx, region, spec):
     exact: shifting a seed in the invariance direction shifts its polyline
     pointwise.
     """
+    if not ctx.finite:
+        raise DomainViolation("closed-form positive-generator flow lines require finite beta")
     b = ctx.beta / TWO_PI
     w = _default_window(ctx, spec)
     out = []

@@ -112,16 +112,19 @@ def _domain_violation(what: str, conds, floor: float, name: str, param: float, x
     conds holds the positivity condition of the PLUS and the MINUS map.  A
     MINUS map is evaluated as the reflection -f_+(-param, -x); mirror=True
     states the bound, the parameter and the argument as the caller gave them.
+    exit_param is the parameter as the caller gave it.
     """
     if mirror:
         # 0.0 - floor: a floor of 0.0 reads as 0.0, not -0.0
         return DomainViolation(
             f"{what} undefined: {conds[1]} must be positive; needs x < {0.0 - floor} "
-            f"at {name}={-param}, got x={-np.min(x)}"
+            f"at {name}={-param}, got x={-np.min(x)}",
+            exit_param=-param,
         )
     return DomainViolation(
         f"{what} undefined: {conds[0]} must be positive; needs x > {floor} "
-        f"at {name}={param}, got x={np.min(x)}"
+        f"at {name}={param}, got x={np.min(x)}",
+        exit_param=param,
     )
 
 
@@ -129,18 +132,79 @@ def _points(x):
     """(x as a 1-D float array, whether x was a scalar); NaN or inf x raises."""
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
-    # math.isfinite costs far less than a reduction on the per-point flow lines
+    # math.isfinite costs far less than a reduction on a scalar point
     if not (math.isfinite(x_arr) if scalar else np.isfinite(x_arr).all()):
         bad = x_arr[~np.isfinite(x_arr)][0]
         raise DomainViolation(f"point x must be finite, got x={bad}")
     return np.atleast_1d(x_arr), scalar
 
 
+def _operands(name: str, param, x):
+    """(param as a 1-D array, x as a 1-D array, whether the result is a float).
+
+    param is a scalar, or a 1-D array against a scalar x.  A non-finite
+    parameter raises, then a non-finite x; with no parameter there is no
+    image to compute and x is not read.
+    """
+    p = np.asarray(param, dtype=float)
+    if p.ndim > 1 or (p.ndim == 1 and np.ndim(x) != 0):
+        raise ValueError(
+            f"flow parameter {name} must be a scalar, or a 1-D array against a scalar x"
+        )
+    params = p.reshape(-1)
+    for r in params.tolist():
+        if not math.isfinite(r):
+            raise DomainViolation(f"flow parameter {name} must be finite, got {r}", exit_param=r)
+    if not params.size:
+        return params, np.atleast_1d(np.asarray(x, dtype=float)), False
+    x_arr, scalar = _points(x)
+    return params, x_arr, scalar and p.ndim == 0
+
+
+def _by_sign(u):
+    """The parameters u split by sign: u = 0, u > 0 and u < 0 in turn.
+
+    Each group is None when no parameter has that sign, else (at, kept):
+    kept lists those parameters in order, and at indexes their elements in a
+    result over u.  When every parameter has the sign, at is ``...``, which
+    also covers a single parameter owning every element of the result.
+    """
+    us = u.tolist()
+    kept = ([v for v in us if v == 0.0], [v for v in us if v > 0.0], [v for v in us if v < 0.0])
+    return [
+        ((... if len(k) == len(us) else has(u, 0.0)), k) if k else None
+        for k, has in zip(kept, (np.equal, np.greater, np.less))
+    ]
+
+
+def _at(a, part):
+    """a[part], or a itself when it has one element and so broadcasts."""
+    return a if a.size == 1 else a[part]
+
+
+def _first_failure(kept, x, parts):
+    """(parameter, points) of the first parameter whose form fails, or None.
+
+    x holds the points of kept's elements (one point, or one parameter
+    owning every element); parts lists (elements, failed there) per form,
+    in the order they are checked.
+    """
+    failed = [(part, bad) for part, bad in parts if bad.any()]
+    if not failed:
+        return None
+    if len(kept) == 1:
+        return kept[0], _at(x, failed[0][0])
+    flags = np.zeros(len(kept), bool)
+    for part, bad in failed:
+        flags[part] = bad
+    return kept[int(np.argmax(flags))], x
+
+
 _PHI_CONDS = ("1 + e^{-2 pi u}(e^{2 pi x/beta} - 1)", "1 + e^{2 pi u}(e^{-2 pi x/beta} - 1)")
 _PSI_CONDS = ("1 + (2 pi tau/beta) e^{-2 pi x/beta}", "1 - (2 pi tau/beta) e^{2 pi x/beta}")
 
 
-def _phi_plus(beta: float, u: float, x, mirror: bool = False):
+def _phi_plus(beta: float, u, x, mirror: bool = False):
     """Modular flow on the right half-line.
 
     phi_+(u, x) = (beta/2pi) log{ 1 + e^{-2pi u}(e^{2pi x/beta} - 1) },
@@ -154,55 +218,74 @@ def _phi_plus(beta: float, u: float, x, mirror: bool = False):
     positive), the second isolates the small correction; both stay exact for
     |x| << beta and |x| >> beta.  mirror marks a MINUS call (see
     _domain_violation).
+
+    u is a 1-D parameter array and x a point array, one of them with one
+    element; the result has their broadcast shape.  The constants of each u
+    come from math, and numpy acts elementwise, so each element is the value
+    of the one-parameter, one-point call.
     """
     b = beta / TWO_PI
-    x = np.asarray(x, dtype=float)
-    if u == 0.0:
-        return x.copy()
-    if u > 0.0:
-        rest = -math.expm1(-TWO_PI * u)  # 1 - e^{-2pi u} in (0, 1)
-        return b * np.logaddexp(x / b - TWO_PI * u, math.log(rest))
+    y = x / b - TWO_PI * u  # exponent of the u > 0 form; the u < 0 form switches on it
+    out = np.empty(y.shape)
+    zero, pos, neg = _by_sign(u)
+    if zero:
+        out[zero[0]] = x
+    if pos:
+        at, kept = pos
+        # log(1 - e^{-2pi u}), 1 - e^{-2pi u} in (0, 1)
+        log_rest = np.array([math.log(-math.expm1(-TWO_PI * v)) for v in kept])
+        out[at] = b * np.logaddexp(y[at], log_rest)
+    if not neg:
+        return out
+    at, kept = neg
     # u < 0: scaled-chart form, exact at the fixed point x = 0; the scaled
     # term e^{-2pi u} expm1(x/b) would overflow for x/b - 2pi u > ~709, where
     # the translation-dominated form takes over
-    out = np.empty_like(x)
-    big = x / b - TWO_PI * u > 700.0
-    if np.any(big):
+    y, x, u = y[at], _at(x, at), np.array(kept)
+    big = y > 700.0
+    small = ~big
+    res = np.empty(y.shape)
+    arg_big = arg_small = np.empty(0)
+    if big.any():
         # e^{-x/b} overflows only where 2pi u < -1400: arg = -inf fails the check
         with np.errstate(over="ignore"):
-            arg = math.expm1(TWO_PI * u) * np.exp(-x[big] / b)
-        _check_phi_domain(b, u, arg, x, big, mirror)
-        out[big] = x[big] - beta * u + b * np.log1p(arg)
-    small = ~big
-    if np.any(small):
+            scaled = np.array([math.expm1(TWO_PI * v) for v in kept])
+            arg_big = _at(scaled, big) * np.exp(-_at(x, big) / b)
+    if small.any():
         # capped below overflow: with -2pi u > 709 a small-branch x has
         # x/b < -9, so arg < -1 and the domain check raises either way
-        arg = math.exp(min(-TWO_PI * u, 709.0)) * np.expm1(x[small] / b)
-        _check_phi_domain(b, u, arg, x, small, mirror)
-        out[small] = b * np.log1p(arg)
+        chart = np.array([math.exp(min(-TWO_PI * v, 709.0)) for v in kept])
+        arg_small = _at(chart, small) * np.expm1(_at(x, small) / b)
+    fail = _first_failure(kept, x, ((big, arg_big <= -1.0), (small, arg_small <= -1.0)))
+    if fail:
+        v, pts = fail
+        floor = b * math.log(-math.expm1(TWO_PI * v))
+        raise _domain_violation("modular flow", _PHI_CONDS, floor, "u", v, pts, mirror)
+    if arg_big.size:
+        res[big] = _at(x, big) - beta * _at(u, big) + b * np.log1p(arg_big)
+    if arg_small.size:
+        res[small] = b * np.log1p(arg_small)
+    out[at] = res
     return out
 
 
-def _check_phi_domain(b: float, u: float, arg, x, part, mirror: bool):
-    """Raise DomainViolation unless arg > -1; arg is the log1p argument at x[part]."""
-    if np.any(arg <= -1.0):
-        floor = b * math.log(-math.expm1(TWO_PI * u))
-        raise _domain_violation("modular flow", _PHI_CONDS, floor, "u", u, x[part], mirror)
-
-
-def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u: float, x):
+def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u, x):
     """Point map of the modular flow of the half-line algebra.
 
     PLUS direction: defined where 1 + e^{-2pi u}(e^{2pi x/beta} - 1) > 0;
     MINUS is the reflection -phi_+(-u, -x).  For beta = inf the maps are the
     dilations e^{-2pi u} x (PLUS) and e^{+2pi u} x (MINUS).
+
+    u is a float, or a 1-D array of parameters against a float x: the result
+    is then the array of images of x, each bit for bit the value of the call
+    with that one u.  A non-finite u raises before any domain check; the
+    DomainViolation carries the offending u as exit_param, the first one in
+    the array.
     """
-    if not math.isfinite(u):
-        raise DomainViolation(f"flow parameter u must be finite, got {u}")
-    x_arr, scalar = _points(x)
+    u, x_arr, scalar = _operands("u", u, x)
     if not ctx.finite:
         sign = 1.0 if direction is RayDirection.PLUS else -1.0
-        out = math.exp(-TWO_PI * sign * u) * x_arr
+        out = np.array([math.exp(-TWO_PI * sign * v) for v in u.tolist()]) * x_arr
     elif direction is RayDirection.PLUS:
         out = _phi_plus(ctx.beta, u, x_arr)
     else:
@@ -210,7 +293,7 @@ def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u: float, x):
     return float(out[0]) if scalar else out
 
 
-def _psi_plus(beta: float, tau: float, x, mirror: bool = False):
+def _psi_plus(beta: float, tau, x, mirror: bool = False):
     """Positive-generator flow on the right half-line.
 
     psi_+(tau, x) = (beta/2pi) log{ e^{2pi x/beta} + 2pi tau/beta },
@@ -219,42 +302,61 @@ def _psi_plus(beta: float, tau: float, x, mirror: bool = False):
     smallest subnormal); for tau < 0 the correction form
     x + b log1p(r e^{-x/b}) is used on its domain x > b log(-r).  mirror
     marks a MINUS call (see _domain_violation).
+
+    tau and x are arrays as in _phi_plus, with the same elementwise result.
     """
     b = beta / TWO_PI
-    x = np.asarray(x, dtype=float)
-    if tau == 0.0:
-        return x.copy()
-    r = tau / b
-    # for b > 2 (beta > 4 pi) a subnormal tau makes r underflow to 0
-    log_r = math.log(abs(r)) if r != 0.0 else math.log(abs(tau)) - math.log(b)
-    if tau > 0.0:
-        return b * np.logaddexp(x / b, log_r)
-    floor = b * log_r
-    if np.any(x <= floor):
+
+    def log_abs_r(t):
+        # r = tau/b; for b > 2 (beta > 4 pi) a subnormal tau makes r underflow to 0
+        r = t / b
+        return math.log(abs(r)) if r != 0.0 else math.log(abs(t)) - math.log(b)
+
+    out = np.empty(x.shape if tau.size == 1 else tau.shape)
+    zero, pos, neg = _by_sign(tau)
+    if zero:
+        out[zero[0]] = x
+    if pos:
+        at, kept = pos
+        log_r = np.array([log_abs_r(t) for t in kept])
+        out[at] = b * np.logaddexp(_at(x, at) / b, log_r)
+    if not neg:
+        return out
+    at, kept = neg
+    x = _at(x, at)
+    log_r = np.array([log_abs_r(t) for t in kept])
+    fail = _first_failure(kept, x, ((..., x <= b * log_r),))
+    if fail:
+        t, pts = fail
         raise _domain_violation(
-            "positive-generator flow", _PSI_CONDS, floor, "tau", tau, x, mirror
+            "positive-generator flow", _PSI_CONDS, b * log_abs_r(t), "tau", t, pts, mirror
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        arg = r * np.exp(-x / b)
+        arg = np.array(kept) / b * np.exp(-x / b)
     # above the floor r e^{-x/b} lies in (-1, 0), but for |r| < e^{-709}
     # (subnormal tau) e^{-x/b} alone can overflow there: inf, or NaN where
     # r underflowed to 0
     over = ~np.isfinite(arg)
     if np.any(over):
-        arg[over] = -np.exp(log_r - x[over] / b)
-    return x + b * np.log1p(arg)
+        arg[over] = -np.exp(_at(log_r, over) - _at(x, over) / b)
+    out[at] = x + b * np.log1p(arg)
+    return out
 
 
-def gamma_flow_ray(ctx: ThermalContext, direction: RayDirection, tau: float, x):
+def gamma_flow_ray(ctx: ThermalContext, direction: RayDirection, tau, x):
     """Point map of the positive-generator flow: translation by tau in the chart.
 
     PLUS direction: defined where 1 + (2pi tau/beta) e^{-2pi x/beta} > 0;
     MINUS (defined where 1 - (2pi tau/beta) e^{+2pi x/beta} > 0) is the
     reflection -psi_+(-tau, -x).  For beta = inf both reduce to x + tau.
+
+    tau is a float, or a 1-D array of parameters against a float x: the
+    result is then the array of images of x, each bit for bit the value of
+    the call with that one tau.  A non-finite tau raises before any domain
+    check; the DomainViolation carries the offending tau as exit_param, the
+    first one in the array.
     """
-    if not math.isfinite(tau):
-        raise DomainViolation(f"flow parameter tau must be finite, got {tau}")
-    x_arr, scalar = _points(x)
+    tau, x_arr, scalar = _operands("tau", tau, x)
     if not ctx.finite:
         out = x_arr + tau
     elif direction is RayDirection.PLUS:

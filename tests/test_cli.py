@@ -282,6 +282,33 @@ class TestFigureCommand:
         assert code == EXIT_OK
         assert out.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("which", ["3", "4"])
+    def test_positive_generator_figures_need_finite_beta(self, tmp_path, capsys, which):
+        # the closed-form lines divide by beta/2pi: figure 4 used to write
+        # all-NaN columns with exit 0, figure 3 to blame the time axis
+        out = tmp_path / f"f{which}.csv"
+        code, _, err = run(capsys, "figure", "--which", which, "--beta", "inf", "-o", str(out))
+        assert code == EXIT_DOMAIN
+        assert "closed-form positive-generator flow lines require finite beta" in err
+        assert not out.exists()
+
+    # the vacuum modular flows scale xR by e^{-2pi u} and xL by e^{-2pi u}
+    # (cone) or e^{2pi u} (wedge)
+    @pytest.mark.parametrize("which, left", [("1", -1.0), ("2", 1.0)])
+    def test_modular_figures_at_infinite_beta_are_dilations(self, tmp_path, capsys, which, left):
+        out = tmp_path / f"f{which}.csv"
+        code, _, _ = run(capsys, "figure", "--which", which, "--beta", "inf", "-o", str(out))
+        assert code == EXIT_OK
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        for k in range(12):
+            _, u, x0, x1, _, _ = rows[rows[:, 0] == k].T
+            seed_r, seed_l = (x0 + x1)[u == 0.0], (x0 - x1)[u == 0.0]  # u = 0 is a sample
+            xr = np.exp(-TWO_PI * u) * seed_r
+            xl = np.exp(left * TWO_PI * u) * seed_l
+            scale = np.maximum(np.abs(xr), np.abs(xl))
+            assert np.all(np.abs(x0 - (xr + xl) / 2) <= 1e-14 * scale)
+            assert np.all(np.abs(x1 - (xr - xl) / 2) <= 1e-14 * scale)
+
 
 class TestTransformCommand:
     def test_identity_roundtrip(self, tmp_path, capsys):

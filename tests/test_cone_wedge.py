@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from modularflow.cone_wedge import (
@@ -352,6 +354,118 @@ class TestFlowLine:
             flow_line(ctx, WEDGE, "gamma", p, (0.0, 2.0 * tau_max), 64)
         assert exc.value.exit_param is not None
         assert exc.value.exit_param >= tau_max - 1e-12
+
+
+def reference_line(ctx, region, flow, seed, param_range, n):
+    """(points, None) or (None, (message, exit_param)): flow_line as one point
+    map per parameter, stopping at the first parameter that fails."""
+    step = modular_flow_2d if flow == "modular" else gamma_flow_2d
+    with np.errstate(invalid="ignore"):
+        params = np.linspace(*param_range, n)
+    pts = np.empty((n, 2))
+    for i, r in enumerate(params):
+        try:
+            q = step(ctx, region, float(r), seed)
+        except DomainViolation as e:
+            return None, (f"flow line leaves the domain at parameter {r}: {e}", float(r))
+        pts[i] = (q.x0, q.x1)
+    return pts, None
+
+
+def line_outcome(ctx, region, flow, seed, param_range, n):
+    """flow_line's result in reference_line's form."""
+    try:
+        return flow_line(ctx, region, flow, seed, param_range, n).points, None
+    except DomainViolation as e:
+        return None, (str(e), e.exit_param)
+
+
+def assert_same_outcome(got, want):
+    (pts, err), (ref_pts, ref_err) = got, want
+    if ref_err is None:
+        assert err is None, err
+        assert np.array_equal(pts, ref_pts)
+        return
+    assert pts is None
+    assert err[0] == ref_err[0]
+    assert err[1] == ref_err[1] or (math.isnan(err[1]) and math.isnan(ref_err[1]))
+
+
+@st.composite
+def line_cases(draw):
+    """A flow line through a point of its region, over a parameter range that
+    crosses 0: the modular lines stay inside, the gamma lines may leave."""
+    flow = draw(st.sampled_from(["modular", "gamma"]))
+    region = draw(st.sampled_from([CONE, WEDGE]))
+    beta = draw(st.one_of(
+        st.floats(math.log(0.1), math.log(10.0)).map(math.exp), st.just(math.inf)
+    ))
+    scale = beta if math.isfinite(beta) else 1.0
+    xr = draw(st.floats(1e-3, 5.0)) * scale
+    xl = draw(st.floats(1e-3, 5.0)) * scale * (1.0 if region is CONE else -1.0)
+    span = draw(st.sampled_from([0.05, 1.0, 3.0])) * (1.0 if flow == "modular" else scale)
+    lo, hi = -draw(st.floats(0.0, 1.0)) * span, draw(st.floats(0.0, 1.0)) * span
+    if draw(st.booleans()):
+        lo, hi = hi, lo
+    n = draw(st.integers(0, 200))
+    return ThermalContext(beta=beta), region, flow, SpacetimePoint.from_lightcone(xl, xr), (lo, hi), n
+
+
+class TestFlowLineIsThePointMap:
+    """Each line evaluates both ray maps once over its parameter array; every
+    point and every domain exit is the one the point map gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(line_cases())
+    def test_points_bitwise_equal(self, case):
+        assert_same_outcome(line_outcome(*case), reference_line(*case))
+
+    @pytest.mark.parametrize(
+        "region, flow, seed, param_range, side",
+        [
+            # the wedge's gamma flow bounds tau above through xL only
+            (WEDGE, "gamma", SpacetimePoint(0.0, 0.1), (0.0, 1.0), "left"),
+            # and below through xR only
+            (WEDGE, "gamma", SpacetimePoint(0.0, 0.1), (0.0, -1.0), "right"),
+            # a cone seed on the time axis has xL = xR: both leave at one
+            # parameter, and xL is named
+            (CONE, "gamma", SpacetimePoint(0.3, 0.0), (0.0, -2.0), "left"),
+            # a seed left of the cone: xL < 0 leaves the plus ray for u << 0
+            (CONE, "modular", SpacetimePoint(0.0, 0.5), (0.5, -2.0), "left"),
+            # xR leaves first although xL leaves further along
+            (CONE, "gamma", SpacetimePoint(0.05, -0.04), (0.0, -1.0), "right"),
+        ],
+    )
+    def test_domain_exit(self, region, flow, seed, param_range, side):
+        ctx = ThermalContext(beta=1.0)
+        want = reference_line(ctx, region, flow, seed, param_range, 64)
+        assert want[1] is not None
+        assert f": {side} light-cone coordinate" in want[1][0]
+        assert_same_outcome(line_outcome(ctx, region, flow, seed, param_range, 64), want)
+
+    @pytest.mark.parametrize(
+        "param_range", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 0.0)]
+    )
+    @pytest.mark.parametrize("flow", ["modular", "gamma"])
+    def test_non_finite_range(self, flow, param_range):
+        ctx = ThermalContext(beta=1.0)
+        seed = SpacetimePoint(0.3, 1.2)
+        want = reference_line(ctx, WEDGE, flow, seed, param_range, 5)
+        assert "must be finite" in want[1][0]
+        assert_same_outcome(line_outcome(ctx, WEDGE, flow, seed, param_range, 5), want)
+
+    def test_two_ray_calls_per_line(self, monkeypatch):
+        from modularflow import cone_wedge
+
+        calls = []
+
+        def counted(ctx, direction, u, x):
+            calls.append(np.size(u))
+            return modular_flow_ray(ctx, direction, u, x)
+
+        monkeypatch.setattr(cone_wedge, "modular_flow_ray", counted)
+        flow_line(ThermalContext(beta=1.0), CONE, "modular", SpacetimePoint(1.0, 0.2), (-1, 1), 50)
+        assert calls == [50, 50]
 
 
 class TestTimeCalibration:

@@ -549,3 +549,129 @@ def test_ray_maps_group_law_and_inverse(log_beta, direction, y, u1, u2, s1, s2):
     assert abs(phi(-u1, phi(u1, x)) - x) <= tol
     assert abs(psi(tau1, psi(tau2, x)) - psi(tau1 + tau2, x)) <= tol
     assert abs(psi(-tau1, psi(tau1, x)) - x) <= tol
+
+
+# Parameter arrays.  A ray map called with a 1-D array of parameters against
+# one point returns, element by element, the bits of the one-parameter call.
+# The reference below is that call written out: the parameter's constants
+# from math, the point's terms from numpy on a one-element array.  numpy's
+# exp, expm1 and log differ from math's in the last bit on a few percent of
+# arguments, so constants computed with numpy over the parameter array fail
+# this comparison.
+
+
+def phi_plus_reference(beta, u, x):
+    b, xa = beta / TWO_PI, np.array([x])
+    if u == 0.0:
+        return x
+    if u > 0.0:
+        out = b * np.logaddexp(xa / b - TWO_PI * u, math.log(-math.expm1(-TWO_PI * u)))
+    elif x / b - TWO_PI * u > 700.0:
+        out = xa - beta * u + b * np.log1p(math.expm1(TWO_PI * u) * np.exp(-xa / b))
+    else:
+        out = b * np.log1p(math.exp(min(-TWO_PI * u, 709.0)) * np.expm1(xa / b))
+    return float(out[0])
+
+
+def psi_plus_reference(beta, tau, x):
+    b, xa = beta / TWO_PI, np.array([x])
+    if tau == 0.0:
+        return x
+    r = tau / b
+    if tau > 0.0:
+        return float((b * np.logaddexp(xa / b, math.log(abs(r))))[0])
+    return float((xa + b * np.log1p(r * np.exp(-xa / b)))[0])
+
+
+def ray_reference(flow, beta, direction, param, x):
+    plus = phi_plus_reference if flow is modular_flow_ray else psi_plus_reference
+    if direction is PLUS:
+        return plus(beta, param, x)
+    return -plus(beta, -param, -x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    LOG_BETA,
+    DIRECTIONS,
+    st.sampled_from([modular_flow_ray, gamma_flow_ray]),
+    st.floats(min_value=math.log(1e-6), max_value=math.log(60.0)),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.integers(min_value=1, max_value=100),
+    st.floats(min_value=-200.0, max_value=0.0),
+)
+def test_parameter_array_is_the_scalar_call(log_beta, direction, flow, log_y, lo, hi, n, far):
+    # the point lies in the ray's half-line, where the modular flow is
+    # defined for every u; tau is kept above the positive-generator flow's
+    # bound, and one u reaches the translation-dominated form (x/b - 2 pi u > 700)
+    beta = math.exp(log_beta)
+    b, sign = beta / TWO_PI, (1.0 if direction is PLUS else -1.0)
+    x = sign * math.exp(log_y) * beta
+    s = np.linspace(lo, hi, n).tolist()  # a sweep, as a flow line draws it
+    if flow is modular_flow_ray:
+        params = [*s, sign * far]
+    else:
+        floor = -0.99 * b * math.exp(abs(x) / b)  # tau bound, in the ray's own sign
+        params = [sign * max(v * beta, floor) for v in s]
+    ctx = ThermalContext(beta=beta)
+    got = flow(ctx, direction, np.array(params), x)
+    want = [ray_reference(flow, beta, direction, v, x) for v in params]
+    assert got.shape == (len(params),)
+    assert np.array_equal(got, want)
+    assert all(flow(ctx, direction, v, x) == w for v, w in zip(params, want))
+
+
+class TestParameterArray:
+    @pytest.mark.parametrize("flow", [modular_flow_ray, gamma_flow_ray])
+    @pytest.mark.parametrize("direction", [PLUS, MINUS])
+    def test_vacuum(self, flow, direction):
+        ctx = ThermalContext(beta=math.inf)
+        params = np.linspace(-2.0, 2.0, 9)
+        got = flow(ctx, direction, params, 0.7)
+        assert np.array_equal(got, [flow(ctx, direction, float(v), 0.7) for v in params])
+
+    def test_empty(self):
+        got = modular_flow_ray(ThermalContext(beta=1.0), PLUS, np.array([]), 0.5)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("u, x", [(np.array([0.1, 0.2]), np.array([0.5, 1.0])),
+                                      (np.zeros((2, 2)), 0.5)])
+    def test_shapes_rejected(self, u, x):
+        with pytest.raises(ValueError, match="1-D array against a scalar x"):
+            modular_flow_ray(ThermalContext(beta=1.0), PLUS, u, x)
+
+    def test_first_offending_parameter_named(self):
+        # x = -0.5 leaves the plus ray's modular domain once u < -0.0071
+        ctx = ThermalContext(beta=1.0)
+        us = np.array([0.2, -0.001, -0.3, -0.5])
+        with pytest.raises(DomainViolation) as err:
+            modular_flow_ray(ctx, PLUS, us, -0.5)
+        with pytest.raises(DomainViolation) as one:
+            modular_flow_ray(ctx, PLUS, -0.3, -0.5)
+        assert str(err.value) == str(one.value)
+        assert err.value.exit_param == one.value.exit_param == -0.3
+
+    def test_minus_ray_names_the_callers_parameter(self):
+        ctx = ThermalContext(beta=1.0)
+        with pytest.raises(DomainViolation) as err:
+            # x = -0.5 bounds tau above by (beta/2pi) e^{pi} = 3.68
+            gamma_flow_ray(ctx, MINUS, np.array([0.0, 0.1, 5.0, 6.0]), -0.5)
+        assert "at tau=5.0, got x=-0.5" in str(err.value)
+        assert err.value.exit_param == 5.0
+
+    @pytest.mark.parametrize(
+        "us, exit_param, text",
+        [
+            # any non-finite parameter is reported before a domain exit
+            ([0.2, -0.5, math.nan], math.nan, "must be finite, got nan"),
+            ([0.2, math.inf, -math.inf], math.inf, "must be finite, got inf"),
+            ([0.2, -0.5, 0.3], -0.5, "must be positive"),
+            ([math.nan, -0.5], math.nan, "must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_parameter_first(self, us, exit_param, text):
+        with pytest.raises(DomainViolation, match=text) as err:
+            modular_flow_ray(ThermalContext(beta=1.0), PLUS, np.array(us), -0.5)
+        r = err.value.exit_param
+        assert r == exit_param or (math.isnan(r) and math.isnan(exit_param))
