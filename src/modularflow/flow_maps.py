@@ -128,26 +128,17 @@ def _domain_violation(what: str, conds, floor: float, name: str, param: float, x
     )
 
 
-def _points(x):
-    """(x as a 1-D float array, whether x was a scalar); NaN or inf x raises."""
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    # math.isfinite costs far less than a reduction on a scalar point
-    if not (math.isfinite(x_arr) if scalar else np.isfinite(x_arr).all()):
-        bad = x_arr[~np.isfinite(x_arr)][0]
-        raise DomainViolation(f"point x must be finite, got x={bad}")
-    return np.atleast_1d(x_arr), scalar
-
-
 def _operands(name: str, param, x):
-    """(param as a 1-D array, x as a 1-D array, whether the result is a float).
+    """(param as a 1-D array, x as an array of at least one dimension,
+    whether the result is a float).
 
     param is a scalar, or a 1-D array against a scalar x.  A non-finite
     parameter raises, then a non-finite x; with no parameter there is no
     image to compute and x is not read.
     """
     p = np.asarray(param, dtype=float)
-    if p.ndim > 1 or (p.ndim == 1 and np.ndim(x) != 0):
+    x_arr = np.asarray(x, dtype=float)
+    if p.ndim > 1 or (p.ndim == 1 and x_arr.ndim != 0):
         raise ValueError(
             f"flow parameter {name} must be a scalar, or a 1-D array against a scalar x"
         )
@@ -155,10 +146,13 @@ def _operands(name: str, param, x):
     for r in params.tolist():
         if not math.isfinite(r):
             raise DomainViolation(f"flow parameter {name} must be finite, got {r}", exit_param=r)
-    if not params.size:
-        return params, np.atleast_1d(np.asarray(x, dtype=float)), False
-    x_arr, scalar = _points(x)
-    return params, x_arr, scalar and p.ndim == 0
+    # math.isfinite costs far less than a reduction on a scalar point
+    if params.size and not (
+        math.isfinite(x_arr) if x_arr.ndim == 0 else np.isfinite(x_arr).all()
+    ):
+        bad = x_arr[~np.isfinite(x_arr)][0]
+        raise DomainViolation(f"point x must be finite, got x={bad}")
+    return params, np.atleast_1d(x_arr), p.ndim == 0 and x_arr.ndim == 0
 
 
 def _by_sign(u):

@@ -316,7 +316,7 @@ def _weight(spec: FieldSpec, p: np.ndarray) -> np.ndarray:
 
 
 def _finite(name: str, values: np.ndarray):
-    """Raise DomainViolation on NaN or inf, worded like flow_maps._points."""
+    """Raise DomainViolation on NaN or inf, worded like flow_maps._operands."""
     if not np.isfinite(values).all():
         raise DomainViolation(
             f"{name} must be finite, got {name}={values[~np.isfinite(values)][0]}"
