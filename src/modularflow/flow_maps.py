@@ -183,7 +183,7 @@ def _first_failure(kept, x, parts):
     owning every element); parts lists (elements, failed there) per form,
     in the order they are checked.
     """
-    failed = [(part, bad) for part, bad in parts if bad.any()]
+    failed = [(part, bad) for part, bad in parts if np.count_nonzero(bad)]
     if not failed:
         return None
     if len(kept) == 1:
@@ -240,12 +240,12 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
     small = ~big
     res = np.empty(y.shape)
     arg_big = arg_small = np.empty(0)
-    if big.any():
+    if np.count_nonzero(big):
         # e^{-x/b} overflows only where 2pi u < -1400: arg = -inf fails the check
         with np.errstate(over="ignore"):
             scaled = np.array([math.expm1(TWO_PI * v) for v in kept])
             arg_big = _at(scaled, big) * np.exp(-_at(x, big) / b)
-    if small.any():
+    if np.count_nonzero(small):
         # capped below overflow: with -2pi u > 709 a small-branch x has
         # x/b < -9, so arg < -1 and the domain check raises either way
         chart = np.array([math.exp(min(-TWO_PI * v, 709.0)) for v in kept])
@@ -331,7 +331,7 @@ def _psi_plus(beta: float, tau, x, mirror: bool = False):
     # (subnormal tau) e^{-x/b} alone can overflow there: inf, or NaN where
     # r underflowed to 0
     over = ~np.isfinite(arg)
-    if np.any(over):
+    if np.count_nonzero(over):
         arg[over] = -np.exp(_at(log_r, over) - _at(x, over) / b)
     out[at] = x + b * np.log1p(arg)
     return out
