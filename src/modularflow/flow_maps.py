@@ -19,6 +19,7 @@ x -> e^{-2pi u} x and x -> x + tau.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -106,26 +107,35 @@ def xi_inverse(ctx: ThermalContext, direction: RayDirection, xi):
     return out if out.ndim else float(out)
 
 
-def _domain_violation(what: str, conds, floor: float, name: str, param: float, x, mirror: bool):
-    """DomainViolation for a ray map whose argument must exceed floor.
+def _undefined(what: str, conds, floor: float, mirror: bool) -> str:
+    """Domain text of a ray map whose argument must exceed floor.
 
-    conds holds the positivity condition of the PLUS and the MINUS map.  A
-    MINUS map is evaluated as the reflection -f_+(-param, -x); mirror=True
-    states the bound, the parameter and the argument as the caller gave them.
-    exit_param is the parameter as the caller gave it.
+    conds holds the positivity condition of the PLUS and the MINUS map; a
+    MINUS map (mirror=True) states the bound as the caller's x meets it.
     """
     if mirror:
         # 0.0 - floor: a floor of 0.0 reads as 0.0, not -0.0
-        return DomainViolation(
-            f"{what} undefined: {conds[1]} must be positive; needs x < {0.0 - floor} "
-            f"at {name}={-param}, got x={-np.min(x)}",
-            exit_param=-param,
-        )
-    return DomainViolation(
-        f"{what} undefined: {conds[0]} must be positive; needs x > {floor} "
-        f"at {name}={param}, got x={np.min(x)}",
-        exit_param=param,
-    )
+        return f"{what} undefined: {conds[1]} must be positive; needs x < {0.0 - floor}"
+    return f"{what} undefined: {conds[0]} must be positive; needs x > {floor}"
+
+
+def _raise_at_first(bad, u, x, name: str, reason, mirror: bool = False):
+    """Raise DomainViolation at the first parameter with a failing element.
+
+    bad marks the failing elements of the broadcast of u and x (a 1-D
+    parameter array and a point array, one of them with one element).  The
+    message is reason (or reason(parameter) for a function), then the
+    parameter and the smallest failing point; exit_param is the parameter.
+    A MINUS map is evaluated as the reflection -f_+(-param, -x); mirror=True
+    states the parameter and the point as the caller gave them.
+    """
+    if not np.count_nonzero(bad):
+        return
+    v = float(u[0] if u.size == 1 else u[np.argmax(bad)])
+    got = float(np.min(x[bad] if u.size == 1 else x))
+    param, got = (-v, -got) if mirror else (v, got)
+    head = reason(v) if callable(reason) else reason
+    raise DomainViolation(f"{head} at {name}={param}, got x={got}", exit_param=param)
 
 
 def _operands(name: str, param, x):
@@ -155,47 +165,28 @@ def _operands(name: str, param, x):
     return params, np.atleast_1d(x_arr), p.ndim == 0 and x_arr.ndim == 0
 
 
-def _by_sign(u):
-    """The parameters u split by sign: u = 0, u > 0 and u < 0 in turn.
+def _per_sign(u, x, pos, neg):
+    """Images of x under the parameters u, each sign through its own form.
 
-    Each group is None when no parameter has that sign, else (at, kept):
-    kept lists those parameters in order, and at indexes their elements in a
-    result over u.  When every parameter has the sign, at is ``...``, which
-    also covers a single parameter owning every element of the result.
+    u is a 1-D parameter array and x a point array, one of them with one
+    element; the result has their broadcast shape.  pos and neg map the
+    parameters of their sign and x to images, and u = 0 is the identity.
+    One parameter takes its sign's form on every point; a parameter array
+    hands each form its own parameters.
     """
-    us = u.tolist()
-    kept = ([v for v in us if v == 0.0], [v for v in us if v > 0.0], [v for v in us if v < 0.0])
-    return [
-        ((... if len(k) == len(us) else has(u, 0.0)), k) if k else None
-        for k, has in zip(kept, (np.equal, np.greater, np.less))
-    ]
-
-
-def _at(a, part):
-    """a[part], or a itself when it has one element and so broadcasts."""
-    return a if a.size == 1 else a[part]
-
-
-def _first_failure(kept, x, parts):
-    """(parameter, points) of the first parameter whose form fails, or None.
-
-    x holds the points of kept's elements (one point, or one parameter
-    owning every element); parts lists (elements, failed there) per form,
-    in the order they are checked.
-    """
-    failed = [(part, bad) for part, bad in parts if np.count_nonzero(bad)]
-    if not failed:
-        return None
-    if len(kept) == 1:
-        return kept[0], _at(x, failed[0][0])
-    flags = np.zeros(len(kept), bool)
-    for part, bad in failed:
-        flags[part] = bad
-    return kept[int(np.argmax(flags))], x
+    if u.size == 1:
+        return pos(u, x) if u[0] > 0.0 else neg(u, x) if u[0] < 0.0 else x.copy()
+    out = np.empty(u.shape)
+    for at, form in ((u > 0.0, pos), (u < 0.0, neg)):
+        if np.count_nonzero(at):
+            out[at] = form(u[at], x)
+    out[u == 0.0] = x
+    return out
 
 
 _PHI_CONDS = ("1 + e^{-2 pi u}(e^{2 pi x/beta} - 1)", "1 + e^{2 pi u}(e^{-2 pi x/beta} - 1)")
 _PSI_CONDS = ("1 + (2 pi tau/beta) e^{-2 pi x/beta}", "1 - (2 pi tau/beta) e^{2 pi x/beta}")
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 def _phi_plus(beta: float, u, x, mirror: bool = False):
@@ -211,56 +202,43 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
     with b = beta/2pi.  The first is a sum of exponentials (both terms
     positive), the second isolates the small correction; both stay exact for
     |x| << beta and |x| >> beta.  mirror marks a MINUS call (see
-    _domain_violation).
+    _raise_at_first).
 
-    u is a 1-D parameter array and x a point array, one of them with one
-    element; the result has their broadcast shape.  The constants of each u
-    come from math, and numpy acts elementwise, so each element is the value
-    of the one-parameter, one-point call.
+    u and x are arrays as in _per_sign.  The constants of each u come from
+    math, one call per parameter, and numpy acts elementwise, so each element
+    is the value of the one-parameter, one-point call.  Overflow is left to
+    the caller.
     """
     b = beta / TWO_PI
-    y = x / b - TWO_PI * u  # exponent of the u > 0 form; the u < 0 form switches on it
-    out = np.empty(y.shape)
-    zero, pos, neg = _by_sign(u)
-    if zero:
-        out[zero[0]] = x
-    if pos:
-        at, kept = pos
+
+    def pos(u, x):
         # log(1 - e^{-2pi u}), 1 - e^{-2pi u} in (0, 1)
-        log_rest = np.array([math.log(-math.expm1(-TWO_PI * v)) for v in kept])
-        out[at] = b * np.logaddexp(y[at], log_rest)
-    if not neg:
-        return out
-    at, kept = neg
-    # u < 0: scaled-chart form, exact at the fixed point x = 0; the scaled
-    # term e^{-2pi u} expm1(x/b) would overflow for x/b - 2pi u > ~709, where
-    # the translation-dominated form takes over
-    y, x, u = y[at], _at(x, at), np.array(kept)
-    big = y > 700.0
-    small = ~big
-    res = np.empty(y.shape)
-    arg_big = arg_small = np.empty(0)
-    if np.count_nonzero(big):
-        # e^{-x/b} overflows only where 2pi u < -1400: arg = -inf fails the check
-        with np.errstate(over="ignore"):
-            scaled = np.array([math.expm1(TWO_PI * v) for v in kept])
-            arg_big = _at(scaled, big) * np.exp(-_at(x, big) / b)
-    if np.count_nonzero(small):
-        # capped below overflow: with -2pi u > 709 a small-branch x has
-        # x/b < -9, so arg < -1 and the domain check raises either way
-        chart = np.array([math.exp(min(-TWO_PI * v, 709.0)) for v in kept])
-        arg_small = _at(chart, small) * np.expm1(_at(x, small) / b)
-    fail = _first_failure(kept, x, ((big, arg_big <= -1.0), (small, arg_small <= -1.0)))
-    if fail:
-        v, pts = fail
-        floor = b * math.log(-math.expm1(TWO_PI * v))
-        raise _domain_violation("modular flow", _PHI_CONDS, floor, "u", v, pts, mirror)
-    if arg_big.size:
-        res[big] = _at(x, big) - beta * _at(u, big) + b * np.log1p(arg_big)
-    if arg_small.size:
-        res[small] = b * np.log1p(arg_small)
-    out[at] = res
-    return out
+        log_rest = np.array([math.log(-math.expm1(-TWO_PI * v)) for v in u.tolist()])
+        return b * np.logaddexp(x / b - TWO_PI * u, log_rest)
+
+    def neg(u, x):
+        # scaled-chart form, exact at the fixed point x = 0; the scaled term
+        # e^{-2pi u} expm1(x/b) would overflow for x/b - 2pi u > ~709, where
+        # the translation-dominated form takes over.  Each element computes
+        # both; the unused one may overflow.  e^{-x/b} overflows on a used
+        # element only where 2pi u < -1400: arg = -inf fails the check.  The
+        # chart factor is capped below overflow: with -2pi u > 709 a
+        # small-branch x has x/b < -9, so arg < -1 and the check raises either way
+        w = TWO_PI * u
+        big = x / b - w > 700.0
+        scaled = np.array([math.expm1(c) for c in w.tolist()])
+        chart = np.array([math.exp(-c if c > -709.0 else 709.0) for c in w.tolist()])
+        arg = np.where(big, scaled * np.exp(-x / b), chart * np.expm1(x / b))
+
+        def undefined(v):
+            floor = b * math.log(-math.expm1(TWO_PI * v))
+            return _undefined("modular flow", _PHI_CONDS, floor, mirror)
+
+        _raise_at_first(arg <= -1.0, u, x, "u", undefined, mirror)
+        log_part = b * np.log1p(arg)
+        return np.where(big, x - beta * u + log_part, log_part)
+
+    return _per_sign(u, x, pos, neg)
 
 
 def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u, x):
@@ -274,16 +252,23 @@ def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u, x):
     is then the array of images of x, each bit for bit the value of the call
     with that one u.  A non-finite u raises before any domain check; the
     DomainViolation carries the offending u as exit_param, the first one in
-    the array.
+    the array.  An image beyond the float range raises too, and at beta = inf
+    x = 0 stays fixed for every finite u.
     """
     u, x_arr, scalar = _operands("u", u, x)
-    if not ctx.finite:
-        sign = 1.0 if direction is RayDirection.PLUS else -1.0
-        out = np.array([math.exp(-TWO_PI * sign * v) for v in u.tolist()]) * x_arr
-    elif direction is RayDirection.PLUS:
-        out = _phi_plus(ctx.beta, u, x_arr)
-    else:
-        out = -_phi_plus(ctx.beta, -u, -x_arr, mirror=True)
+    with np.errstate(over="ignore"):
+        if not ctx.finite:
+            sign = 1.0 if direction is RayDirection.PLUS else -1.0
+            # e^{-2pi u} is inf past |u| = 113, and x = 0 stays 0, not inf * 0
+            w = [-TWO_PI * sign * v for v in u.tolist()]
+            scale = np.array([math.exp(c) if c <= _LOG_MAX else math.inf for c in w])
+            with np.errstate(invalid="ignore"):
+                out = np.where(x_arr == 0.0, x_arr, scale * x_arr)
+        elif direction is RayDirection.PLUS:
+            out = _phi_plus(ctx.beta, u, x_arr)
+        else:
+            out = -_phi_plus(ctx.beta, -u, -x_arr, mirror=True)
+    _raise_at_first(~np.isfinite(out), u, x_arr, "u", "modular flow image leaves the float range")
     return float(out[0]) if scalar else out
 
 
@@ -295,7 +280,7 @@ def _psi_plus(beta: float, tau, x, mirror: bool = False):
     logaddexp of two positive terms (exact down to results below the
     smallest subnormal); for tau < 0 the correction form
     x + b log1p(r e^{-x/b}) is used on its domain x > b log(-r).  mirror
-    marks a MINUS call (see _domain_violation).
+    marks a MINUS call (see _raise_at_first).
 
     tau and x are arrays as in _phi_plus, with the same elementwise result.
     """
@@ -306,35 +291,27 @@ def _psi_plus(beta: float, tau, x, mirror: bool = False):
         r = t / b
         return math.log(abs(r)) if r != 0.0 else math.log(abs(t)) - math.log(b)
 
-    out = np.empty(x.shape if tau.size == 1 else tau.shape)
-    zero, pos, neg = _by_sign(tau)
-    if zero:
-        out[zero[0]] = x
-    if pos:
-        at, kept = pos
-        log_r = np.array([log_abs_r(t) for t in kept])
-        out[at] = b * np.logaddexp(_at(x, at) / b, log_r)
-    if not neg:
-        return out
-    at, kept = neg
-    x = _at(x, at)
-    log_r = np.array([log_abs_r(t) for t in kept])
-    fail = _first_failure(kept, x, ((..., x <= b * log_r),))
-    if fail:
-        t, pts = fail
-        raise _domain_violation(
-            "positive-generator flow", _PSI_CONDS, b * log_abs_r(t), "tau", t, pts, mirror
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        arg = np.array(kept) / b * np.exp(-x / b)
-    # above the floor r e^{-x/b} lies in (-1, 0), but for |r| < e^{-709}
-    # (subnormal tau) e^{-x/b} alone can overflow there: inf, or NaN where
-    # r underflowed to 0
-    over = ~np.isfinite(arg)
-    if np.count_nonzero(over):
-        arg[over] = -np.exp(_at(log_r, over) - _at(x, over) / b)
-    out[at] = x + b * np.log1p(arg)
-    return out
+    def pos(tau, x):
+        return b * np.logaddexp(x / b, np.array([log_abs_r(t) for t in tau.tolist()]))
+
+    def neg(tau, x):
+        log_r = np.array([log_abs_r(t) for t in tau.tolist()])
+
+        def undefined(t):
+            return _undefined("positive-generator flow", _PSI_CONDS, b * log_abs_r(t), mirror)
+
+        _raise_at_first(x <= b * log_r, tau, x, "tau", undefined, mirror)
+        with np.errstate(invalid="ignore"):
+            arg = tau / b * np.exp(-x / b)
+        # above the floor r e^{-x/b} lies in (-1, 0), but for |r| < e^{-709}
+        # (subnormal tau) e^{-x/b} alone can overflow there: inf, or NaN where
+        # r underflowed to 0
+        over = ~np.isfinite(arg)
+        if np.count_nonzero(over):
+            arg = np.where(over, -np.exp(log_r - x / b), arg)
+        return x + b * np.log1p(arg)
+
+    return _per_sign(tau, x, pos, neg)
 
 
 def gamma_flow_ray(ctx: ThermalContext, direction: RayDirection, tau, x):
@@ -348,15 +325,18 @@ def gamma_flow_ray(ctx: ThermalContext, direction: RayDirection, tau, x):
     result is then the array of images of x, each bit for bit the value of
     the call with that one tau.  A non-finite tau raises before any domain
     check; the DomainViolation carries the offending tau as exit_param, the
-    first one in the array.
+    first one in the array.  An image beyond the float range raises too.
     """
     tau, x_arr, scalar = _operands("tau", tau, x)
-    if not ctx.finite:
-        out = x_arr + tau
-    elif direction is RayDirection.PLUS:
-        out = _psi_plus(ctx.beta, tau, x_arr)
-    else:
-        out = -_psi_plus(ctx.beta, -tau, -x_arr, mirror=True)
+    with np.errstate(over="ignore"):
+        if not ctx.finite:
+            out = x_arr + tau
+        elif direction is RayDirection.PLUS:
+            out = _psi_plus(ctx.beta, tau, x_arr)
+        else:
+            out = -_psi_plus(ctx.beta, -tau, -x_arr, mirror=True)
+    reason = "positive-generator flow image leaves the float range"
+    _raise_at_first(~np.isfinite(out), tau, x_arr, "tau", reason)
     return float(out[0]) if scalar else out
 
 

@@ -57,13 +57,14 @@ from .weyl_field import (
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluation of the matrix-element bound."""
+    """The matrix-element bound at one u: lhs and rhs are floats for a float
+    t, and arrays over t for an array t."""
 
-    lhs: float
-    rhs: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
 
     @property
-    def margin(self) -> float:
+    def margin(self) -> float | np.ndarray:
         return self.rhs - self.lhs
 
 
@@ -80,37 +81,13 @@ class RateReport:
         return abs(self.fitted_slope - self.expected_slope) / abs(self.expected_slope)
 
 
-def _bound_row(
-    ctx: ThermalContext,
-    spec: FieldSpec,
-    f: TestFunction,
-    g: TestFunction,
-    u: float,
-    t: np.ndarray,
-    norm: StateNormalization = StateNormalization(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) of matrix_element_bound at one u for each entry of the
-    1-D array t, from one row of weyl_field._deviation_exponents."""
-    if g.support[1] >= 0.0:
-        raise DomainViolation("supp g must lie in the negative half-line")
-    if not np.all(t > 0.0):
-        raise DomainViolation("t must be positive")
-    z2, dz = _deviation_exponents(ctx, spec, norm, f, u, t, g)
-    lhs = np.exp(z2) * np.abs(np.expm1(dz))
-    rhs = [
-        2.0 * min(abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * tj / ctx.beta), 1.0)
-        for tj in t
-    ]
-    return lhs, np.array(rhs)
-
-
 def matrix_element_bound(
     ctx: ThermalContext,
     spec: FieldSpec,
     f: TestFunction,
     g: TestFunction,
     u: float,
-    t: float,
+    t: float | np.ndarray,
     norm: StateNormalization = StateNormalization(),
 ) -> BoundReport:
     """Matrix-element bound between the modular action and time translation.
@@ -123,16 +100,23 @@ def matrix_element_bound(
 
     lhs is |<W(g)O, W(h1)O> - <W(g)O, W(h2)O>| = e^{z2} |expm1(dz)| for h1
     the modular image of f(. - t) and h2 = f(. - (t - beta u)), with the
-    exponents (z2, dz) of weyl_field._deviation_exponents.
+    exponents (z2, dz) of weyl_field._deviation_exponents.  t is a float, or
+    a 1-D array of separations that go through that routine as one row.
     """
-    (lhs,), (rhs,) = _bound_row(ctx, spec, f, g, u, np.array([t], dtype=float), norm)
-    return BoundReport(lhs=float(lhs), rhs=float(rhs))
-
-
-def _deviation_norms(ctx, spec, f, u, t, norm) -> np.ndarray:
-    """vector_deviation at one u for each entry of the 1-D array t."""
-    _, dz = _deviation_exponents(ctx, spec, norm, f, u, t)
-    return np.sqrt(np.maximum(-2.0 * np.expm1(dz).real, 0.0))
+    if g.support[1] >= 0.0:
+        raise DomainViolation("supp g must lie in the negative half-line")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(ts > 0.0):
+        raise DomainViolation("t must be positive")
+    z2, dz = _deviation_exponents(ctx, spec, norm, f, u, ts, g)
+    lhs = np.exp(z2) * np.abs(np.expm1(dz))
+    rhs = np.array([
+        2.0 * min(abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * tj / ctx.beta), 1.0)
+        for tj in ts.tolist()
+    ])
+    if np.ndim(t) == 0:
+        return BoundReport(lhs=float(lhs[0]), rhs=float(rhs[0]))
+    return BoundReport(lhs=lhs, rhs=rhs)
 
 
 def vector_deviation(
@@ -140,17 +124,22 @@ def vector_deviation(
     spec: FieldSpec,
     f: TestFunction,
     u: float,
-    t: float,
+    t: float | np.ndarray,
     norm: StateNormalization = StateNormalization(),
-) -> float:
+) -> float | np.ndarray:
     """Norm of (modular - translated) Weyl vector at separation t.
 
     D(t)^2 = 2 - 2 Re (W(h2)O, W(h1)O) = -2 Re expm1(dz) with h1 the
     modular image of the t-translate of f, h2 its time translate and dz the
     overlap exponent of weyl_field._deviation_exponents at g = h2; expm1
-    keeps the result accurate at the e^{-2pi t/beta} scale.
+    keeps the result accurate at the e^{-2pi t/beta} scale.  t is a float,
+    or a 1-D array of separations, one row of that routine, for an array of
+    norms.
     """
-    return float(_deviation_norms(ctx, spec, f, u, np.array([t], dtype=float), norm)[0])
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    _, dz = _deviation_exponents(ctx, spec, norm, f, u, ts)
+    dev = np.sqrt(np.maximum(-2.0 * np.expm1(dz).real, 0.0))
+    return float(dev[0]) if np.ndim(t) == 0 else dev
 
 
 def convergence_rate(
@@ -168,7 +157,7 @@ def convergence_rate(
     t_arr = np.asarray(list(t_list), dtype=float)
     if len(t_arr) < 2 or np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_list must be increasing with at least 2 entries")
-    devs = _deviation_norms(ctx, spec, f, u, t_arr, norm)
+    devs = vector_deviation(ctx, spec, f, u, t_arr, norm)
     if np.any(devs <= 0.0):
         raise RuntimeError("deviation underflowed; use smaller separations")
     coeffs = np.polyfit(t_arr, np.log(devs), 1)
@@ -838,8 +827,8 @@ def _suite_bound(beta: float) -> list[CaseResult]:
     worst_at = None
     ts = np.linspace(0.5 * beta, 6.0 * beta, 12)
     for u in np.linspace(-1.0, 1.0, 21):
-        lhs, rhs = _bound_row(ctx, spec, f, g, float(u), ts)
-        for t, margin in zip(ts, rhs - lhs):
+        rep = matrix_element_bound(ctx, spec, f, g, float(u), ts)
+        for t, margin in zip(ts, rep.margin):
             # a NaN margin is kept as the worst (NaN fails every comparison)
             if not margin >= worst_margin and not math.isnan(worst_margin):
                 worst_margin = float(margin)

@@ -217,6 +217,26 @@ class TestFlowCommand:
         assert code == EXIT_OK
         assert out.strip() == "200.99970250939845,0"
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            # e^{2 pi 200} overflowed math.exp at beta = inf: a traceback, exit 1
+            (("--beta", "inf", "--u=-200", "--point", "1,0"), "at u=-200.0, got x=1.0"),
+            # 1e300 e^{200 pi} printed inf,nan with a RuntimeWarning, exit 0
+            (("--beta", "inf", "--u=-100", "--point", "1e300,0"), "at u=-100.0, got x=1e+300"),
+            # x/b overflowed to an image of inf at beta = 1
+            (("--u", "0.3", "--point", "1e308,0"), "at u=0.3, got x=1e+308"),
+        ],
+    )
+    def test_image_beyond_float_range_exit_2(self, capsys, args, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "flow", "--region", "cone", "--flow", "modular", *args)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "leaves the float range" in err
+        assert named in err
+
     def test_negative_values_joined_with_equals(self, capsys):
         # argparse takes a bare -1e-3 or -0.5,1 for an option; --flag=value works
         code, out, _ = run(

@@ -449,6 +449,79 @@ class TestNonFinitePoint:
             flow(ThermalContext(beta=1.0), direction, param, x)
 
 
+LOG_REST_03 = math.log(-math.expm1(-0.6 * math.pi)) / TWO_PI  # phi_+(0.3, -inf) at beta = 1
+
+
+class TestOverflow:
+    # an image beyond the float range is a DomainViolation naming the
+    # parameter, never inf, NaN, a numpy warning or a raw OverflowError
+    @pytest.mark.parametrize(
+        "flow, beta, direction, param, x",
+        [
+            (modular_flow_ray, math.inf, PLUS, -200.0, 1.0),  # math.exp overflowed
+            (modular_flow_ray, math.inf, MINUS, 200.0, 1.0),
+            (modular_flow_ray, math.inf, PLUS, -100.0, 1e300),
+            (gamma_flow_ray, math.inf, PLUS, 1e308, 1e308),
+            (gamma_flow_ray, math.inf, MINUS, -1e308, -1e308),
+            (modular_flow_ray, 1.0, PLUS, 0.3, 1e308),  # x/b overflows
+            (modular_flow_ray, 1.0, MINUS, -0.3, -1e308),
+            (gamma_flow_ray, 1.0, PLUS, 0.3, 1e308),
+            (gamma_flow_ray, 1.0, MINUS, -0.3, -1e308),
+        ],
+    )
+    def test_image_beyond_float_range_raises(self, flow, beta, direction, param, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation, match="leaves the float range") as err:
+                flow(ThermalContext(beta=beta), direction, param, x)
+        assert err.value.exit_param == param
+        assert f"={param}, got x={x}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "flow, direction, param, x, want",
+        [
+            # x/b overflows here too, but the image is finite
+            (modular_flow_ray, PLUS, -0.3, 1e308, 1e308 + 0.3),
+            (modular_flow_ray, MINUS, 0.3, -1e308, -1e308 - 0.3),
+            (modular_flow_ray, PLUS, 0.3, -1e308, LOG_REST_03),
+            (modular_flow_ray, MINUS, -0.3, 1e308, -LOG_REST_03),
+            (gamma_flow_ray, PLUS, -0.3, 1e308, 1e308),
+            (gamma_flow_ray, PLUS, 0.3, -1e308, math.log(0.6 * math.pi) / TWO_PI),
+            (gamma_flow_ray, MINUS, -0.3, 1e308, -math.log(0.6 * math.pi) / TWO_PI),
+        ],
+    )
+    def test_finite_images_stay_finite_without_warning(self, flow, direction, param, x, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = flow(ThermalContext(beta=1.0), direction, param, x)
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("direction", [PLUS, MINUS])
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_vacuum_fixed_point_for_every_finite_u(self, direction, x):
+        ctx = ThermalContext(beta=math.inf)
+        us = np.array([-1e300, -200.0, -1.0, 0.0, 1.0, 200.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modular_flow_ray(ctx, direction, us, x)
+            assert all(modular_flow_ray(ctx, direction, float(v), x) == 0.0 for v in us)
+        assert np.array_equal(got, np.zeros(len(us)))
+        assert np.array_equal(np.signbit(got), np.full(len(us), math.copysign(1.0, x) < 0))
+
+    def test_first_overflowing_parameter_and_smallest_point_named(self):
+        ctx = ThermalContext(beta=math.inf)
+        with pytest.raises(DomainViolation) as err:
+            modular_flow_ray(ctx, PLUS, np.array([0.0, -50.0, -120.0, -200.0]), 1.0)
+        assert err.value.exit_param == -120.0
+        assert "at u=-120.0, got x=1.0" in str(err.value)
+        with pytest.raises(DomainViolation) as err:
+            modular_flow_ray(ctx, PLUS, -120.0, np.array([0.0, 1.0, -2.0, 1e-300]))
+        assert "at u=-120.0, got x=-2.0" in str(err.value)
+        with pytest.raises(DomainViolation) as err:
+            gamma_flow_ray(ThermalContext(beta=1.0), PLUS, 0.3, np.array([1.0, 1.5e308, 1e308]))
+        assert "at tau=0.3, got x=1e+308" in str(err.value)
+
+
 class TestTranslationCommutation:
     def test_u_zero(self):
         ctx = ThermalContext(beta=1.0)
@@ -651,6 +724,19 @@ class TestParameterArray:
             modular_flow_ray(ctx, PLUS, -0.3, -0.5)
         assert str(err.value) == str(one.value)
         assert err.value.exit_param == one.value.exit_param == -0.3
+
+    def test_smallest_failing_point_named(self):
+        # u = -130 puts x = -20 on the scaled-chart form and x = -1, 1 on the
+        # translation-dominated one; both x = -20 and x = -1 fail, and the
+        # message names the smaller, as the one-point call at x = -20 does
+        ctx = ThermalContext(beta=1.0)
+        with pytest.raises(DomainViolation) as err:
+            modular_flow_ray(ctx, PLUS, -130.0, np.array([-20.0, -1.0, 1.0]))
+        with pytest.raises(DomainViolation) as one:
+            modular_flow_ray(ctx, PLUS, -130.0, -20.0)
+        assert "got x=-20.0" in str(err.value)
+        assert str(err.value) == str(one.value)
+        assert err.value.exit_param == -130.0
 
     def test_minus_ray_names_the_callers_parameter(self):
         ctx = ThermalContext(beta=1.0)

@@ -135,11 +135,12 @@ class TestBound:
         # `margin < worst_margin` is False for NaN, so the NaN node was
         # skipped; it must stay the worst even where later margins are smaller.
         # The suite evaluates one u row of t values per call.
-        def bound_row(ctx, spec, f, g, u, t):
+        def bound(ctx, spec, f, g, u, t):
             nan_at = (abs(u - 0.3) < 1e-9) & (t == 2.0)
-            return np.where(nan_at, math.nan, 0.5 * (u == 1.0)), np.ones_like(t)
+            lhs = np.where(nan_at, math.nan, 0.5 * (u == 1.0))
+            return verify.BoundReport(lhs=lhs, rhs=np.ones_like(t))
 
-        monkeypatch.setattr(verify, "_bound_row", bound_row)
+        monkeypatch.setattr(verify, "matrix_element_bound", bound)
         (case,) = run_suite("thm22", beta=1.0)
         assert math.isnan(case.lhs)
         assert not case.passed
@@ -150,7 +151,9 @@ class TestBound:
         # a row of 12 t values is zero-padded to one length and transformed
         # at once; each node alone is padded to its own range only
         ts = np.linspace(0.5, 6.0, 12)
-        lhs, rhs = verify._bound_row(ctx, N0, f_pos, g_neg, u, ts)
+        row = matrix_element_bound(ctx, N0, f_pos, g_neg, u, ts)
+        lhs, rhs = row.lhs, row.rhs
+        assert lhs.shape == rhs.shape == ts.shape
         single = [matrix_element_bound(ctx, N0, f_pos, g_neg, u, float(t)) for t in ts]
         assert np.array_equal(rhs, [rep.rhs for rep in single])
         if u == 0.0:
@@ -165,6 +168,29 @@ class TestBound:
         rep = convergence_rate(ctx, N0, f_pos, 0.3, ts)
         single = [vector_deviation(ctx, N0, f_pos, 0.3, t) for t in ts]
         assert rep.deviations == pytest.approx(single, rel=1e-6, abs=0.0)
+        assert np.array_equal(vector_deviation(ctx, N0, f_pos, 0.3, np.array(ts)),
+                              rep.deviations)
+
+    @pytest.mark.parametrize(
+        "suite, name, t_at, calls",
+        [("thm22", "matrix_element_bound", 5, 21), ("rates", "vector_deviation", 4, 3)],
+    )
+    def test_suite_rows_go_through_the_public_function(
+        self, monkeypatch, suite, name, t_at, calls
+    ):
+        # one call per u row of the thm22 grid and per rates shape, so a
+        # wrapper on the public function (as in a traced run) sees the work
+        seen = []
+        fn = getattr(verify, name)
+
+        def spy(*args, **kwargs):
+            seen.append(args[t_at])
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, spy)
+        run_suite(suite, beta=1.0)
+        assert len(seen) == calls
+        assert all(np.ndim(t) == 1 for t in seen)
 
 
 class TestRate:
