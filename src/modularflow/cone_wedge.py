@@ -46,7 +46,9 @@ class SpacetimePoint:
 
     @staticmethod
     def from_lightcone(xL: float, xR: float) -> "SpacetimePoint":
-        return SpacetimePoint((xR + xL) / 2.0, (xR - xL) / 2.0)
+        # halves first: near the float maximum xR + xL overflows, the halves'
+        # sum does not, and halving is exact above the subnormals
+        return SpacetimePoint(xR / 2.0 + xL / 2.0, xR / 2.0 - xL / 2.0)
 
 
 class Region(Enum):

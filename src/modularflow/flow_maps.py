@@ -214,7 +214,14 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
     def pos(u, x):
         # log(1 - e^{-2pi u}), 1 - e^{-2pi u} in (0, 1)
         log_rest = np.array([math.log(-math.expm1(-TWO_PI * v)) for v in u.tolist()])
-        return b * np.logaddexp(x / b - TWO_PI * u, log_rest)
+        out = b * np.logaddexp(x / b - TWO_PI * u, log_rest)
+        # x/b overflows for x near the float maximum, where the image
+        # x - beta u + b log1p(...) < x is finite
+        over = np.isinf(out)
+        if np.count_nonzero(over):
+            tail = b * np.log1p(np.exp(log_rest + TWO_PI * u - x / b))
+            out = np.where(over, x - beta * u + tail, out)
+        return out
 
     def neg(u, x):
         # scaled-chart form, exact at the fixed point x = 0; the scaled term
@@ -264,6 +271,13 @@ def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u, x):
             scale = np.array([math.exp(c) if c <= _LOG_MAX else math.inf for c in w])
             with np.errstate(invalid="ignore"):
                 out = np.where(x_arr == 0.0, x_arr, scale * x_arr)
+            # where only the scale overflows, the image e^{-2pi u + log|x|}
+            # may still be finite
+            over = np.isinf(scale) & (x_arr != 0.0)
+            if np.count_nonzero(over):
+                with np.errstate(divide="ignore"):
+                    moved = np.exp(np.array(w) + np.log(np.abs(x_arr)))
+                out = np.where(over, np.copysign(moved, x_arr), out)
         elif direction is RayDirection.PLUS:
             out = _phi_plus(ctx.beta, u, x_arr)
         else:
@@ -292,7 +306,14 @@ def _psi_plus(beta: float, tau, x, mirror: bool = False):
         return math.log(abs(r)) if r != 0.0 else math.log(abs(t)) - math.log(b)
 
     def pos(tau, x):
-        return b * np.logaddexp(x / b, np.array([log_abs_r(t) for t in tau.tolist()]))
+        log_r = np.array([log_abs_r(t) for t in tau.tolist()])
+        out = b * np.logaddexp(x / b, log_r)
+        # as in _phi_plus, x/b can overflow where the image x + b log1p(...)
+        # is finite
+        over = np.isinf(out)
+        if np.count_nonzero(over):
+            out = np.where(over, x + b * np.log1p(np.exp(log_r - x / b)), out)
+        return out
 
     def neg(tau, x):
         log_r = np.array([log_abs_r(t) for t in tau.tolist()])

@@ -81,6 +81,14 @@ class RateReport:
         return abs(self.fitted_slope - self.expected_slope) / abs(self.expected_slope)
 
 
+def _separations(t) -> np.ndarray:
+    """t as a 1-D array: a scalar is the one-element row."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"separation t must be a scalar, or a 1-D array, got shape {ts.shape}")
+    return np.atleast_1d(ts)
+
+
 def matrix_element_bound(
     ctx: ThermalContext,
     spec: FieldSpec,
@@ -105,7 +113,7 @@ def matrix_element_bound(
     """
     if g.support[1] >= 0.0:
         raise DomainViolation("supp g must lie in the negative half-line")
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = _separations(t)
     if not np.all(ts > 0.0):
         raise DomainViolation("t must be positive")
     z2, dz = _deviation_exponents(ctx, spec, norm, f, u, ts, g)
@@ -136,7 +144,7 @@ def vector_deviation(
     or a 1-D array of separations, one row of that routine, for an array of
     norms.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = _separations(t)
     _, dz = _deviation_exponents(ctx, spec, norm, f, u, ts)
     dev = np.sqrt(np.maximum(-2.0 * np.expm1(dz).real, 0.0))
     return float(dev[0]) if np.ndim(t) == 0 else dev

@@ -218,9 +218,20 @@ def momentum_grid(ctx: ThermalContext) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _czt_plan(n: int, m: int, w: complex):
     """Bluestein plan (Awk2, Fwk2, wk2[:m], nfft) for n samples, m nodes, a = 1,
-    where Awk2 = a^{-k} wk2[:n] is wk2[:n] itself."""
+    where Awk2 = a^{-k} wk2[:n] is wk2[:n] itself.
+
+    The chirp wk2 = w^{k^2/2} is scipy's complex power, bit for bit, at a
+    fraction of its cost.  numpy's complex power multiplies when the exponent
+    is an integer in (-100, 100) and otherwise calls libm's cpow(a, b), which
+    is cexp(b clog(a)); numpy's complex exp and log call those same two
+    routines.  So the chirp is exp(k^2/2 log w), with the entries k <= 14
+    (k^2/2 < 100) taken from the power itself.
+    """
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-    wk2 = np.complex128(w) ** (k**2 / 2.0)
+    k2 = k**2 / 2.0
+    w = np.complex128(w)
+    wk2 = np.exp(k2 * np.log(w))
+    wk2[:15] = w ** k2[:15]
     nfft = next_fast_len(n + m - 1)
     fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
     for arr in (fwk2, wk2):

@@ -224,8 +224,8 @@ class TestFlowCommand:
             (("--beta", "inf", "--u=-200", "--point", "1,0"), "at u=-200.0, got x=1.0"),
             # 1e300 e^{200 pi} printed inf,nan with a RuntimeWarning, exit 0
             (("--beta", "inf", "--u=-100", "--point", "1e300,0"), "at u=-100.0, got x=1e+300"),
-            # x/b overflowed to an image of inf at beta = 1
-            (("--u", "0.3", "--point", "1e308,0"), "at u=0.3, got x=1e+308"),
+            # x - beta u lies beyond the float maximum at beta = 1
+            (("--u=-1e307", "--point", "1.7e308,0"), "at u=-1e+307, got x=1.7e+308"),
         ],
     )
     def test_image_beyond_float_range_exit_2(self, capsys, args, named):
@@ -236,6 +236,23 @@ class TestFlowCommand:
         assert out == ""
         assert "leaves the float range" in err
         assert named in err
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            # e^{300 pi} overflows, the image 1e-300 e^{300 pi} does not
+            (("--beta", "inf", "--u=-150", "--point", "1e-300,0"), "2.055446383017698e+109,0"),
+            # x/b overflows, and so did xR + xL for the spacetime point
+            (("--u", "0.3", "--point", "1e308,0"), "1e+308,0"),
+            (("--u=-0.5", "--point", "1.7e308,0"), "1.6999999999999999e+308,0"),
+        ],
+    )
+    def test_finite_image_after_overflowing_intermediate(self, capsys, args, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "flow", "--region", "cone", "--flow", "modular", *args)
+        assert code == EXIT_OK
+        assert out.strip() == want
 
     def test_negative_values_joined_with_equals(self, capsys):
         # argparse takes a bare -1e-3 or -0.5,1 for an option; --flag=value works

@@ -69,6 +69,11 @@ class TestSpacetimePoint:
         r = SpacetimePoint.from_lightcone(q.xL, q.xR)
         assert abs(r.x0 - q.x0) < 1e-15 and abs(r.x1 - q.x1) < 1e-15
 
+    def test_from_lightcone_near_float_max(self):
+        # xR + xL overflows where the spacetime point is finite
+        assert SpacetimePoint.from_lightcone(1.7e308, 1.7e308) == SpacetimePoint(1.7e308, 0.0)
+        assert SpacetimePoint.from_lightcone(-1.7e308, 1.7e308) == SpacetimePoint(0.0, 1.7e308)
+
     def test_region_membership(self):
         assert CONE.contains(SpacetimePoint(1.0, 0.5))
         assert not CONE.contains(SpacetimePoint(0.5, 1.0))

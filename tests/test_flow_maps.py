@@ -461,12 +461,10 @@ class TestOverflow:
             (modular_flow_ray, math.inf, PLUS, -200.0, 1.0),  # math.exp overflowed
             (modular_flow_ray, math.inf, MINUS, 200.0, 1.0),
             (modular_flow_ray, math.inf, PLUS, -100.0, 1e300),
+            (modular_flow_ray, math.inf, PLUS, -150.0, 1e-100),  # e^{712}
+            (modular_flow_ray, math.inf, MINUS, 150.0, -1e-100),
             (gamma_flow_ray, math.inf, PLUS, 1e308, 1e308),
             (gamma_flow_ray, math.inf, MINUS, -1e308, -1e308),
-            (modular_flow_ray, 1.0, PLUS, 0.3, 1e308),  # x/b overflows
-            (modular_flow_ray, 1.0, MINUS, -0.3, -1e308),
-            (gamma_flow_ray, 1.0, PLUS, 0.3, 1e308),
-            (gamma_flow_ray, 1.0, MINUS, -0.3, -1e308),
         ],
     )
     def test_image_beyond_float_range_raises(self, flow, beta, direction, param, x):
@@ -496,6 +494,46 @@ class TestOverflow:
             got = flow(ThermalContext(beta=1.0), direction, param, x)
         assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "flow, beta, direction, param, x",
+        [
+            # e^{-2 pi u} overflows, the image e^{300 pi} 1e-300 is 2.1e109
+            (modular_flow_ray, math.inf, PLUS, -150.0, 1e-300),
+            (modular_flow_ray, math.inf, MINUS, 150.0, -1e-300),
+            (modular_flow_ray, math.inf, PLUS, -150.0, -1e-300),
+            # x/b overflows, the image is about x
+            (modular_flow_ray, 1.0, PLUS, 0.3, 1e308),
+            (modular_flow_ray, 1.0, MINUS, -0.3, -1e308),
+            (modular_flow_ray, 1.0, PLUS, 0.3, 1.7976931348623157e308),
+            (modular_flow_ray, 0.1, PLUS, 1e306, 1e308),
+            (gamma_flow_ray, 1.0, PLUS, 0.3, 1e308),
+            (gamma_flow_ray, 1.0, MINUS, -0.3, -1e308),
+        ],
+    )
+    def test_finite_image_after_overflowing_intermediate(self, flow, beta, direction, param, x):
+        import mpmath
+
+        with mpmath.workdps(50):
+            sign = 1 if direction is PLUS else -1
+            v, y, s = mpmath.mpf(sign * param), mpmath.mpf(sign * x), mpmath.mpf(sign)
+            if beta == math.inf:
+                want = s * mpmath.exp(-2 * mpmath.pi * v) * y
+            else:
+                b = mpmath.mpf(beta) / (2 * mpmath.pi)
+                # the literal forms of phi_+ and psi_+, mirrored for MINUS
+                inner = (
+                    1 + mpmath.exp(-2 * mpmath.pi * v) * mpmath.expm1(y / b)
+                    if flow is modular_flow_ray
+                    else mpmath.exp(y / b) + v / b
+                )
+                want = s * b * mpmath.log(inner)
+            want = float(want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = flow(ThermalContext(beta=beta), direction, param, x)
+            assert flow(ThermalContext(beta=beta), direction, np.array([param]), x) == got
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("direction", [PLUS, MINUS])
     @pytest.mark.parametrize("x", [0.0, -0.0])
     def test_vacuum_fixed_point_for_every_finite_u(self, direction, x):
@@ -518,8 +556,8 @@ class TestOverflow:
             modular_flow_ray(ctx, PLUS, -120.0, np.array([0.0, 1.0, -2.0, 1e-300]))
         assert "at u=-120.0, got x=-2.0" in str(err.value)
         with pytest.raises(DomainViolation) as err:
-            gamma_flow_ray(ThermalContext(beta=1.0), PLUS, 0.3, np.array([1.0, 1.5e308, 1e308]))
-        assert "at tau=0.3, got x=1e+308" in str(err.value)
+            gamma_flow_ray(ctx, PLUS, 1e308, np.array([1.0, 1.5e308, 1e308]))
+        assert "at tau=1e+308, got x=1e+308" in str(err.value)
 
 
 class TestTranslationCommutation:

@@ -8,6 +8,7 @@ independently coded closed forms.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,19 @@ class TestBound:
         assert rep.deviations == pytest.approx(single, rel=1e-6, abs=0.0)
         assert np.array_equal(vector_deviation(ctx, N0, f_pos, 0.3, np.array(ts)),
                               rep.deviations)
+
+    @pytest.mark.parametrize("t", [np.ones((2, 2)), np.ones((1, 3))])
+    def test_2d_separations_name_their_shape(self, monkeypatch, ctx, f_pos, g_neg, t):
+        # numpy's broadcast error from inside the pairings said nothing of t
+        def pairing(*args):
+            raise AssertionError("paired a 2-D t")
+
+        monkeypatch.setattr(verify, "_deviation_exponents", pairing)
+        msg = re.escape(f"t must be a scalar, or a 1-D array, got shape {t.shape}")
+        with pytest.raises(ValueError, match=msg):
+            matrix_element_bound(ctx, N0, f_pos, g_neg, 0.3, t)
+        with pytest.raises(ValueError, match=msg):
+            vector_deviation(ctx, N0, f_pos, 0.3, t)
 
     @pytest.mark.parametrize(
         "suite, name, t_at, calls",

@@ -168,6 +168,25 @@ class TestTransformLayer:
                 got = czt(x, m, w)
                 assert np.array_equal(got, scipy_czt(x, m=m, w=w, a=1.0 + 0.0j))
 
+    def test_chirp_bitwise_equal_to_power(self):
+        # the chirp comes from exp and log, except below k = 15, where numpy's
+        # power multiplies; sizes below 15 and n > m are among the draws
+        from scipy.signal import czt as scipy_czt
+
+        rng = np.random.default_rng(15)
+        sizes = [(1, 1), (3, 14), (14, 2), (9, 5), (15, 15), (16, 3)]
+        sizes += [tuple(s) for s in rng.integers(1, 9001, size=(120, 2)).tolist()]
+        assert any(n > m for n, m in sizes) and any(max(n, m) < 15 for n, m in sizes)
+        for i, (n, m) in enumerate(sizes):
+            w = np.exp(-1j * math.exp(rng.uniform(math.log(1e-7), math.log(0.5))))
+            awk2, _, wk2, _ = _czt_plan(n, m, w)
+            chirp = awk2 if n >= m else wk2
+            k = np.arange(max(n, m))
+            assert np.array_equal(chirp, np.complex128(w) ** (k**2 / 2.0)), (n, m, w)
+            if i < 12:
+                x = rng.standard_normal(n)
+                assert np.array_equal(czt(x, m, w), scipy_czt(x, m=m, w=w, a=1.0 + 0.0j))
+
     def test_plan_cache_bounded(self):
         info = _czt_plan.cache_info()
         assert info.maxsize is not None and info.maxsize <= 64
