@@ -215,13 +215,10 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
         # log(1 - e^{-2pi u}), 1 - e^{-2pi u} in (0, 1)
         log_rest = np.array([math.log(-math.expm1(-TWO_PI * v)) for v in u.tolist()])
         out = b * np.logaddexp(x / b - TWO_PI * u, log_rest)
-        # x/b overflows for x near the float maximum, where the image
-        # x - beta u + b log1p(...) < x is finite
-        over = np.isinf(out)
-        if np.count_nonzero(over):
-            tail = b * np.log1p(np.exp(log_rest + TWO_PI * u - x / b))
-            out = np.where(over, x - beta * u + tail, out)
-        return out
+        # out is inf only where x/b overflows; the image is then
+        # x - beta u + b log1p(e^{2pi u - x/b} (1 - e^{-2pi u})), whose last
+        # term is 0
+        return np.where(np.isinf(out), x - beta * u, out)
 
     def neg(u, x):
         # scaled-chart form, exact at the fixed point x = 0; the scaled term
@@ -275,7 +272,7 @@ def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u, x):
             # may still be finite
             over = np.isinf(scale) & (x_arr != 0.0)
             if np.count_nonzero(over):
-                with np.errstate(divide="ignore"):
+                with np.errstate(divide="ignore", invalid="ignore"):
                     moved = np.exp(np.array(w) + np.log(np.abs(x_arr)))
                 out = np.where(over, np.copysign(moved, x_arr), out)
         elif direction is RayDirection.PLUS:
@@ -301,19 +298,17 @@ def _psi_plus(beta: float, tau, x, mirror: bool = False):
     b = beta / TWO_PI
 
     def log_abs_r(t):
-        # r = tau/b; for b > 2 (beta > 4 pi) a subnormal tau makes r underflow to 0
+        # r = tau/b; for b > 2 (beta > 4 pi) a subnormal tau makes r underflow
+        # to 0, and for b < 1 a tau near the float maximum makes it overflow
         r = t / b
-        return math.log(abs(r)) if r != 0.0 else math.log(abs(t)) - math.log(b)
+        return math.log(abs(r)) if 0.0 < abs(r) < math.inf else math.log(abs(t)) - math.log(b)
 
     def pos(tau, x):
         log_r = np.array([log_abs_r(t) for t in tau.tolist()])
         out = b * np.logaddexp(x / b, log_r)
-        # as in _phi_plus, x/b can overflow where the image x + b log1p(...)
-        # is finite
-        over = np.isinf(out)
-        if np.count_nonzero(over):
-            out = np.where(over, x + b * np.log1p(np.exp(log_r - x / b)), out)
-        return out
+        # log_r is finite, so out is inf only where x/b overflows; the image
+        # is then x + b log1p(r e^{-x/b}), whose last term is 0
+        return np.where(np.isinf(out), x, out)
 
     def neg(tau, x):
         log_r = np.array([log_abs_r(t) for t in tau.tolist()])

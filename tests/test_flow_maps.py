@@ -508,6 +508,10 @@ class TestOverflow:
             (modular_flow_ray, 0.1, PLUS, 1e306, 1e308),
             (gamma_flow_ray, 1.0, PLUS, 0.3, 1e308),
             (gamma_flow_ray, 1.0, MINUS, -0.3, -1e308),
+            # tau/b overflows, the image is about b log(tau/b)
+            (gamma_flow_ray, 1.0, PLUS, 1e308, 1.0),
+            (gamma_flow_ray, 1.0, MINUS, -1e308, -1.0),
+            (gamma_flow_ray, 1.0, PLUS, -1e308, 1e308),
         ],
     )
     def test_finite_image_after_overflowing_intermediate(self, flow, beta, direction, param, x):
@@ -533,6 +537,17 @@ class TestOverflow:
             got = flow(ThermalContext(beta=beta), direction, param, x)
             assert flow(ThermalContext(beta=beta), direction, np.array([param]), x) == got
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_vacuum_scale_overflow_beside_the_fixed_point(self):
+        ctx = ThermalContext(beta=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modular_flow_ray(ctx, PLUS, -150.0, np.array([0.0, 1e-300, -1e-300]))
+            assert got[0] == 0.0
+            assert got[1] == -got[2] == modular_flow_ray(ctx, PLUS, -150.0, 1e-300)
+            # e^{2 pi 1e308} + log 0 is NaN on the fixed point, and not read
+            with pytest.raises(DomainViolation, match="leaves the float range"):
+                modular_flow_ray(ctx, PLUS, -1e308, np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("direction", [PLUS, MINUS])
     @pytest.mark.parametrize("x", [0.0, -0.0])
