@@ -218,7 +218,10 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
         # out is inf only where x/b overflows; the image is then
         # x - beta u + b log1p(e^{2pi u - x/b} (1 - e^{-2pi u})), whose last
         # term is 0
-        return np.where(np.isinf(out), x - beta * u, out)
+        over = np.isinf(out)
+        if np.count_nonzero(over):
+            out = np.where(over, x - beta * u, out)
+        return out
 
     def neg(u, x):
         # scaled-chart form, exact at the fixed point x = 0; the scaled term
@@ -268,13 +271,12 @@ def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u, x):
             scale = np.array([math.exp(c) if c <= _LOG_MAX else math.inf for c in w])
             with np.errstate(invalid="ignore"):
                 out = np.where(x_arr == 0.0, x_arr, scale * x_arr)
-            # where only the scale overflows, the image e^{-2pi u + log|x|}
-            # may still be finite
-            over = np.isinf(scale) & (x_arr != 0.0)
-            if np.count_nonzero(over):
+            if any(c > _LOG_MAX for c in w):
+                # where only the scale overflows, the image e^{-2pi u + log|x|}
+                # may still be finite
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    moved = np.exp(np.array(w) + np.log(np.abs(x_arr)))
-                out = np.where(over, np.copysign(moved, x_arr), out)
+                    moved = np.copysign(np.exp(np.array(w) + np.log(np.abs(x_arr))), x_arr)
+                out = np.where(np.isinf(scale) & (x_arr != 0.0), moved, out)
         elif direction is RayDirection.PLUS:
             out = _phi_plus(ctx.beta, u, x_arr)
         else:
@@ -308,7 +310,10 @@ def _psi_plus(beta: float, tau, x, mirror: bool = False):
         out = b * np.logaddexp(x / b, log_r)
         # log_r is finite, so out is inf only where x/b overflows; the image
         # is then x + b log1p(r e^{-x/b}), whose last term is 0
-        return np.where(np.isinf(out), x, out)
+        over = np.isinf(out)
+        if np.count_nonzero(over):
+            out = np.where(over, x, out)
+        return out
 
     def neg(tau, x):
         log_r = np.array([log_abs_r(t) for t in tau.tolist()])
