@@ -14,7 +14,8 @@ every file is written to a temporary name and renamed, so a failed run
 leaves no partial output.
 
 Exit codes: 0 success; 1 failed verification; 2 domain violation or bad
-configuration; 3 I/O failure; 4 unresolved derivative.
+configuration; 3 I/O failure; 4 unresolved derivative; 5 unconverged
+momentum quadrature.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_IO = 3
 EXIT_RESOLUTION = 4
+EXIT_QUADRATURE = 5
 
 _CONFIG_KEYS = {"beta", "epsilon", "grid", "output", "format"}
 _GRID_KEYS = {"xmin", "xmax"}
@@ -284,7 +286,7 @@ def main(argv=None) -> int:
         return EXIT_RESOLUTION
     except QuadratureError as e:
         print(f"quadrature failure: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_QUADRATURE
     except ValueError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -28,6 +28,12 @@ grid, so a function paired many times on one grid is transformed once.
 A deviation function derived from f is sampled on f's own lattice, so it
 shares f's step and chirp-z ratio w, and the deviations at one flow
 parameter u and a row of separations t go through one 2-D chirp-z call.
+
+The transforms run on numpy's pocketfft, the same C++ code as scipy.fft,
+so they agree with scipy's bit for bit.  Off-grid values come from the
+package's own not-a-knot cubic spline (_spline), which repeats the
+arithmetic of scipy's CubicSpline; building one is the only step that loads
+scipy (scipy.linalg's banded solver), so the flow layers never import it.
 """
 
 from __future__ import annotations
@@ -38,9 +44,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
+from numpy.fft import fft, ifft
 
 from .axb_group import TWO_PI
 from .errors import DomainViolation, QuadratureError, ResolutionError
@@ -103,8 +107,8 @@ class TestFunction:
         return g
 
     @cached_property
-    def _spline(self) -> CubicSpline:
-        return CubicSpline(self.x, self.samples)
+    def _spline(self) -> _Spline:
+        return _spline(self.x, self.samples)
 
     def __call__(self, pts):
         """Evaluate by cubic spline; zero outside the sampled window."""
@@ -199,6 +203,135 @@ class StateNormalization:
 
 
 # ----------------------------------------------------------------------
+# cubic spline and cumulative integral
+# ----------------------------------------------------------------------
+
+
+class _Spline:
+    """Piecewise polynomial on the knots x in scipy PPoly's layout: on
+    [x[i], x[i+1]] it is sum_k c[k, i] (pt - x[i])^{K-1-k}, K = len(c).
+
+    Evaluation repeats PPoly's arithmetic: the interval is i with
+    x[i] <= pt < x[i+1], clamped to [0, n-2], and the sum runs from the
+    constant term up, 0.0 + c[K-1] + c[K-2] s + c[K-3] s^2 + ..., with the
+    powers of s = pt - x[i] built by repeated multiplication.  Points are a
+    1-D float array.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x = x
+        self.c = c
+        self._scale = (len(x) - 1) / (x[-1] - x[0])
+        # each interval's ends; NaN, which compares false, keeps the first
+        # and last interval open past the outer knots (the clamping)
+        self._left = np.concatenate(([np.nan], x[1:-1]))
+        self._right = np.concatenate((x[1:-1], [np.nan]))
+
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
+        x, c = self.x, self.c
+        # the knots are (nearly) uniform: guess each interval from the mean
+        # step, then move the guesses that rounding put a node off by exact
+        # comparisons; indices stay in range, so take's mode="clip" only
+        # skips the bounds check
+        i = np.clip((pts - x[0]) * self._scale, 0, len(x) - 2).astype(np.intp)
+        while True:
+            down = pts < self._left.take(i, mode="clip")
+            up = pts >= self._right.take(i, mode="clip")
+            if not (down.any() or up.any()):
+                break
+            i -= down
+            i += up
+        s = pts - x.take(i, mode="clip")
+        out = c[-1].take(i, mode="clip")
+        out += 0.0
+        term = np.empty_like(s)
+        z = s
+        for k in range(len(c) - 2, -1, -1):
+            c[k].take(i, out=term, mode="clip")
+            term *= z
+            out += term
+            if k:
+                z = z * s
+        return out
+
+    def derivative(self) -> _Spline:
+        """The first derivative, with PPoly.derivative's coefficients c[:-1] * (K-1, ..., 1)."""
+        factor = np.arange(len(self.c) - 1, 0, -1, dtype=float)
+        return _Spline(self.x, self.c[:-1] * factor[:, None])
+
+
+def _spline(x: np.ndarray, y: np.ndarray) -> _Spline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing.
+
+    This is CubicSpline's general case of n >= 4 nodes (every caller has 10
+    or more; scipy treats 2 and 3 nodes apart).
+
+    The knot slopes solve scipy CubicSpline's banded system, built in its
+    order, and the coefficients follow CubicHermiteSpline's, so the spline
+    and its derivative equal scipy's bit for bit.
+    """
+    # imported here, not at module level: scipy then loads only in commands
+    # that interpolate, and the flow layers, figures and their suites run on
+    # numpy alone
+    from scipy.linalg import solve_banded
+
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    A = np.zeros((3, n))  # banded: upper, main and lower diagonal
+    b = np.empty(n)
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+    A[1, 0] = dx[1]
+    A[0, 1] = x[2] - x[0]
+    d = x[2] - x[0]
+    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    A[1, -1] = dx[-2]
+    A[-1, -2] = x[-1] - x[-3]
+    d = x[-1] - x[-3]
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    return _Spline(x, c)
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of y over the increasing nodes x, from 0 at x[0].
+
+    scipy's cumulative_simpson(y, x=x, initial=0.0) in its order of
+    operations: each subinterval takes Cartwright's unequal-interval formula
+    on its node triple to the right (h1) or, for every second subinterval
+    and the last, to the left (h2), and the parts are summed in turn.
+    """
+
+    def parts(y, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        x31 = x21 + x32
+        x21_x31 = x21 / x31
+        x21_x32 = x21 / x32
+        x21x21_x31x32 = x21_x31 * x21_x32
+        return x21 / 6 * (
+            (3 - x21_x31) * y[:-2]
+            + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+            + (-x21x21_x31x32) * y[2:]
+        )
+
+    dx = np.diff(x)
+    h1 = parts(y, dx)
+    h2 = parts(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(len(dx))
+    sub[:-1:2] = h1[::2]
+    sub[1::2] = h2[::2]
+    sub[-1] = h2[-1]
+    # + 0.0 is scipy's adding of initial, which turns a -0.0 into 0.0
+    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+
+
+# ----------------------------------------------------------------------
 # momentum grid and transforms
 # ----------------------------------------------------------------------
 
@@ -213,6 +346,22 @@ def _grid_cached(pmax: float, npts: int) -> np.ndarray:
 
 def momentum_grid(ctx: ThermalContext) -> np.ndarray:
     return _grid_cached(ctx.pmax, ctx.npts)
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth n >= target, scipy.fft.next_fast_len's rule for
+    complex transforms; a target below 1 is returned as it is, for the FFT
+    to reject."""
+    n = target
+    while n > 0:
+        r = n
+        for q in (2, 3, 5, 7, 11):
+            while r % q == 0:
+                r //= q
+        if r == 1:
+            break
+        n += 1
+    return n
 
 
 @lru_cache(maxsize=16)
@@ -232,7 +381,7 @@ def _czt_plan(n: int, m: int, w: complex):
     w = np.complex128(w)
     wk2 = np.exp(k2 * np.log(w))
     wk2[:15] = w ** k2[:15]
-    nfft = next_fast_len(n + m - 1)
+    nfft = _next_fast_len(n + m - 1)
     fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
     for arr in (fwk2, wk2):
         arr.setflags(write=False)  # shared by every call with this plan
@@ -244,12 +393,14 @@ def czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
     along the last axis of x.
 
     The arithmetic and its order are those of scipy.signal.czt with a = 1
-    (Rabiner, Schafer & Rader 1969), so results agree bit for bit; the
-    chirp and kernel spectrum come from a plan cached on (n, m, w), n the
-    length of x's last axis, and every row of a 2-D x shares it.
+    (Rabiner, Schafer & Rader 1969), and the transforms are numpy's
+    pocketfft, the C++ code scipy.fft runs, so results agree bit for bit;
+    the chirp and kernel spectrum come from a plan cached on (n, m, w), n
+    the length of x's last axis, and every row of a 2-D x shares it.
     """
     n = x.shape[-1]
     awk2, fwk2, wk2, nfft = _czt_plan(n, m, w)
+    # scipy's operand order: numpy's complex multiply is not bitwise commutative
     y = ifft(fwk2 * fft(x * awk2, nfft))
     return y[..., n - 1 : n + m - 1] * wk2
 
@@ -834,7 +985,7 @@ def higher_transform(
     x = np.linspace(lo, hi, m)
     vals = moved(x)
     for _ in range(n):
-        vals = cumulative_simpson(vals, x=x, initial=0.0)
+        vals = _cumulative_simpson(vals, x)
     return TestFunction(
         vals, float(x[0]), float(x[1] - x[0]), (float(x[0]), float(x[-1])),
         compact_support=False,
@@ -902,7 +1053,7 @@ def omega2_position(
     corr = np.correlate(vg, vf, mode="full") * dx
     s0 = ag - (af + (len(vf) - 1) * dx)
     s = s0 + np.arange(len(corr)) * dx
-    F = CubicSpline(s, corr)
+    F = _spline(s, corr)
     h = min(dx, epsilon / 16.0)
     n = int(math.ceil((s[-1] - s[0]) / h)) | 1
     sf = np.linspace(s[0], s[-1], n)

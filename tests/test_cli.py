@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from modularflow.cli import EXIT_DOMAIN, EXIT_OK, RunConfig, main
+from modularflow import cli
+from modularflow.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUADRATURE, RunConfig, main
+from modularflow.errors import QuadratureError
 from modularflow.cone_wedge import Region, SpacetimePoint, modular_flow_2d
 from modularflow.flow_maps import ThermalContext
 from modularflow.weyl_field import TestFunction
@@ -487,5 +489,19 @@ class TestVerifyCommand:
         )
         assert code == EXIT_DOMAIN
         assert "finite beta" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_quadrature_failure_exit_5(self, tmp_path, capsys, monkeypatch):
+        # an unconverged momentum quadrature has its own code, not the
+        # domain-violation 2
+        def unconverged(suite, beta):
+            raise QuadratureError("two-point form: integrand tail above tolerance")
+
+        monkeypatch.setattr(cli, "run_suite", unconverged)
+        out = tmp_path / "report.json"
+        code, stdout, err = run(capsys, "verify", "kms", "-o", str(out))
+        assert code == EXIT_QUADRATURE == 5
+        assert "quadrature failure: two-point form" in err
         assert stdout == ""
         assert not out.exists()

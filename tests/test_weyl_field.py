@@ -6,6 +6,7 @@ support mapping, cumulative-integral tails, and Gram positive
 semidefiniteness of Gaussian overlaps.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -14,7 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.fft import next_fast_len
+from scipy.integrate import cumulative_simpson, simpson
+from scipy.interpolate import CubicSpline
 
 import modularflow
 from modularflow.errors import DomainViolation, QuadratureError, ResolutionError
@@ -23,13 +26,16 @@ from modularflow.weyl_field import (
     FieldSpec,
     StateNormalization,
     TestFunction,
+    _cumulative_simpson,
     _czt_plan,
     _density,
     _deviation_exponents,
     _deviation_samples,
+    _next_fast_len,
     _position_kernel,
     _simpson,
     _sinh_cosh,
+    _spline,
     _transforms,
     calibrate_fourier_pair,
     czt,
@@ -298,18 +304,154 @@ class TestTransformLayer:
             with pytest.raises(QuadratureError, match="symplectic form"):
                 _deviation_exponents(ctx, N0, NORM, narrow, 0.3, np.array([1.0]), g)
 
-    def test_cli_import_leaves_out_scipy_signal(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(modularflow.__file__)))
-        code = (
-            "import sys, modularflow.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=120,
-        )
-        assert done.stdout.strip() == "[]"
+def _scipy_modules(*argv):
+    """The scipy modules loaded by `mfl argv`, or by importing the CLI when
+    argv is empty, in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modularflow.__file__)))
+    code = (
+        "import json, sys, modularflow.cli as cli; "
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))); sys.exit(code)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+class TestScipyImports:
+    """scipy loads only where a spline is built (scipy.linalg's banded solver)."""
+
+    def test_cli_import_leaves_out_scipy(self):
+        assert _scipy_modules() == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("flow", "--region", "cone", "--flow", "modular", "--u", "0.3", "--point", "1,0"),
+            ("flow", "--region", "wedge", "--flow", "gamma", "--tau", "0.5", "--point", "0,1"),
+            ("figure", "--which", "3", "--format", "svg", "-o", "OUT"),
+            ("verify", "group-laws", "-o", "OUT"),
+            ("verify", "flows", "-o", "OUT"),
+        ],
+    )
+    def test_flow_commands_load_no_scipy(self, tmp_path, argv):
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+        assert _scipy_modules(*argv) == []
+
+    def test_interpolating_suite_loads_only_the_banded_solver(self, tmp_path):
+        # the kernels suite builds splines, so the same probe sees scipy.linalg
+        loaded = _scipy_modules("verify", "kernels", "-o", str(tmp_path / "out"))
+        assert "scipy.linalg" in loaded
+        for name in ("scipy.fft", "scipy.integrate", "scipy.interpolate", "scipy.signal"):
+            assert name not in loaded
+
+
+def _spline_pairs(x, y, pts):
+    """(ours, scipy's) values and first derivatives of the spline through (x, y)."""
+    ours, ref = _spline(x, y), CubicSpline(x, y)
+    return (
+        (ours(pts), ref(pts)),
+        (ours.derivative()(pts), ref.derivative()(pts)),
+    )
+
+
+class TestOwnedNumerics:
+    """The spline, the cumulative Simpson rule and the FFT length repeat
+    scipy's arithmetic, so they are compared with scipy bit for bit."""
+
+    @staticmethod
+    def _bump_points(rng, f):
+        x = f.x
+        return np.concatenate((
+            x,
+            np.nextafter(x, -np.inf),
+            np.nextafter(x, np.inf),
+            [x[0] - 0.5 * f.dx, x[-1] + 0.5 * f.dx],  # past both ends
+            rng.uniform(x[0], x[-1], 3000),
+        ))
+
+    def test_spline_bitwise_on_bump_grids(self):
+        rng = np.random.default_rng(16)
+        sizes = [20, 21, 5000] + rng.integers(20, 5001, size=30).tolist()
+        for n in sizes:
+            f = TestFunction.bump(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 4.0), n=n)
+            for got, want in _spline_pairs(f.x, f.samples, self._bump_points(rng, f)):
+                assert np.array_equal(got, want), n
+            # TestFunction evaluates through the same spline
+            pts = rng.uniform(*f.support, 500)
+            assert np.array_equal(f(pts), CubicSpline(f.x, f.samples)(pts))
+
+    def test_spline_bitwise_on_a_pull_back(self):
+        ctx = ThermalContext(beta=1.0)
+        rng = np.random.default_rng(161)
+        f = TestFunction.bump(1.5, 0.5)
+        for u in (-0.4, 0.3, 1.1):
+            g = modular_transform(ctx, u, f)
+            # g's samples are f's spline at the inverse image of g's grid
+            y = modular_flow_ray(ctx, RayDirection.PLUS, -u, g.x[1:-1])
+            for got, want in _spline_pairs(f.x, f.samples, y):
+                assert np.array_equal(got, want), u
+            for got, want in _spline_pairs(g.x, g.samples, self._bump_points(rng, g)):
+                assert np.array_equal(got, want), u
+
+    def test_spline_bitwise_on_a_correlation_grid(self, monkeypatch):
+        # every spline omega2_position builds (f's, g's and the correlation
+        # F's), at the points it evaluates them on
+        import modularflow.weyl_field as wf
+
+        seen = []
+
+        def spy(x, y):
+            sp = _spline(x, y)
+
+            def call(pts):
+                seen.append((x, y, pts))
+                return sp(pts)
+
+            return call
+
+        monkeypatch.setattr(wf, "_spline", spy)
+        ctx = ThermalContext(beta=1.0)
+        f, g = TestFunction.bump(0.7, 0.4, n=1000), TestFunction.bump(1.4, 0.3, n=1500)
+        omega2_position(ctx, f, g, 1e-3)
+        assert len(seen) == 3
+        for x, y, pts in seen:
+            for got, want in _spline_pairs(x, y, pts):
+                assert np.array_equal(got, want)
+
+    def test_cumulative_simpson_bitwise_on_higher_transform_grids(self, monkeypatch):
+        import modularflow.weyl_field as wf
+
+        seen = []
+
+        def spy(y, x):
+            out = _cumulative_simpson(y, x)
+            seen.append((y, x, out))
+            return out
+
+        monkeypatch.setattr(wf, "_cumulative_simpson", spy)
+        ctx = ThermalContext(beta=1.0)
+        f = TestFunction.bump(1.5, 0.5)
+        higher_transform(ctx, 2, "modular", 0.3, f)
+        higher_transform(ctx, 1, "gamma", 0.4, f)
+        higher_transform(ctx, 1, "modular", -0.2, TestFunction.bump(2.0, 0.6, n=700))
+        assert len(seen) == 4
+        for y, x, out in seen:
+            assert np.array_equal(out, cumulative_simpson(y, x=x, initial=0.0))
+
+    def test_next_fast_len_is_scipys(self):
+        # the smallest 11-smooth length, scipy's rule for complex input
+        assert [_next_fast_len(n) for n in range(1, 70001)] == [
+            next_fast_len(n) for n in range(1, 70001)
+        ]
+        # no samples: the FFT rejects the length, as scipy.signal.czt does
+        assert _next_fast_len(0) == next_fast_len(0) == 0
+        with pytest.raises(ValueError):
+            czt(np.zeros(0), 1, np.exp(-0.1j))
 
 
 class TestTwoPointMomentum:
