@@ -26,6 +26,9 @@ from .flow_maps import (
     ThermalContext,
     gamma_flow_ray,
     modular_flow_ray,
+    modular_remainder,
+    xi_chart,
+    xi_inverse,
 )
 
 
@@ -131,25 +134,20 @@ def remainder_terms(
     """
     if not ctx.finite:
         raise DomainViolation("remainder terms require finite beta")
-    beta = ctx.beta
-    b = beta / (2.0 * TWO_PI)  # beta/(4 pi)
 
-    def log_ray(sign, x):
-        # log{1 + (e^{2pi sign u} - 1) e^{-2pi sign x/beta}}, the remainder of
-        # the plus ray (sign = 1) or the minus ray (sign = -1)
-        arg = math.expm1(TWO_PI * (sign * u)) * math.exp(-TWO_PI * (sign * x) / beta)
-        if arg <= -1.0:
-            raise DomainViolation(
-                f"remainder undefined at x={x}: modular flow domain violated"
-            )
-        return math.log1p(arg)
+    def ray(sign, x):
+        # remainder of the plus ray (sign 1); the minus ray's is -ray(-1, x)
+        r = float(modular_remainder(ctx.beta, sign * u, sign * x))
+        if not math.isfinite(r):
+            raise DomainViolation(f"remainder undefined at x={x}: modular flow domain violated")
+        return r
 
-    aR = log_ray(1.0, p.xR)
+    rR = ray(1.0, p.xR)
     if region is Region.FORWARD_CONE:
-        aL = log_ray(1.0, p.xL)
-        return b * (aR + aL), b * (aR - aL)
-    aL = log_ray(-1.0, p.xL)
-    return b * (aR - aL), b * (aR + aL)
+        rL = ray(1.0, p.xL)
+        return (rR + rL) / 2.0, (rR - rL) / 2.0
+    rL = ray(-1.0, p.xL)
+    return (rR - rL) / 2.0, (rR + rL) / 2.0
 
 
 def velocity_field(ctx: ThermalContext, region: Region, p: SpacetimePoint) -> float:
@@ -240,14 +238,9 @@ def time_calibration(
     b = ctx.beta / TWO_PI
     if region is Region.FORWARD_CONE:
         if direction == "tau_of_t" or direction == "tau_of_proper":
-            return b * math.expm1(value / b)
+            return xi_chart(ctx, RayDirection.PLUS, value)
         if direction == "t_of_tau":
-            arg = value / b
-            if arg <= -1.0:
-                raise DomainViolation(
-                    f"cone path time undefined: need tau > {-b}, got {value}"
-                )
-            return b * math.log1p(arg)
+            return xi_inverse(ctx, RayDirection.PLUS, value)
     else:
         if direction == "tau_of_t":
             return b * math.tanh(value / b)
@@ -273,15 +266,12 @@ def causal_chart(ctx: ThermalContext, p: SpacetimePoint) -> tuple[float, float]:
     minus chart for x < 0; first derivatives match at 0, second derivatives
     jump by 4 pi / beta.
     """
-    def glue(x: float) -> float:
-        b = ctx.beta / TWO_PI
-        if x >= 0.0:
-            return b * math.expm1(x / b)
-        return -b * math.expm1(-x / b)
-
     if not ctx.finite:
         raise DomainViolation("causal chart requires finite beta")
-    return glue(p.xL), glue(p.xR)
+    return tuple(
+        xi_chart(ctx, RayDirection.PLUS if x >= 0.0 else RayDirection.MINUS, x)
+        for x in (p.xL, p.xR)
+    )
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ are affine in the coordinate
 
 where the modular flow is pure scaling, xi -> e^{-2pi u} xi (plus direction),
 and the positive-generator flow is pure translation, xi -> xi + tau.  All
-flows here are evaluated through fused, cancellation-free forms of that
-chart conjugation; expm1/log1p keep |x| << beta and |x| >> beta both exact.
+flows here are evaluated through cancellation-free forms of that chart
+conjugation; the modular flow's deviation from time translation by -beta u
+is written once, in modular_remainder, for every module that needs it.
 
 beta = inf is a first-class value: the flows degenerate to the linear maps
 x -> e^{-2pi u} x and x -> x + tau.
@@ -70,40 +71,28 @@ def _require_finite(ctx: ThermalContext, what: str):
 
 
 def xi_chart(ctx: ThermalContext, direction: RayDirection, x):
-    """Linearizing coordinate of the half-line flows.
+    """Linearizing coordinate of the half-line flows, +-b expm1(+-x/b) with
+    b = beta/2pi.
 
     Strictly increasing; range (-beta/2pi, inf) for PLUS and
     (-inf, beta/2pi) for MINUS.
     """
     _require_finite(ctx, "xi_chart")
-    b = ctx.beta / TWO_PI
-    x = np.asarray(x, dtype=float)
-    if direction is RayDirection.PLUS:
-        out = b * np.expm1(x / b)
-    else:
-        out = -b * np.expm1(-x / b)
+    b, s = ctx.beta / TWO_PI, (1.0 if direction is RayDirection.PLUS else -1.0)
+    out = s * b * np.expm1(s * np.asarray(x, dtype=float) / b)
     return out if out.ndim else float(out)
 
 
 def xi_inverse(ctx: ThermalContext, direction: RayDirection, xi):
     """Inverse of xi_chart; raises outside the open range of the chart."""
     _require_finite(ctx, "xi_inverse")
-    b = ctx.beta / TWO_PI
+    b, s = ctx.beta / TWO_PI, (1.0 if direction is RayDirection.PLUS else -1.0)
     xi = np.asarray(xi, dtype=float)
-    if direction is RayDirection.PLUS:
-        arg = xi / b
-        if np.any(arg <= -1.0):
-            raise DomainViolation(
-                f"xi out of range: need xi > -beta/(2 pi) = {-b}, got min {np.min(xi)}"
-            )
-        out = b * np.log1p(arg)
-    else:
-        arg = -xi / b
-        if np.any(arg <= -1.0):
-            raise DomainViolation(
-                f"xi out of range: need xi < beta/(2 pi) = {b}, got max {np.max(xi)}"
-            )
-        out = -b * np.log1p(arg)
+    arg = s * xi / b
+    if np.any(arg <= -1.0):
+        need, got = ("xi > -beta/2pi =", np.min(xi)) if s > 0.0 else ("xi < beta/2pi =", np.max(xi))
+        raise DomainViolation(f"xi out of range: need {need} {-s * b}, got {got}")
+    out = s * b * np.log1p(arg)
     return out if out.ndim else float(out)
 
 
@@ -189,20 +178,38 @@ _PSI_CONDS = ("1 + (2 pi tau/beta) e^{-2 pi x/beta}", "1 - (2 pi tau/beta) e^{2 
 _LOG_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
+def modular_remainder(beta: float, u, x):
+    """R(u, x) = b log1p(expm1(2pi u) e^{-x/b}), b = beta/2pi, so that
+    phi_+(u, x) = x - beta u + R(u, x): exponentially small for x >> beta.
+
+    u is a float or a 1-D array, x an array broadcasting against it; each
+    u's constant comes from math, one call per parameter (past 2pi u = 709,
+    where expm1 overflows, R is b log(1 + e^{(beta u - x)/b})).  NaN, with no
+    numpy warning, where the log1p argument is <= -1: the caller decides.
+    """
+    b = beta / TWO_PI
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = TWO_PI * u
+        c = np.reshape([math.expm1(min(v, 709.0)) for v in np.ravel(w).tolist()], np.shape(u))
+        arg = c * np.exp(-x / b)
+        out = b * np.log1p(np.where(arg > -1.0, arg, np.nan))
+        if np.any(w > 709.0):
+            out = np.where(w > 709.0, b * np.logaddexp(0.0, (beta * u - x) / b), out)
+    return out
+
+
 def _phi_plus(beta: float, u, x, mirror: bool = False):
     """Modular flow on the right half-line.
 
     phi_+(u, x) = (beta/2pi) log{ 1 + e^{-2pi u}(e^{2pi x/beta} - 1) },
-    i.e. scaling by e^{-2pi u} in the plus chart.  Two cancellation-free
-    forms cover the sign of u:
-
-        u > 0:  b * logaddexp(x/b - 2pi u, log(1 - e^{-2pi u}))
-        u < 0:  x - beta u + b * log1p((e^{2pi u} - 1) e^{-x/b})
-
-    with b = beta/2pi.  The first is a sum of exponentials (both terms
-    positive), the second isolates the small correction; both stay exact for
-    |x| << beta and |x| >> beta.  mirror marks a MINUS call (see
-    _raise_at_first).
+    i.e. scaling by e^{-2pi u} in the plus chart.  One form serves both
+    signs of u: with b = beta/2pi, the scaled chart
+    b log1p(e^{-2pi u} expm1(x/b)), exact at the fixed point x = 0, and
+    x - beta u + modular_remainder(u, x) where x/b - 2pi u > 700 and the
+    scaled term would overflow.  u = 0 is the identity.  Left of the fixed
+    point (x < 0, outside the half-line) a u > 0 image carries the rounding
+    of e^{-2pi u}, about 1e-16/(2pi u) of its log1p argument plus 1.  mirror
+    marks a MINUS call (see _raise_at_first).
 
     u and x are arrays as in _per_sign.  The constants of each u come from
     math, one call per parameter, and numpy acts elementwise, so each element
@@ -211,41 +218,38 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
     """
     b = beta / TWO_PI
 
-    def pos(u, x):
-        # log(1 - e^{-2pi u}), 1 - e^{-2pi u} in (0, 1)
-        log_rest = np.array([math.log(-math.expm1(-TWO_PI * v)) for v in u.tolist()])
-        out = b * np.logaddexp(x / b - TWO_PI * u, log_rest)
-        # out is inf only where x/b overflows; the image is then
-        # x - beta u + b log1p(e^{2pi u - x/b} (1 - e^{-2pi u})), whose last
-        # term is 0
-        over = np.isinf(out)
-        if np.count_nonzero(over):
-            out = np.where(over, x - beta * u, out)
-        return out
+    def at(mask):  # parameters and points of the masked elements
+        return (u, x[mask]) if u.size == 1 else (u[mask], x)
 
-    def neg(u, x):
-        # scaled-chart form, exact at the fixed point x = 0; the scaled term
-        # e^{-2pi u} expm1(x/b) would overflow for x/b - 2pi u > ~709, where
-        # the translation-dominated form takes over.  Each element computes
-        # both; the unused one may overflow.  e^{-x/b} overflows on a used
-        # element only where 2pi u < -1400: arg = -inf fails the check.  The
-        # chart factor is capped below overflow: with -2pi u > 709 a
-        # small-branch x has x/b < -9, so arg < -1 and the check raises either way
-        w = TWO_PI * u
-        big = x / b - w > 700.0
-        scaled = np.array([math.expm1(c) for c in w.tolist()])
-        chart = np.array([math.exp(-c if c > -709.0 else 709.0) for c in w.tolist()])
-        arg = np.where(big, scaled * np.exp(-x / b), chart * np.expm1(x / b))
+    # x/b - 2pi u, formed so that u and x near the float maximum meet no inf - inf
+    big = (x - beta * u) / b > 700.0
+    # e^{-2pi u}, capped to [e^{-745}, e^{709}]: with -2pi u > 709 a chart
+    # element has x/b < -9, so arg < -1 and the check raises either way; the
+    # lower cap keeps it nonzero, so an overflowing expm1(x/b) gives inf
+    w = TWO_PI * u
+    chart = np.array([math.exp(-min(max(c, -709.0), 745.0)) for c in w.tolist()])
+    arg = chart * np.expm1(x / b)
+    far = np.isinf(arg) | (w > 700.0)
+    if np.count_nonzero(far):
+        # expm1(x/b) leaves the float range or e^{-2pi u} the normal numbers;
+        # for x > 0 their product is e^{x/b - 2pi u} (1 - e^{-x/b}), at most e^{700}
+        far &= ~big & (x > 0.0)
+        uf, xf = at(far)
+        arg[far] = -np.exp((xf - beta * uf) / b) * np.expm1(-xf / b)
+    out = b * np.log1p(np.where(arg > -1.0, arg, np.nan))
+    if np.count_nonzero(big):
+        ub, xb = at(big)
+        out[big] = xb - beta * ub + modular_remainder(beta, ub, xb)
+    out = np.where(u == 0.0, x, out)
 
-        def undefined(v):
-            floor = b * math.log(-math.expm1(TWO_PI * v))
-            return _undefined("modular flow", _PHI_CONDS, floor, mirror)
+    def undefined(v):
+        if v > 0.0:  # defined for every x; the check fails only where e^{-2pi u} rounds to 1
+            return "modular flow unresolved: e^{-2 pi u} rounds to 1"
+        floor = b * math.log(-math.expm1(TWO_PI * v))
+        return _undefined("modular flow", _PHI_CONDS, floor, mirror)
 
-        _raise_at_first(arg <= -1.0, u, x, "u", undefined, mirror)
-        log_part = b * np.log1p(arg)
-        return np.where(big, x - beta * u + log_part, log_part)
-
-    return _per_sign(u, x, pos, neg)
+    _raise_at_first(np.isnan(out), u, x, "u", undefined, mirror)
+    return out
 
 
 def modular_flow_ray(ctx: ThermalContext, direction: RayDirection, u, x):

@@ -10,8 +10,9 @@ translation decays like e^{-2pi t/beta}; at large separations it is far
 below the rounding noise of naive grid subtraction, so the matrix-element
 bound and the deviation norm both take the change of the Weyl overlap from
 one routine, weyl_field._deviation_exponents, which builds the deviation
-function from the closed-form parameter shift (a log1p expression) times a
-spline derivative and pairs only that deviation.
+function from the parameter shift, flow_maps' modular remainder (the code
+the flow maps themselves run), times a spline derivative and pairs only
+that deviation.
 """
 
 from __future__ import annotations

@@ -48,7 +48,9 @@ from numpy.fft import fft, ifft
 
 from .axb_group import TWO_PI
 from .errors import DomainViolation, QuadratureError, ResolutionError
-from .flow_maps import RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray
+from .flow_maps import (
+    RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray, modular_remainder,
+)
 
 
 # ----------------------------------------------------------------------
@@ -401,7 +403,8 @@ def czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
     n = x.shape[-1]
     awk2, fwk2, wk2, nfft = _czt_plan(n, m, w)
     # scipy's operand order: numpy's complex multiply is not bitwise commutative
-    y = ifft(fwk2 * fft(x * awk2, nfft))
+    y = fft(x * awk2, nfft)
+    y = ifft(np.multiply(fwk2, y, out=y), out=y)
     return y[..., n - 1 : n + m - 1] * wk2
 
 
@@ -729,14 +732,12 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     _DEVIATION_PAD blocks; outside its own range a row is exactly 0 (both
     functions vanish there), so each row is its node's deviation
     zero-padded to the common range.
-    The parameter shift
-    L(u, y) - y - beta u = (beta/2pi) log1p((e^{-2pi u} - 1) e^{-2pi y/beta})
-    is evaluated in closed form, and where it is below the grid scale the
-    difference is replaced by spline derivative * shift, keeping full
-    relative accuracy down to shifts ~ 1e-300.
+    The parameter shift L(u, y) - y - beta u is the modular remainder at -u,
+    flow_maps.modular_remainder(beta, -u, y), and where it is below the grid
+    scale the difference is replaced by spline derivative * shift, keeping
+    full relative accuracy down to shifts ~ 1e-300.
     """
     beta = ctx.beta
-    b = beta / TWO_PI
     a0, b0 = f.support
     dx = f.dx
     shift = t - beta * u
@@ -750,23 +751,20 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     # whole blocks, so rows of nearby ranges share one chirp-z plan
     k = np.arange(lo, lo - (lo - hi) // _DEVIATION_PAD * _DEVIATION_PAD)
     a_grid = f.x0 + k * dx
-    y = a_grid + shift[:, None]
-    with np.errstate(over="ignore"):
-        inner = math.expm1(-TWO_PI * u) * np.exp(-TWO_PI * y / beta)
-    valid = inner > -1.0
-    delta = np.zeros_like(y)
-    delta[valid] = b * np.log1p(inner[valid])
+    # NaN where L(u, y) is undefined: those entries keep only the translate
+    delta = modular_remainder(beta, -u, a_grid + shift[:, None])
     own = (k >= 0) & (k < len(f.samples))
-    rows = np.zeros(y.shape)
+    rows = np.zeros(delta.shape)
     rows[:, own] = -f.samples[k[own]]
-    small = valid & (np.abs(delta) < 1e-3 * dx)
+    size = np.abs(delta)
+    small = size < 1e-3 * dx
     if np.any(small):
         mid = (a_grid + delta / 2.0)[small]
         dv = np.zeros_like(mid)
         ins = (mid > a0) & (mid < b0)
         dv[ins] = f._spline.derivative()(mid[ins])
         rows[small] = dv * delta[small]
-    big = valid & ~small
+    big = size >= 1e-3 * dx
     rows[big] += f((a_grid + delta)[big])
     if not np.isfinite(rows).all():
         raise ValueError("deviation samples must be finite")

@@ -247,6 +247,8 @@ class TestFlowCommand:
             # x/b overflows, and so did xR + xL for the spacetime point
             (("--u", "0.3", "--point", "1e308,0"), "1e+308,0"),
             (("--u=-0.5", "--point", "1.7e308,0"), "1.6999999999999999e+308,0"),
+            # x/b - 2 pi u was inf - inf; the image is (beta/2pi) log 2 on both rays
+            (("--u", "1e308", "--point", "1e308,0"), "0.1103178000763258,0"),
         ],
     )
     def test_finite_image_after_overflowing_intermediate(self, capsys, args, want):

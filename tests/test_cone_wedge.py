@@ -194,7 +194,8 @@ class TestRemainders:
         ctx = ThermalContext(beta=1.0)
         for region, pts in ((CONE, cone_points(1.0)), (WEDGE, wedge_points(1.0))):
             for p in pts:
-                for u in (-0.7, 0.2, 1.1):
+                # past 2 pi |u| = 709 expm1(2 pi u) or e^{-2 pi u} leaves the float range
+                for u in (-120.0, -0.7, 0.2, 1.1, 120.0):
                     r0, r1 = remainder_terms(ctx, region, u, p)
                     q = modular_flow_2d(ctx, region, u, p)
                     assert abs(q.x0 - (p.x0 - ctx.beta * u + r0)) < 1e-12

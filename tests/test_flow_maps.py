@@ -449,6 +449,25 @@ class TestNonFinitePoint:
             flow(ThermalContext(beta=1.0), direction, param, x)
 
 
+@pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+@pytest.mark.parametrize("u", [0.3, 1.0, 2.0, 20.0])
+@pytest.mark.parametrize("x", [1e-9, 1e-12, 1e-300])
+def test_modular_flow_near_the_fixed_point_matches_mpmath(beta, u, x):
+    # relative accuracy down to the fixed point for both signs of u, on the
+    # plus ray and on its mirror, the minus ray; an image below the normal
+    # numbers may round to a subnormal
+    import mpmath
+
+    ctx = ThermalContext(beta=beta)
+    for v in (u, -u):
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta) / (2 * mpmath.pi)
+            w = float(b * mpmath.log1p(mpmath.exp(-2 * mpmath.pi * v) * mpmath.expm1(x / b)))
+        for direction, sign in ((PLUS, 1.0), (MINUS, -1.0)):
+            got = sign * modular_flow_ray(ctx, direction, sign * v, sign * x)
+            assert abs(got - w) <= 1e-13 * abs(w) + 5e-324
+
+
 LOG_REST_03 = math.log(-math.expm1(-0.6 * math.pi)) / TWO_PI  # phi_+(0.3, -inf) at beta = 1
 
 
@@ -483,6 +502,9 @@ class TestOverflow:
             (modular_flow_ray, MINUS, 0.3, -1e308, -1e308 - 0.3),
             (modular_flow_ray, PLUS, 0.3, -1e308, LOG_REST_03),
             (modular_flow_ray, MINUS, -0.3, 1e308, -LOG_REST_03),
+            # x/b - 2 pi u formed as written is inf - inf; the image is b log 2
+            (modular_flow_ray, PLUS, 1e308, 1e308, math.log(2.0) / TWO_PI),
+            (modular_flow_ray, MINUS, -1e308, -1e308, -math.log(2.0) / TWO_PI),
             (gamma_flow_ray, PLUS, -0.3, 1e308, 1e308),
             (gamma_flow_ray, PLUS, 0.3, -1e308, math.log(0.6 * math.pi) / TWO_PI),
             (gamma_flow_ray, MINUS, -0.3, 1e308, -math.log(0.6 * math.pi) / TWO_PI),
@@ -659,11 +681,7 @@ def test_ray_maps_group_law_and_inverse(log_beta, direction, y, u1, u2, s1, s2):
     ctx = ThermalContext(beta=beta)
     sign = 1.0 if direction is PLUS else -1.0
     x, tau1, tau2 = sign * y * beta, sign * s1 * beta, sign * s2 * beta
-    # for u > 0 the modular map is accurate to about 1e-17 beta in absolute
-    # terms near its fixed point x = 0 (log(1 - e^{-2 pi u}) carries the
-    # rounding of 1 - e^{-2 pi u}), and an outer map at parameter -|u1|
-    # stretches that by up to e^{2 pi |u1|}
-    tol = 1e-12 * max(beta, abs(x)) + 1e-15 * beta * math.exp(TWO_PI * abs(u1))
+    tol = 1e-12 * max(beta, abs(x))
 
     def phi(u, v):
         return modular_flow_ray(ctx, direction, u, v)
@@ -690,12 +708,10 @@ def phi_plus_reference(beta, u, x):
     b, xa = beta / TWO_PI, np.array([x])
     if u == 0.0:
         return x
-    if u > 0.0:
-        out = b * np.logaddexp(xa / b - TWO_PI * u, math.log(-math.expm1(-TWO_PI * u)))
-    elif x / b - TWO_PI * u > 700.0:
+    if (x - beta * u) / b > 700.0:
         out = xa - beta * u + b * np.log1p(math.expm1(TWO_PI * u) * np.exp(-xa / b))
     else:
-        out = b * np.log1p(math.exp(min(-TWO_PI * u, 709.0)) * np.expm1(xa / b))
+        out = b * np.log1p(math.exp(-max(TWO_PI * u, -709.0)) * np.expm1(xa / b))
     return float(out[0])
 
 

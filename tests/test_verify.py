@@ -501,3 +501,24 @@ class TestSuites:
     def test_case_result_pass_logic(self):
         assert CaseResult("x", {}, 0.5, 1.0).passed
         assert not CaseResult("x", {}, 2.0, 1.0).passed
+
+
+def test_thm22_suites_run_the_shared_modular_remainder(monkeypatch):
+    # the deviation rows take their parameter shift from
+    # flow_maps.modular_remainder; at the chart scale b = beta/pi instead of
+    # beta/2pi the deviation decays like e^{-pi t/beta}, which the bound and
+    # the fitted rate must notice
+    from modularflow import cone_wedge, flow_maps, weyl_field
+
+    real = flow_maps.modular_remainder
+
+    def wrong_scale(beta, u, x):
+        return real(2.0 * beta, u, x)
+
+    for module in (flow_maps, weyl_field, cone_wedge):
+        monkeypatch.setattr(module, "modular_remainder", wrong_scale)
+    cases = run_suite("thm22", 1.0) + run_suite("rates", 1.0)
+    failed = {c.check for c in cases if not c.passed}
+    assert {"matrix-element-bound", "decay-rate"} <= failed
+    slopes = [c.params["slope"] for c in cases if c.check == "decay-rate"]
+    assert all(abs(s + math.pi) < 1e-6 for s in slopes)
