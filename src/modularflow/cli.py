@@ -31,13 +31,13 @@ from .cone_wedge import (
     FigureSpec,
     Region,
     SpacetimePoint,
-    _atomic_write,
     _fmt,
     emit_flow_figure,
     gamma_flow_2d,
     modular_flow_2d,
 )
 from .errors import DomainViolation, QuadratureError, ResolutionError
+from .files import atomic_write
 from .flow_maps import ThermalContext
 from .verify import SUITES, report_json, run_suite
 from .weyl_field import (
@@ -183,7 +183,7 @@ def cmd_transform(args) -> int:
     param = args.u if which == "modular" else args.tau
     g = higher_transform(ctx, args.n, which, param, f)
     out = cfg.output or (os.path.splitext(args.input)[0] + ".out.json")
-    _atomic_write(out, json.dumps(g.to_dict()) + "\n")
+    g.save(out)
     print(out)
     return EXIT_OK
 
@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
     cases = run_suite(args.suite, beta=cfg.beta)
     text = report_json(cases)
     out = cfg.output or "verify_report.json"
-    _atomic_write(out, text)
+    atomic_write(out, text)
     failed = [c for c in cases if not c.passed]
     for c in cases:
         status = "pass" if c.passed else "FAIL"

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +19,7 @@ import numpy as np
 
 from .axb_group import TWO_PI
 from .errors import DomainViolation
+from .files import atomic_write
 from .flow_maps import (
     RayDirection,
     ThermalContext,
@@ -369,45 +368,35 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, text: str):
-    """Write text to a temporary file beside path, then rename it into place."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _render_csv(lines) -> str:
-    rows = ["line_id,param,x0,x1,xR,xL"]
+    # one "%" per row over Python floats: "%.17g" prints the digits of
+    # format(x, ".17g"), and the column sums are the per-element IEEE sums
+    rows = ["line_id,param,x0,x1,xR,xL\n"]
     for i, (_, ln) in enumerate(lines):
-        for r, (x0, x1) in zip(ln.params, ln.points):
-            rows.append(
-                ",".join([str(i), _fmt(r), _fmt(x0), _fmt(x1), _fmt(x0 + x1), _fmt(x0 - x1)])
-            )
-    return "\n".join(rows) + "\n"
+        x0, x1 = ln.points[:, 0], ln.points[:, 1]
+        cols = [c.tolist() for c in (ln.params, x0, x1, x0 + x1, x0 - x1)]
+        rows += ["%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (i, *row) for row in zip(*cols)]
+    return "".join(rows)
+
+
+# json.dumps(doc, indent=1) of the one document shape figures have, by template
+_JSON_DOC = '{\n "region": %s,\n "flow": %s,\n "beta": %s,\n "lines": [%s]\n}\n'
+_JSON_LINE = '\n  {\n   "id": %d,\n   "seed": [\n    %s,\n    %s\n   ],\n   "points": [%s]\n  }'
+_JSON_POINT = "\n    [\n     %r,\n     %r\n    ]"
 
 
 def _render_json(ctx, region, flow, lines) -> str:
-    doc = {
-        "region": region.value,
-        "flow": flow,
-        "beta": ctx.beta,
-        "lines": [
-            {
-                "id": i,
-                "seed": [seed.x0, seed.x1],
-                "points": [[float(a), float(b)] for a, b in ln.points],
-            }
-            for i, (seed, ln) in enumerate(lines)
-        ],
-    }
-    return json.dumps(doc, indent=1) + "\n"
+    items = []
+    for i, (seed, ln) in enumerate(lines):
+        pts = ",".join([_JSON_POINT % p for p in zip(*ln.points.T.tolist())])
+        # json spells repr's nan, inf and -inf as NaN, Infinity and -Infinity;
+        # no finite repr contains "nan" or "inf"
+        pts = pts.replace("nan", "NaN").replace("inf", "Infinity")
+        seed_text = map(json.dumps, (seed.x0, seed.x1))
+        items.append(_JSON_LINE % (i, *seed_text, pts and pts + "\n   "))
+    body = ",".join(items)
+    beta = ctx.beta if ctx.finite else "inf"  # the spelling --beta takes; Infinity is not JSON
+    return _JSON_DOC % (*map(json.dumps, (region.value, flow, beta)), body and body + "\n ")
 
 
 def _render_svg(lines, window: float, stroke_width: float) -> str:
@@ -425,7 +414,8 @@ def _render_svg(lines, window: float, stroke_width: float) -> str:
     )
     body = []
     for _, ln in lines:
-        pts = " ".join(f"{_fmt(x1)},{_fmt(-x0)}" for x0, x1 in ln.points)
+        xy = zip(ln.points[:, 1].tolist(), (-ln.points[:, 0]).tolist())
+        pts = " ".join(["%.17g,%.17g" % p for p in xy])
         body.append(
             f'<polyline fill="none" stroke="#000" '
             f'stroke-width="{_fmt(stroke_width)}" points="{pts}"/>\n'
@@ -443,6 +433,11 @@ def emit_flow_figure(
 ) -> str:
     """Write one flow-pattern dataset (csv, json or svg); returns the path.
 
+    CSV rows are line_id,param,x0,x1,xR,xL and SVG coordinates are
+    (x1, -x0), every number printed as "%.17g".  JSON is the document
+    {region, flow, beta, lines: [{id, seed, points}]} as json.dumps writes
+    it with indent=1: floats in their shortest repr, and "beta": "inf" at
+    beta = inf.  SVG lines are 0.01 beta wide, window/300 at beta = inf.
     Output is written to a temporary file and renamed, so no partial file is
     left behind on error.
     """
@@ -453,8 +448,8 @@ def emit_flow_figure(
         text = _render_json(ctx, region, flow, lines)
     elif fmt == "svg":
         w = _default_window(ctx, spec)
-        text = _render_svg(lines, w, 0.01 * ctx.beta)  # line width 0.01 beta
+        text = _render_svg(lines, w, 0.01 * ctx.beta if ctx.finite else w / 300.0)
     else:
         raise ValueError(f"format must be csv, json or svg, got {fmt!r}")
-    _atomic_write(path, text)
+    atomic_write(path, text)
     return path

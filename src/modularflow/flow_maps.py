@@ -207,9 +207,9 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
     b log1p(e^{-2pi u} expm1(x/b)), exact at the fixed point x = 0, and
     x - beta u + modular_remainder(u, x) where x/b - 2pi u > 700 and the
     scaled term would overflow.  u = 0 is the identity.  Left of the fixed
-    point (x < 0, outside the half-line) a u > 0 image carries the rounding
-    of e^{-2pi u}, about 1e-16/(2pi u) of its log1p argument plus 1.  mirror
-    marks a MINUS call (see _raise_at_first).
+    point (x < 0, outside the half-line) with u > 0, where the log1p argument
+    falls below -1/2, the image is b log(-expm1(-2pi u) + e^{x/b - 2pi u}).
+    mirror marks a MINUS call (see _raise_at_first).
 
     u and x are arrays as in _per_sign.  The constants of each u come from
     math, one call per parameter, and numpy acts elementwise, so each element
@@ -237,14 +237,20 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
         uf, xf = at(far)
         arg[far] = -np.exp((xf - beta * uf) / b) * np.expm1(-xf / b)
     out = b * np.log1p(np.where(arg > -1.0, arg, np.nan))
+    # left of the fixed point 1 + arg cancels; for u > 0 it is the sum of
+    # the positive terms -expm1(-2pi u) and e^{x/b - 2pi u}
+    near = arg < -0.5
+    if np.count_nonzero(near) and np.count_nonzero(near := near & (w > 0.0)):
+        un, xn = at(near)
+        wn = TWO_PI * un
+        lead = np.array([-math.expm1(-c) for c in wn.tolist()])
+        out[near] = b * np.log(lead + np.exp(xn / b - wn))
     if np.count_nonzero(big):
         ub, xb = at(big)
         out[big] = xb - beta * ub + modular_remainder(beta, ub, xb)
     out = np.where(u == 0.0, x, out)
 
-    def undefined(v):
-        if v > 0.0:  # defined for every x; the check fails only where e^{-2pi u} rounds to 1
-            return "modular flow unresolved: e^{-2 pi u} rounds to 1"
+    def undefined(v):  # only u < 0 fails: for u > 0 the image is defined for every x
         floor = b * math.log(-math.expm1(TWO_PI * v))
         return _undefined("modular flow", _PHI_CONDS, floor, mirror)
 

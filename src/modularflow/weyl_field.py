@@ -48,6 +48,7 @@ from numpy.fft import fft, ifft
 
 from .axb_group import TWO_PI
 from .errors import DomainViolation, QuadratureError, ResolutionError
+from .files import atomic_write
 from .flow_maps import (
     RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray, modular_remainder,
 )
@@ -173,8 +174,7 @@ class TestFunction:
         )
 
     def save(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+        atomic_write(path, json.dumps(self.to_dict()) + "\n")
 
     @staticmethod
     def load(path: str) -> "TestFunction":

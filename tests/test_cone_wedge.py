@@ -8,6 +8,7 @@ velocity field for the closed-form flow lines.
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from modularflow import cone_wedge
 from modularflow.cone_wedge import (
     FigureSpec,
+    FlowLine,
     Region,
     SpacetimePoint,
     causal_chart,
@@ -626,3 +629,118 @@ class TestFigures:
         emit_flow_figure(ctx, WEDGE, "gamma", str(p1), fmt="csv")
         emit_flow_figure(ctx, WEDGE, "gamma", str(p2), fmt="csv")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# The renderers as they were written before they formatted one row or point
+# per "%": per-value format(float(x), ".17g") and json.dumps(doc, indent=1).
+def reference_fmt(x):
+    return format(float(x), ".17g")
+
+
+def reference_csv(lines):
+    rows = ["line_id,param,x0,x1,xR,xL"]
+    for i, (_, ln) in enumerate(lines):
+        for r, (x0, x1) in zip(ln.params, ln.points):
+            rows.append(",".join([str(i), *map(reference_fmt, (r, x0, x1, x0 + x1, x0 - x1))]))
+    return "\n".join(rows) + "\n"
+
+
+def reference_json(ctx, region, flow, lines):
+    doc = {
+        "region": region.value,
+        "flow": flow,
+        "beta": ctx.beta,
+        "lines": [
+            {
+                "id": i,
+                "seed": [seed.x0, seed.x1],
+                "points": [[float(a), float(b)] for a, b in ln.points],
+            }
+            for i, (seed, ln) in enumerate(lines)
+        ],
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def reference_svg(lines, window, stroke_width):
+    f, w, sw = reference_fmt, window, stroke_width
+    text = (
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{f(-w)} {f(-w)} {f(2 * w)} {f(2 * w)}">\n'
+        f'<line x1="{f(-w)}" y1="{f(-w)}" x2="{f(w)}" y2="{f(w)}" '
+        f'stroke="#888" stroke-width="{f(sw / 2)}"/>\n'
+        f'<line x1="{f(-w)}" y1="{f(w)}" x2="{f(w)}" y2="{f(-w)}" '
+        f'stroke="#888" stroke-width="{f(sw / 2)}"/>\n'
+    )
+    for _, ln in lines:
+        pts = " ".join(f"{f(x1)},{f(-x0)}" for x0, x1 in ln.points)
+        text += f'<polyline fill="none" stroke="#000" stroke-width="{f(sw)}" points="{pts}"/>\n'
+    return text + "</svg>\n"
+
+
+# -0, subnormals, the float extremes, non-finite values, and values whose
+# repr (0.1) and "%.17g" (0.10000000000000001) differ
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+           math.nan, math.inf, -math.inf, 0.1, -1 / 3, 1e16, 1e-5, 2.0**-1074 * 3]
+numbers = st.one_of(st.sampled_from(SPECIAL), st.floats())
+coordinates = st.one_of(st.integers(-10**6, 10**6), numbers, numbers.map(np.float64))
+rows = st.lists(st.tuples(numbers, numbers, numbers), max_size=5)  # one-point and empty lines
+figure = st.lists(st.tuples(st.builds(SpacetimePoint, coordinates, coordinates), rows), max_size=4)
+
+
+def as_lines(drawn):
+    return [
+        (seed, FlowLine(np.array([r[0] for r in pts], dtype=float),
+                        np.array([r[1:] for r in pts], dtype=float).reshape(-1, 2)))
+        for seed, pts in drawn
+    ]
+
+
+class TestRenderers:
+    # the renderers write the bytes of the per-value references
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=figure,
+        beta=st.one_of(st.integers(1, 5), st.floats(1e-3, 1e3)),
+        region=st.sampled_from(list(Region)),
+        flow=st.sampled_from(["modular", "gamma"]),
+        window=numbers,
+    )
+    def test_same_bytes_as_the_references(self, drawn, beta, region, flow, window):
+        ctx, lines = ThermalContext(beta=beta), as_lines(drawn)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
+            assert cone_wedge._render_csv(lines) == reference_csv(lines)
+            assert cone_wedge._render_json(ctx, region, flow, lines) == reference_json(ctx, region, flow, lines)
+            for sw in (0.01 * beta, window):
+                assert cone_wedge._render_svg(lines, window, sw) == reference_svg(lines, window, sw)
+
+    @pytest.mark.parametrize("beta", [1, 1.7])
+    @pytest.mark.parametrize("spec", [FigureSpec(n_lines=3, n_samples=9), FigureSpec(n_samples=1), FigureSpec(seeds=())])
+    @pytest.mark.parametrize("region, flow", [(CONE, "modular"), (WEDGE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")])
+    def test_figures_match_the_references(self, tmp_path, beta, spec, region, flow):
+        ctx = ThermalContext(beta=beta)
+        lines = figure_lines(ctx, region, flow, spec)
+        w = 3.0 * beta
+        for fmt, want in (("csv", reference_csv(lines)),
+                          ("json", reference_json(ctx, region, flow, lines)),
+                          ("svg", reference_svg(lines, w, 0.01 * beta))):
+            path = tmp_path / f"figure.{fmt}"
+            emit_flow_figure(ctx, region, flow, str(path), fmt=fmt, spec=spec)
+            assert path.read_text() == want
+
+    @pytest.mark.parametrize("region", [CONE, WEDGE])
+    def test_infinite_beta_writes_valid_json_and_svg(self, tmp_path, region):
+        # the vacuum figures `mfl figure --which 1|2 --beta inf` draws
+        ctx, spec = ThermalContext(beta=math.inf), FigureSpec(window=3.0)
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        emit_flow_figure(ctx, region, "modular", str(tmp_path / "f.json"), fmt="json", spec=spec)
+        doc = json.loads((tmp_path / "f.json").read_text(), parse_constant=reject)
+        assert doc["beta"] == "inf" and len(doc["lines"]) == 12
+        emit_flow_figure(ctx, region, "modular", str(tmp_path / "f.svg"), fmt="svg", spec=spec)
+        text = (tmp_path / "f.svg").read_text()
+        values = re.findall(r'="([^"]*)"', text)
+        assert not [v for v in values if re.search("inf|nan", v)]
+        assert text.count('stroke-width="0.01"') == 12  # window/300, 0.01 beta at a 3 beta window

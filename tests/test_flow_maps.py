@@ -468,6 +468,23 @@ def test_modular_flow_near_the_fixed_point_matches_mpmath(beta, u, x):
             assert abs(got - w) <= 1e-13 * abs(w) + 5e-324
 
 
+@pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+@pytest.mark.parametrize("u", [5e-18, 1e-17, 1e-7, 0.01, 0.3])
+@pytest.mark.parametrize("x", [-0.1, -1.0, -10.0, -300.0])
+def test_modular_flow_left_of_the_fixed_point_matches_mpmath(beta, u, x):
+    # for u > 0 and x < 0 the image is defined at every x, and 1 + e^{-2pi u}
+    # expm1(x/b) cancels as x/b falls; at 5e-18 e^{-2pi u} rounds to 1
+    import mpmath
+
+    ctx = ThermalContext(beta=beta)
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta) / (2 * mpmath.pi)
+        w = float(b * mpmath.log1p(mpmath.exp(-2 * mpmath.pi * u) * mpmath.expm1(x / b)))
+    for direction, sign in ((PLUS, 1.0), (MINUS, -1.0)):
+        got = sign * modular_flow_ray(ctx, direction, sign * u, sign * x)
+        assert abs(got - w) <= 1e-13 * abs(w)
+
+
 LOG_REST_03 = math.log(-math.expm1(-0.6 * math.pi)) / TWO_PI  # phi_+(0.3, -inf) at beta = 1
 
 

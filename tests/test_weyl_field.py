@@ -109,6 +109,18 @@ class TestTestFunction:
         assert g.x0 == f.x0 and g.dx == f.dx and g.support == f.support
         np.testing.assert_array_equal(g.samples, f.samples)
         assert g.compact_support
+        assert path.read_text() == json.dumps(f.to_dict()) + "\n"
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        # the document is serialized, written beside the path and renamed:
+        # a failure part way through leaves neither a truncated file nor a temporary
+        path = tmp_path / "f.json"
+        path.write_text("old")
+        monkeypatch.setattr(TestFunction, "to_dict", lambda self: {"x0": 1.0, "bad": object()})
+        with pytest.raises(TypeError):
+            TestFunction.bump(0.8, 0.25).save(str(path))
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
 
 
 class TestFourier:
