@@ -36,10 +36,6 @@ class GroupElement:
     def identity() -> "GroupElement":
         return GroupElement(1.0, 0.0)
 
-    @staticmethod
-    def from_u(u: float, tau: float = 0.0) -> "GroupElement":
-        return GroupElement(math.exp(-TWO_PI * u), tau)
-
 
 @dataclass(frozen=True)
 class SubgroupParams:

@@ -285,7 +285,14 @@ class FigureSpec:
 
 
 def _default_window(ctx: ThermalContext, spec: FigureSpec) -> float:
-    return spec.window if spec.window is not None else 3.0 * ctx.beta
+    """spec.window, or 3 beta; at beta = inf the window must be given."""
+    if spec.window is not None:
+        return spec.window
+    if not ctx.finite:
+        raise DomainViolation(
+            "the default figure window is 3 beta; at beta = inf give FigureSpec(window=...)"
+        )
+    return 3.0 * ctx.beta
 
 
 def _modular_figure_lines(ctx, region, spec):

@@ -11,7 +11,9 @@ where the modular flow is pure scaling, xi -> e^{-2pi u} xi (plus direction),
 and the positive-generator flow is pure translation, xi -> xi + tau.  All
 flows here are evaluated through cancellation-free forms of that chart
 conjugation; the modular flow's deviation from time translation by -beta u
-is written once, in modular_remainder, for every module that needs it.
+is written once, in modular_remainder, for every module that needs it (the
+point map's own translation form sums that log's argument from its positive
+terms instead, so it stays exact at the fixed point).
 
 beta = inf is a first-class value: the flows degenerate to the linear maps
 x -> e^{-2pi u} x and x -> x + tau.
@@ -204,11 +206,13 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
     phi_+(u, x) = (beta/2pi) log{ 1 + e^{-2pi u}(e^{2pi x/beta} - 1) },
     i.e. scaling by e^{-2pi u} in the plus chart.  One form serves both
     signs of u: with b = beta/2pi, the scaled chart
-    b log1p(e^{-2pi u} expm1(x/b)), exact at the fixed point x = 0, and
-    x - beta u + modular_remainder(u, x) where x/b - 2pi u > 700 and the
-    scaled term would overflow.  u = 0 is the identity.  Left of the fixed
-    point (x < 0, outside the half-line) with u > 0, where the log1p argument
-    falls below -1/2, the image is b log(-expm1(-2pi u) + e^{x/b - 2pi u}).
+    b log1p(e^{-2pi u} expm1(x/b)), and where x/b - 2pi u > 700 and the
+    scaled term would overflow the translation form
+    x - beta u + b log(-expm1(-x/b) + e^{-(x - beta u)/b}), whose two terms
+    are positive for x > 0.  u = 0 and the fixed point x = 0 map to x
+    itself.  Left of the fixed point (x < 0, outside the half-line) with
+    u > 0, where the log1p argument falls below -1/2, the image is
+    b log(-expm1(-2pi u) + e^{x/b - 2pi u}).
     mirror marks a MINUS call (see _raise_at_first).
 
     u and x are arrays as in _per_sign.  The constants of each u come from
@@ -246,8 +250,14 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
         lead = np.array([-math.expm1(-c) for c in wn.tolist()])
         out[near] = b * np.log(lead + np.exp(xn / b - wn))
     if np.count_nonzero(big):
+        # the remainder's 1 + expm1(2pi u) e^{-x/b} as the sum of its terms,
+        # so nothing cancels near the fixed point when e^{2pi u} is tiny;
+        # NaN left of it, where the sum is negative
         ub, xb = at(big)
-        out[big] = xb - beta * ub + modular_remainder(beta, ub, xb)
+        lead = xb - beta * ub
+        with np.errstate(divide="ignore", invalid="ignore"):
+            moved = lead + b * np.log(-np.expm1(-xb / b) + np.exp(-lead / b))
+        out[big] = np.where(xb == 0.0, xb, moved)
     out = np.where(u == 0.0, x, out)
 
     def undefined(v):  # only u < 0 fails: for u > 0 the image is defined for every x

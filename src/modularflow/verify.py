@@ -182,10 +182,10 @@ def convergence_rate(
 # ----------------------------------------------------------------------
 
 
-def _sup_norm_difference(a: TestFunction, b: TestFunction, n: int = 4001) -> float:
+def _sup_norm_difference(a: TestFunction, b: TestFunction) -> float:
     lo = min(a.support[0], b.support[0]) - 0.05
     hi = max(a.support[1], b.support[1]) + 0.05
-    x = np.linspace(lo, hi, n)
+    x = np.linspace(lo, hi, 4001)
     return float(np.max(np.abs(a(x) - b(x))))
 
 

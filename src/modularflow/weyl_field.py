@@ -20,8 +20,9 @@ calibrate_fourier_pair).
 
 Every integral, in momentum or position space, is one composite Simpson
 rule (_simpson) on a uniform grid with an odd node count.  Momentum integrals
-run on a fixed symmetric grid, with transforms evaluated by the chirp-z
-algorithm, so results are deterministic and bit-stable across runs.  The
+run on a fixed symmetric grid, each through _pair, which refuses supports
+too far apart for it; transforms are evaluated by the chirp-z algorithm,
+so results are deterministic and bit-stable across runs.  The
 chirp-z routine keeps its chirp and kernel spectrum in a small plan cache
 keyed on (n, m, w), and a TestFunction keeps its transform per momentum
 grid, so a function paired many times on one grid is transformed once.
@@ -467,14 +468,6 @@ def _simpson(y: np.ndarray, dx: float):
     return r
 
 
-def _product(first, *rest):
-    """first * rest[0] * rest[1] * ..., left to right, in one new array."""
-    out = first * rest[0]
-    for r in rest[1:]:
-        out *= r
-    return out
-
-
 def _weight(spec: FieldSpec, p: np.ndarray) -> np.ndarray:
     """Kernel weight p Q(p^2) = p^{2n+1}."""
     return p ** (2 * spec.n + 1)
@@ -631,16 +624,39 @@ def _own_tail_check(ctx: ThermalContext, spec: FieldSpec, f: TestFunction):
         passed.add(key)
 
 
-def _pair(ctx: ThermalContext, weight, left, right, what: str | None = None) -> complex:
-    """Momentum pairing: Simpson sum of weight * left * right over the grid.
+def _pair(ctx: ThermalContext, span, first, *rest, what: str | None = None):
+    """Momentum pairing, the one Simpson sum over the momentum grid.
 
-    With what given, the integrand's tail at the cutoff is checked first.
+    The factors are multiplied left to right into one new array; 1-D factors
+    give a complex, a row stack one sum per row (bit for bit the 1-D sum of
+    each row).  span, a float or one per row, is the widest separation of
+    the paired supports: Simpson's T_2dp part is periodic in the separation
+    with period pi/dp and the kernels decay like e^{-2 pi |y - x|/beta}, so
+    a span above pi/dp - 6 beta (an alias above 1e-16) raises
+    QuadratureError.  With what given (1-D factors) the integrand's tail at
+    the cutoff is checked too; what names the pairing in both messages.
     """
     p = momentum_grid(ctx)
-    integrand = weight * left * right
+    dp = p[1] - p[0]
+    limit = math.pi / dp - 6.0 * ctx.beta
+    widest = float(np.max(span))
+    if widest > limit:
+        raise QuadratureError(
+            f"{what or 'momentum pairing'}: supports {widest:.6g} apart, above the "
+            f"grid's alias-free separation {limit:.6g}; increase npts"
+        )
+    integrand = first * rest[0] if rest else first
+    for r in rest[1:]:
+        integrand *= r
     if what is not None:
         _tail_check(integrand, what)
-    return complex(_simpson(integrand, p[1] - p[0]))
+    val = _simpson(integrand, dp)
+    return complex(val) if np.ndim(val) == 0 else val
+
+
+def _separation(f: TestFunction, g: TestFunction) -> float:
+    """Widest separation y - x or x - y, x in supp f and y in supp g."""
+    return max(g.support[1] - f.support[0], f.support[1] - g.support[0])
 
 
 def symplectic_K(
@@ -650,33 +666,15 @@ def symplectic_K(
 
     The integrand is antisymmetrized before summation, which makes
     K(f, g) = -K(g, f) and K(f, f) = 0 hold exactly in the quadrature.
+    Raises QuadratureError when the supports lie too far apart for the grid.
     """
-    p = momentum_grid(ctx)
-    w = _weight(spec, p)
+    w = _weight(spec, momentum_grid(ctx))
     tf_p, tf_m = _transforms(ctx, f)
     tg_p, tg_m = _transforms(ctx, g)
     a = w * tf_m * tg_p
     b = w * tg_m * tf_p
-    integrand = 0.5 * (a - b)
     _tail_check(a, "symplectic form")
-    val = _simpson(integrand, p[1] - p[0])
-    return complex(0.0, float(val.imag))
-
-
-def _alias_guard(ctx: ThermalContext, span: float):
-    """Raise QuadratureError when a pairing's supports span more than the grid resolves.
-
-    Composite Simpson is (4 T_dp - T_2dp)/3, and T_2dp is periodic in the
-    separation y - x with period pi/dp; the kernel decays like
-    e^{-2 pi |y - x|/beta}, so 6 beta of margin keep the alias below 1e-16.
-    """
-    p = momentum_grid(ctx)
-    limit = math.pi / (p[1] - p[0]) - 6.0 * ctx.beta
-    if span > limit:
-        raise QuadratureError(
-            f"two-point form: supports {span:.6g} apart, above the grid's "
-            f"alias-free separation {limit:.6g}; increase npts"
-        )
+    return complex(0.0, _pair(ctx, _separation(f, g), 0.5 * (a - b)).imag)
 
 
 def omega2(
@@ -686,14 +684,10 @@ def omega2(
 
     Raises QuadratureError when the supports lie too far apart for the grid.
     """
+    tf_m, tg_p = _transforms(ctx, f)[1], _transforms(ctx, g)[0]
     dens = _density(ctx, spec)
-    _alias_guard(ctx, max(g.support[1] - f.support[0], f.support[1] - g.support[0]))
-    tf_m = _transforms(ctx, f)[1]
-    tg_p = _transforms(ctx, g)[0]
-    val = _pair(ctx, dens, tf_m, tg_p, "two-point form")
-    if f is g:
-        val = complex(val.real, 0.0)
-    return val
+    val = _pair(ctx, _separation(f, g), dens, tf_m, tg_p, what="two-point form")
+    return complex(val.real, 0.0) if f is g else val
 
 
 def weyl_inner(
@@ -706,14 +700,15 @@ def weyl_inner(
     """Gaussian overlap of Weyl vectors, e^{K(g,f)/2} exp(-c omega2(f-g, f-g)).
 
     omega2(f-g, f-g) pairs the difference of the cached transforms (both are
-    linear); QuadratureError when the supports together span too far for the grid.
+    linear); QuadratureError when the supports together span too far for the
+    grid.  That pairing comes first: its union span covers K's separation.
     """
-    k = symplectic_K(ctx, spec, g, f)
-    dens = _density(ctx, spec)
-    _alias_guard(ctx, max(f.support[1], g.support[1]) - min(f.support[0], g.support[0]))
     tf_p, tf_m = _transforms(ctx, f)
     tg_p, tg_m = _transforms(ctx, g)
-    o = _pair(ctx, dens, tf_m - tg_m, tf_p - tg_p, "two-point form").real
+    span = max(f.support[1], g.support[1]) - min(f.support[0], g.support[0])
+    dens = _density(ctx, spec)
+    o = _pair(ctx, span, dens, tf_m - tg_m, tf_p - tg_p, what="two-point form").real
+    k = symplectic_K(ctx, spec, g, f)
     return complex(np.exp(k / 2.0 - norm.c * o))
 
 
@@ -725,9 +720,10 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     """delta_u(f(. - t)) - f(. - (t - beta u)) over f's own coordinates, one
     row per entry of the 1-D array t.
 
-    Returns (rows, x0, shift): row j is the deviation at t[j] translated back
-    by shift[j] = t[j] - beta u, sampled on f's lattice x0 + k f.dx, so the
-    translate is f's own samples and every row shares f's chirp-z step.  The
+    Returns (rows, x0, shift, (lo, hi)): row j is the deviation at t[j],
+    supported in [lo[j], hi[j]], translated back by shift[j] = t[j] - beta u
+    and sampled on f's lattice x0 + k f.dx, so the translate is f's own
+    samples and every row shares f's chirp-z step.  The
     rows span the union of the nodes' index ranges, rounded up to whole
     _DEVIATION_PAD blocks; outside its own range a row is exactly 0 (both
     functions vanish there), so each row is its node's deviation
@@ -768,7 +764,8 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     rows[big] += f((a_grid + delta)[big])
     if not np.isfinite(rows).all():
         raise ValueError("deviation samples must be finite")
-    return rows, float(a_grid[0]), shift
+    support = (np.minimum(a0, img_lo) + shift, np.maximum(b0, img_hi) + shift)
+    return rows, float(a_grid[0]), shift, support
 
 
 def _deviation_exponents(
@@ -789,22 +786,25 @@ def _deviation_exponents(
     too narrow for the cutoff.
 
     The t values form one row: their deviations, zero-padded to a common
-    range of f's lattice, go through one 2-D chirp-z call, and every
-    pairing is a Simpson sum along the last axis.  A row of a dozen nodes
-    keeps the stacks near the cache size; padding moves last bits only.
+    range of f's lattice, go through one 2-D chirp-z call, and each pairing
+    is one _pair call on the row stack, with each row's span against g (its
+    own for g = None), so a row spanning too far for the grid raises
+    QuadratureError.  A row of a dozen nodes keeps the stacks near the cache
+    size; padding moves last bits only.
     """
     if f.support[0] <= 0.0:
         raise DomainViolation("supp f must lie in the positive half-line")
     p = momentum_grid(ctx)
-    dp = p[1] - p[0]
     dens = _density(ctx, spec)
     wgt = _weight(spec, p)
     tf_p, tf_m = _transforms(ctx, f)
+    rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
     if g is not None:
         tg_p, tg_m = _transforms(ctx, g)
         _own_tail_check(ctx, spec, f)
         _own_tail_check(ctx, spec, g)
-    rows, x0, shift = _deviation_samples(ctx, f, u, t)
+        lo, hi = np.minimum(lo, g.support[0]), np.maximum(hi, g.support[1])
+    span = hi - lo
     td_p = _lattice_fourier(rows, x0, f.dx, p)
     # both translates move by the shift through the phase e^{-ip shift},
     # mirrored like the transforms, so each factor at -p is a reversed view
@@ -820,16 +820,16 @@ def _deviation_exponents(
     th2_p = ph
     th2_p *= tf_p  # h2's transform
     if g is None:
-        k = _simpson(_product(wgt, th2_p[..., ::-1], td_p), dp)
-        o = _simpson(_product(dens, td_m, td_p), dp).real
+        k = _pair(ctx, span, wgt, th2_p[..., ::-1], td_p)
+        o = _pair(ctx, span, dens, td_m, td_p).real
         return np.zeros(len(t)), -norm.c * o + 1j * (k.imag / 2.0)
     te_p = th2_p
     te_p -= tg_p
-    z2 = -norm.c * _simpson(_product(dens, te_p[..., ::-1], te_p), dp).real
-    k = _simpson(_product(wgt * tg_m, td_p), dp)
+    z2 = -norm.c * _pair(ctx, span, dens, te_p[..., ::-1], te_p).real
+    k = _pair(ctx, span, wgt * tg_m, td_p)
     te_p *= 2.0
     te_p += td_p  # td_p + 2 te_p
-    o = _simpson(_product(dens, td_m, te_p), dp).real
+    o = _pair(ctx, span, dens, td_m, te_p).real
     return z2, -norm.c * o + 1j * (k.imag / 2.0)
 
 
@@ -934,7 +934,7 @@ def nth_derivative(f: TestFunction, n: int) -> TestFunction:
     return replace(f, samples=vals)
 
 
-def _resolution_guard(f: TestFunction, n: int, tol: float = 1e-3):
+def _resolution_guard(f: TestFunction, n: int):
     """Compare against the half-resolution derivative; raise when they disagree."""
     if len(f.samples) < 65:
         raise ResolutionError("grid too coarse for derivative estimation")
@@ -944,10 +944,10 @@ def _resolution_guard(f: TestFunction, n: int, tol: float = 1e-3):
     if ref == 0.0:
         return d_full
     dev = np.max(np.abs(d_full.samples[::2] - d_half)) / ref
-    if dev > tol:
+    if dev > 1e-3:
         raise ResolutionError(
             f"derivative of order {n} unresolved: full/half-grid estimates "
-            f"deviate by {dev:.2e} (tolerance {tol:.0e}); refine the grid"
+            f"deviate by {dev:.2e} (tolerance 1e-03); refine the grid"
         )
     return d_full
 
@@ -1073,9 +1073,8 @@ def _omega2_damped(
     """Momentum pairing with the e^{-eps p} damping matching the kernel's eps."""
     if epsilon >= ctx.beta:
         raise ValueError("damping scale must stay below beta")
-    p = momentum_grid(ctx)
-    dens = _density(ctx, spec) * np.exp(-epsilon * p)
-    return _pair(ctx, dens, _transforms(ctx, f)[1], _transforms(ctx, g)[0])
+    dens = _density(ctx, spec) * np.exp(-epsilon * momentum_grid(ctx))
+    return _pair(ctx, _separation(f, g), dens, _transforms(ctx, f)[1], _transforms(ctx, g)[0])
 
 
 def calibrate_fourier_pair(

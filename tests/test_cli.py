@@ -148,6 +148,15 @@ class TestFlowCommand:
         assert code == EXIT_OK
         assert out.strip() == "1,0"
 
+    @pytest.mark.parametrize("u", ["-100", "-200", "-1000"])
+    def test_fixed_point_past_2pi_u_700(self, capsys, u):
+        # the origin lies on both rays' fixed point, for every finite u
+        code, out, _ = run(
+            capsys, "flow", "--region", "cone", "--flow", "modular", f"--u={u}", "--point", "0,0",
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "0,0"
+
     def test_gamma_origin_path(self, capsys):
         code, out, _ = run(
             capsys, "flow", "--beta", format(TWO_PI, ".17g"), "--region", "cone",

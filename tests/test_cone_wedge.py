@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -622,6 +623,20 @@ class TestFigures:
         (_, l1), (_, l2) = figure_lines(ctx, WEDGE, "gamma", spec)
         np.testing.assert_allclose(l2.points[:, 1] - l1.points[:, 1], delta, atol=1e-10)
         np.testing.assert_allclose(l2.points[:, 0], l1.points[:, 0], atol=1e-10)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_default_window_needs_finite_beta(self, tmp_path, fmt):
+        # the default window is 3 beta: at beta = inf it is raised on, before
+        # any seed is placed, and no file is written
+        ctx = ThermalContext(beta=math.inf)
+        path = tmp_path / f"inf.{fmt}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation, match="FigureSpec\\(window="):
+                emit_flow_figure(ctx, CONE, "modular", str(path), fmt=fmt)
+        assert not path.exists()
+        emit_flow_figure(ctx, CONE, "modular", str(path), fmt=fmt, spec=FigureSpec(window=3.0))
+        assert path.exists()
 
     def test_deterministic_output(self, tmp_path):
         ctx = ThermalContext(beta=2.0)

@@ -485,6 +485,37 @@ def test_modular_flow_left_of_the_fixed_point_matches_mpmath(beta, u, x):
         assert abs(got - w) <= 1e-13 * abs(w)
 
 
+@pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+@pytest.mark.parametrize("u", [-120.0, -200.0, -1000.0])
+@pytest.mark.parametrize("x", [1e-300, 1e-10, 1e-3, 0.5])
+def test_modular_flow_past_2pi_u_700_matches_mpmath(beta, u, x):
+    # where x/b - 2 pi u > 700 the translation form takes over; within b of
+    # the fixed point 1 + expm1(2 pi u) e^{-x/b} must not cancel there
+    import mpmath
+
+    ctx = ThermalContext(beta=beta)
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta) / (2 * mpmath.pi)
+        w = float(b * mpmath.log1p(mpmath.exp(-2 * mpmath.pi * u) * mpmath.expm1(x / b)))
+    for direction, sign in ((PLUS, 1.0), (MINUS, -1.0)):
+        got = sign * modular_flow_ray(ctx, direction, sign * u, sign * x)
+        assert abs(got - w) <= 1e-13 * abs(w)
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+@pytest.mark.parametrize("direction", [PLUS, MINUS])
+def test_fixed_point_maps_to_itself_for_every_u(beta, direction):
+    ctx = ThermalContext(beta=beta)
+    us = [-1e308, -1000.0, -200.0, -120.0, -100.0, -1.0, 0.0, 1.0, 120.0, 200.0, 1e308]
+    got = modular_flow_ray(ctx, direction, np.array(us), 0.0)
+    assert np.array_equal(got, np.zeros(len(us)))
+    assert all(modular_flow_ray(ctx, direction, u, 0.0) == 0.0 for u in us)
+    # the parameter array is the scalar call near the fixed point too
+    x = 1e-10 if direction is PLUS else -1e-10
+    got = modular_flow_ray(ctx, direction, np.array(us[1:-1]), x)
+    assert np.array_equal(got, [modular_flow_ray(ctx, direction, u, x) for u in us[1:-1]])
+
+
 LOG_REST_03 = math.log(-math.expm1(-0.6 * math.pi)) / TWO_PI  # phi_+(0.3, -inf) at beta = 1
 
 
@@ -723,10 +754,11 @@ def test_ray_maps_group_law_and_inverse(log_beta, direction, y, u1, u2, s1, s2):
 
 def phi_plus_reference(beta, u, x):
     b, xa = beta / TWO_PI, np.array([x])
-    if u == 0.0:
+    if u == 0.0 or x == 0.0:
         return x
     if (x - beta * u) / b > 700.0:
-        out = xa - beta * u + b * np.log1p(math.expm1(TWO_PI * u) * np.exp(-xa / b))
+        lead = xa - beta * u
+        out = lead + b * np.log(-np.expm1(-xa / b) + np.exp(-lead / b))
     else:
         out = b * np.log1p(math.exp(-max(TWO_PI * u, -709.0)) * np.expm1(xa / b))
     return float(out[0])

@@ -172,6 +172,25 @@ class TestBound:
         assert np.array_equal(vector_deviation(ctx, N0, f_pos, 0.3, np.array(ts)),
                               rep.deviations)
 
+    # pi/dp - 6 beta ~ 58.34 beta on the default grid: at t = 62 beta the
+    # row spans 64.5 beta against g, and unguarded the lhs read 5.11e-174
+    # where 65536 nodes give 7.05e-178
+    def test_aliased_row_raises(self, ctx, f_pos, g_neg):
+        for t in (62.0, np.array([6.0, 62.0])):
+            with pytest.raises(QuadratureError, match="supports 64.52 apart"):
+                matrix_element_bound(ctx, N0, f_pos, g_neg, 0.5, t)
+
+    @pytest.mark.parametrize(
+        "t, lhs, dev",
+        [(6.0, 4.652078187602377e-25, 4.5353071436510885e-17),
+         (55.0, 9.071748519740756e-159, 8.86592447733502e-151)],
+    )
+    def test_guarded_values_kept(self, ctx, f_pos, g_neg, t, lhs, dev):
+        # the values of the unguarded sums, inside the guard's reach
+        rep = matrix_element_bound(ctx, N0, f_pos, g_neg, 0.5, t)
+        assert rep.lhs == pytest.approx(lhs, rel=1e-9, abs=0.0)
+        assert vector_deviation(ctx, N0, f_pos, 0.5, t) == pytest.approx(dev, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("t", [np.ones((2, 2)), np.ones((1, 3))])
     def test_2d_separations_name_their_shape(self, monkeypatch, ctx, f_pos, g_neg, t):
         # numpy's broadcast error from inside the pairings said nothing of t

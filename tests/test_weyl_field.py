@@ -32,6 +32,7 @@ from modularflow.weyl_field import (
     _deviation_exponents,
     _deviation_samples,
     _next_fast_len,
+    _pair,
     _position_kernel,
     _simpson,
     _sinh_cosh,
@@ -168,7 +169,7 @@ class TestTransformLayer:
         ctx = ThermalContext(beta=1.0)
         dp = momentum_grid(ctx)[1] - momentum_grid(ctx)[0]
         f = TestFunction.bump(1.2, 0.5)
-        (d,), _, _ = _deviation_samples(ctx, f, 0.5, np.array([2.0]))
+        (d,), _, _, _ = _deviation_samples(ctx, f, 0.5, np.array([2.0]))
         rng = np.random.default_rng(7)
         return [
             (f.samples, 4097, np.exp(-1j * dp * f.dx)),
@@ -604,6 +605,93 @@ class TestSymplecticForm:
         f = TestFunction.bump(1.0, 0.2)
         with pytest.raises(QuadratureError):
             symplectic_K(ctx, N0, f, f.translate(0.05))
+
+
+    # pi/dp ~ 64.35 beta is the alias period of the default grid: unguarded,
+    # K read 4.4e-4 i at d = 64.35 and -2.6e-3 i at 128.7, where 65536
+    # nodes give below 1e-13
+    @pytest.mark.parametrize("d", [64.35, 128.7])
+    def test_aliased_separation_raises(self, d):
+        f = TestFunction.bump(1.5, 0.5)
+        with pytest.raises(QuadratureError, match="alias-free separation"):
+            symplectic_K(ThermalContext(), N0, f, f.translate(d))
+
+    def test_guarded_value_is_the_simpson_sum(self):
+        ctx = ThermalContext()
+        f = TestFunction.bump(1.5, 0.5)
+        g = f.translate(50.0)
+        p = momentum_grid(ctx)
+        (tf_p, tf_m), (tg_p, tg_m) = _transforms(ctx, f), _transforms(ctx, g)
+        integrand = 0.5 * (p * tf_m * tg_p - p * tg_m * tf_p)
+        want = complex(0.0, simpson(integrand, dx=p[1] - p[0]).imag)
+        assert symplectic_K(ctx, N0, f, g) == want
+
+
+class TestPair:
+    def test_row_stack_is_each_row(self):
+        ctx = ThermalContext()
+        n = len(momentum_grid(ctx))
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        dens = _density(ctx, N0)
+        spans = np.linspace(1.0, 50.0, 5)
+        got = _pair(ctx, spans, dens, a[..., ::-1], b)
+        assert got.shape == (5,)
+        for i in range(5):
+            one = _pair(ctx, spans[i], dens, a[i, ::-1], b[i])
+            assert type(one) is complex
+            assert got[i] == one
+
+    def test_one_wide_row_raises(self):
+        ctx = ThermalContext()
+        y = np.ones((3, len(momentum_grid(ctx))))
+        with pytest.raises(QuadratureError, match="supports 60 apart"):
+            _pair(ctx, np.array([1.0, 60.0, 2.0]), y)
+
+    def test_every_momentum_sum_is_a_guarded_pair(self, monkeypatch):
+        # a Simpson sum over the momentum grid happens only inside _pair,
+        # and every _pair call gets the span of what it pairs
+        import modularflow.weyl_field as wf
+
+        ctx = ThermalContext()
+        n = len(momentum_grid(ctx))
+        inside, outside, spans = [False], [], []
+
+        def simpson_spy(y, dx):
+            if np.shape(y)[-1] == n and not inside[0]:
+                outside.append(np.shape(y))
+            return _simpson(y, dx)
+
+        def pair_spy(ctx, span, *factors, **kw):
+            spans.append(np.max(span))
+            inside[0] = True
+            try:
+                return _pair(ctx, span, *factors, **kw)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(wf, "_simpson", simpson_spy)
+        monkeypatch.setattr(wf, "_pair", pair_spy)
+        f, g = TestFunction.bump(1.5, 0.5), TestFunction.bump(-1.5, 0.5)
+        omega2(ctx, N0, f, g)
+        symplectic_K(ctx, N0, f, g)
+        weyl_inner(ctx, N0, NORM, g, f)
+        calibrate_fourier_pair(ctx, [(f, g)], 0.05)
+        assert spans == [4.0, 4.0, 4.0, 4.0, 4.0]
+        ts = np.array([1.0, 3.0])
+        _deviation_exponents(ctx, N0, NORM, f, 0.3, ts, g)
+        _deviation_exponents(ctx, N0, NORM, f, 0.3, ts)
+        assert len(spans) == 10 and outside == []
+        # against g the span reaches its far end; without g a row spans
+        # only its own deviation
+        assert spans[5:8] == pytest.approx([ts[-1] - 0.3 + 2.0 + 2.0] * 3, abs=1e-9)
+        assert max(spans[8:]) < 1.1
+
+    def test_damped_pairing_guarded(self):
+        f = TestFunction.bump(1.5, 0.5)
+        with pytest.raises(QuadratureError, match="alias-free separation"):
+            calibrate_fourier_pair(ThermalContext(), [(f, f.translate(62.0))], 0.05)
 
 
 class TestOmega2:
