@@ -26,7 +26,7 @@ import numpy as np
 from . import axb_group, cone_wedge
 from .axb_group import TWO_PI
 from .cone_wedge import FigureSpec, Region, SpacetimePoint, figure_lines
-from .errors import DomainViolation
+from .errors import DomainViolation, QuadratureError
 from .flow_maps import (
     RayDirection,
     ThermalContext,
@@ -51,7 +51,6 @@ from .weyl_field import (
     _deviation_exponents,
     _finite,
     _position_kernel,
-    _simpson,
     _sinh_cosh,
 )
 
@@ -144,10 +143,22 @@ def vector_deviation(
     keeps the result accurate at the e^{-2pi t/beta} scale.  t is a float,
     or a 1-D array of separations, one row of that routine, for an array of
     norms.
+
+    For u != 0, D^2 below the smallest normal double has lost its digits to
+    underflow in the pairing (it reads exactly 0 a few beta later), so it
+    raises QuadratureError; at u = 0 the deviation is 0.
     """
     ts = _separations(t)
     _, dz = _deviation_exponents(ctx, spec, norm, f, u, ts)
-    dev = np.sqrt(np.maximum(-2.0 * np.expm1(dz).real, 0.0))
+    d2 = -2.0 * np.expm1(dz).real
+    lost = ~(d2 >= np.finfo(float).tiny)
+    if u != 0.0 and lost.any():
+        j = int(np.argmax(lost))
+        raise QuadratureError(
+            f"deviation underflowed at t={ts[j]:g}: D^2 = {d2[j]:.3g} is below the "
+            "smallest normal double; use smaller separations"
+        )
+    dev = np.sqrt(np.maximum(d2, 0.0))
     return float(dev[0]) if np.ndim(t) == 0 else dev
 
 
@@ -166,9 +177,10 @@ def convergence_rate(
     t_arr = np.asarray(list(t_list), dtype=float)
     if len(t_arr) < 2 or np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_list must be increasing with at least 2 entries")
+    # for u != 0, vector_deviation raises where D underflows
+    if u == 0.0:
+        raise ValueError("u must be nonzero: at u = 0 the deviation is 0 and has no rate")
     devs = vector_deviation(ctx, spec, f, u, t_arr, norm)
-    if np.any(devs <= 0.0):
-        raise RuntimeError("deviation underflowed; use smaller separations")
     coeffs = np.polyfit(t_arr, np.log(devs), 1)
     return RateReport(
         deviations=tuple(float(d) for d in devs),
@@ -223,56 +235,105 @@ def gamma_conjugation_deviation(
 # ----------------------------------------------------------------------
 
 
-def _kms_integrands(ctx: ThermalContext, u_grid, x, y, epsilons):
-    """Both closed forms of the continued two-point integrand on the (x, y) grid.
+def _simpson_weights(n: int, d: float) -> np.ndarray:
+    """Composite Simpson weights (d/3) (1, 4, 2, 4, ..., 2, 4, 1) on n nodes, n odd."""
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (d / 3.0)
+
+
+def _continued_parts(b: np.ndarray, b2: np.ndarray, eps: float, out: np.ndarray):
+    """The grids 1/D, 1/D^2 and B/D^2, D = B^2 + eps^2, written to out (of
+    shape (3,) + b.shape) and returned, from B and B^2.
+
+    1/(-B + i eps)^2 = ((B^2 - eps^2) + 2i B eps)/D^2
+                     = (1/D - 2 eps^2/D^2) + 2i eps B/D^2,
+    so sums of the three grids against one weight vector give the real and
+    imaginary parts of the sum of the continued form."""
+    inv, inv2, b_inv2 = out
+    np.add(b2, eps * eps, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(inv, inv, out=inv2)
+    np.multiply(inv2, b, out=b_inv2)
+    return out
+
+
+def _kms_inner_sums(ctx: ThermalContext, u_grid, x, y, wy, epsilons):
+    """Sums over y, weighted by wy, of both closed forms of the continued
+    two-point integrand, for each regulator in epsilons, u in u_grid and x.
 
     continued: the boundary value at u - i of the integrand of
-    omega2(f, delta_u g), in the explicit e^{+-pi u} form with the
-    regulator added to the bracket;
+    omega2(f, delta_u g), in the explicit e^{+-pi u} form
+    pref/(-B + i eps)^2 with the regulator added to the bracket B;
     direct: the kernel composition W2(x - L(-u, y)) dL(-u, y)/dy, the
     integrand of omega2(delta_u g, f).
 
-    Yields (continued, direct) for each u in u_grid and, within it, for each
-    regulator in epsilons.  Each real grid is computed where it stops
-    changing: the u-independent ones once, the bracket, the flow map L, its
-    Jacobian dL and sinh/cosh of pi(x - L)/beta once per u for every
-    regulator; a regulator adds only the two complex reciprocal squares.
-    Every pair is the same two buffers, refilled, so one regulator's complex
-    grids exist at a time and none is allocated per u; a consumer reduces
-    the pair before asking for the next.  kms_boundary_check passes one
-    block of _KMS_ROWS x rows at a time, so the buffers stay near the cache
-    size; the grids are elementwise, so a block's values are those of the
-    whole grid's rows.
+    Returns the complex arrays (continued, direct), each of shape
+    (len(epsilons), len(u_grid), len(x)).  Both forms are a real-part and an
+    imaginary-part grid over (x, y) times a factor of y alone, pref for the
+    continued form and dL for the direct one; with wy that factor makes one
+    weight vector per u and side, and each sum over y is a row of a
+    matrix-vector product with it.  No complex grid is formed: the direct
+    form's grids come from _position_kernel, the continued form's from
+    _continued_parts.  L, dL and the weights are computed once per u.  The x
+    rows are walked in blocks of _KMS_ROWS, in one preallocated set of
+    grids near the cache size.  The products are np.vecdot, one dot
+    product per row, so a row's sum does not depend on the block size or the
+    BLAS thread count; a BLAS matrix-vector product's summation order
+    depends on both.
     """
     beta = ctx.beta
     ey = np.exp(TWO_PI * y / beta)
     # prefactor from the half-angle split of the kernel and the flow
     # jacobian: (1/beta^2) sinh^{-2} composed with e^{pi u}-scaling of the
     # bracket yields 4 e^{2 pi y/beta}/beta^2 (validated against the direct
-    # kernel composition below)
-    pref = 4.0 * ey / beta**2
-    sh, ch = np.sinh(math.pi * x / beta), np.cosh(math.pi * x / beta)
-    continued = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-    direct = np.empty_like(continued)
-    for u in map(float, u_grid):
-        bracket = math.exp(-math.pi * u) * (ey - 1.0) * (ch - sh) - math.exp(
-            math.pi * u
-        ) * 2.0 * sh
+    # kernel composition)
+    w_cont = 4.0 * ey / beta**2 * wy
+    cx = math.pi * x / beta
+    sh, ch = np.sinh(cx), np.cosh(cx)
+    em = ch - sh
+    # per regulator, u and x row: the sums of the kernel's two parts and of
+    # _continued_parts' three grids
+    shape = (len(epsilons), len(u_grid), len(x))
+    direct_sums, continued_sums = np.empty((2,) + shape), np.empty((3,) + shape)
+    # one block's grids: z = pi (x - L)/beta, sinh z, cosh z, B, B^2 and
+    # three parts, the kernel's (with its scratch), then _continued_parts
+    work = np.empty((8, min(_KMS_ROWS, len(x)), len(y)))
+    for i, u in enumerate(map(float, u_grid)):
+        # the bracket e^{-pi u}(ey - 1)(ch - sh) - 2 e^{pi u} sh is an x
+        # column times a y row, minus an x column
+        by = math.exp(-math.pi * u) * (ey - 1.0)
+        bx = math.exp(math.pi * u) * 2.0 * sh
         # direct side through the flow map and its derivative
         L = modular_flow_ray(ctx, RayDirection.PLUS, u, y)
+        # x - L is monotone in x, so its first and last rows bound the grid
+        _finite("xi", x[[0, -1], None] - L)
         dL = np.exp(-TWO_PI * u) * ey / (1.0 + np.exp(-TWO_PI * u) * (ey - 1.0))
-        xi = x - L
-        _finite("xi", xi)
-        z = math.pi * xi / beta
-        sinh_z, cosh_z, far = _sinh_cosh(z)
-        for eps in epsilons:
-            _position_kernel(ctx, eps, z, sinh_z, cosh_z, far, out=direct)
-            direct *= dL
-            np.negative(bracket, out=continued.real)
-            continued.imag = eps
-            continued *= continued
-            np.divide(pref, continued, out=continued)
-            yield continued, direct
+        w_direct = dL * wy
+        cL = math.pi * L / beta
+        for lo in range(0, len(x), _KMS_ROWS):
+            rows = slice(lo, lo + _KMS_ROWS)
+            block = work[:, : len(x[rows])]
+            z, b, b2 = block[0], block[3], block[4]
+            sinh_cosh, parts = block[1:3], block[5:]
+            np.subtract(cx[rows, None], cL, out=z)
+            sinh_z, cosh_z, far = _sinh_cosh(z, out=sinh_cosh)
+            np.multiply(em[rows, None], by, out=b)
+            b -= bx[rows, None]
+            np.multiply(b, b, out=b2)
+            for k, eps in enumerate(epsilons):
+                # the kernel first: it refuses a bad regulator or beta
+                kernel = _position_kernel(ctx, eps, z, sinh_z, cosh_z, far, out=parts)
+                np.vecdot(kernel, w_direct, out=direct_sums[:, k, i, rows])
+                np.vecdot(
+                    _continued_parts(b, b2, eps, out=parts), w_cont,
+                    out=continued_sums[:, k, i, rows],
+                )
+    e = np.asarray(epsilons, dtype=float)[:, None, None]
+    inv, inv2, b_inv2 = continued_sums
+    continued = (inv - 2.0 * e * e * inv2) + 2j * e * b_inv2
+    return continued, direct_sums[0] + 1j * direct_sums[1]
 
 
 def kms_pointwise_identity(
@@ -281,10 +342,11 @@ def kms_pointwise_identity(
     """The two closed forms at one point (x, y); they agree up to the
     regulator's placement, which is O(eps) near coincidence and negligible
     away from it."""
-    (c, d), = _kms_integrands(
-        ctx, [u], np.asarray([x], dtype=float), np.asarray([y], dtype=float), [epsilon]
+    continued, direct = _kms_inner_sums(
+        ctx, [u], np.asarray([x], dtype=float), np.asarray([y], dtype=float),
+        np.ones(1), [epsilon],
     )
-    return complex(c[0]), complex(d[0])
+    return complex(continued.flat[0]), complex(direct.flat[0])
 
 
 @dataclass(frozen=True)
@@ -297,8 +359,8 @@ class KmsReport:
     relative: float
 
 
-# x rows per block of the KMS smear: a 64 x 801 complex grid is 0.8 MB
-_KMS_ROWS = 64
+# x rows per block of the KMS smear: eight 32 x 801 real grids take 1.6 MB
+_KMS_ROWS = 32
 
 
 def kms_boundary_check(
@@ -310,8 +372,8 @@ def kms_boundary_check(
 ) -> KmsReport:
     """Deviation between the continued and swapped two-point smears.
 
-    Smears the difference of the two closed forms against f(x) g(y) and
-    returns its largest absolute value over the u grid, and the largest
+    Smears both closed forms against f(x) g(y) and returns the largest
+    absolute value of their difference over the u grid, and the largest
     ratio of it to the direct form's smear.  Supports must lie in the
     positive half-line; the comparison is sharp when the flow image of
     supp g stays clear of supp f.  The regulator enters the two forms
@@ -320,11 +382,10 @@ def kms_boundary_check(
     difference is therefore extrapolated to eps -> 0 from eps and eps/2.
     The direct form is smeared at eps/2 only: at eps it differs by O(eps).
 
-    The 801 x 801 grid is walked in blocks of _KMS_ROWS x rows.  A block
-    leaves, for each u, the inner Simpson sums over y of the three smears
-    (the eps/2 and eps differences and the direct form); the outer sum over
-    x runs once at the end.  Each row's inner sum is the one the whole grid
-    gives, so the result does not depend on the block size.
+    Composite Simpson on 801 nodes per axis: _kms_inner_sums takes g(y)
+    and the Simpson weights over y into its weight vectors and leaves the
+    inner sum of every x row; the outer sum over x, Simpson weights times
+    f(x), runs once at the end, so the result does not depend on _KMS_ROWS.
     """
     if f.support[0] <= 0.0 or g.support[0] <= 0.0:
         raise DomainViolation("both supports must lie in the positive half-line")
@@ -334,32 +395,13 @@ def kms_boundary_check(
     n = 801  # Simpson nodes per axis
     x = np.linspace(f.support[0], f.support[1], n)
     y = np.linspace(g.support[0], g.support[1], n)
-    dy = y[1] - y[0]
-    fx, gy = f(x), g(y)
-    # inner sums over y, per u and x row: eps/2 difference, eps difference, direct
-    half, full, direct_sum = (np.empty((len(u_grid), n), dtype=complex) for _ in range(3))
-    for lo in range(0, n, _KMS_ROWS):
-        rows = slice(lo, lo + _KMS_ROWS)
-        weight = fx[rows, None] * gy[None, :]
-        # two pairs per u, in u_grid's order: eps/2, then eps
-        forms = _kms_integrands(
-            ctx, u_grid, x[rows, None], y[None, :], (epsilon / 2.0, epsilon)
-        )
-        for i in range(len(u_grid)):
-            continued, direct = next(forms)
-            # (continued - direct) * weight, formed in place
-            continued -= direct
-            continued *= weight
-            half[i, rows] = _simpson(continued, dy)
-            direct *= weight
-            direct_sum[i, rows] = _simpson(direct, dy)
-            continued, direct = next(forms)
-            continued -= direct
-            continued *= weight
-            full[i, rows] = _simpson(continued, dy)
-    dx = x[1] - x[0]
-    devs = np.abs(2.0 * _simpson(half, dx) - _simpson(full, dx))
-    scales = np.abs(_simpson(direct_sum, dx))
+    wy = g(y) * _simpson_weights(n, y[1] - y[0])
+    # inner sums per regulator (eps/2, eps), u and x row
+    continued, direct = _kms_inner_sums(ctx, u_grid, x, y, wy, (epsilon / 2.0, epsilon))
+    wx = f(x) * _simpson_weights(n, x[1] - x[0])
+    half, full = np.vecdot(wx, continued - direct)
+    devs = np.abs(2.0 * half - full)
+    scales = np.abs(np.vecdot(wx, direct[0]))
     worst = worst_rel = 0.0
     for dev, scale in zip(devs, scales):
         worst = _worst(worst, dev)

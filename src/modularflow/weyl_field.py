@@ -524,34 +524,40 @@ def _density(ctx: ThermalContext, spec: FieldSpec) -> np.ndarray:
 
 
 # |Re z| from which the position kernel takes the asymptote of sinh(z)^2;
-# cosh z itself overflows past 710
+# sinh(z)^2 itself overflows past 355
 _FAR = 350.0
 
 
-def _sinh_cosh(z: np.ndarray):
+def _sinh_cosh(z: np.ndarray, out=None):
     """Real sinh z and cosh z for the position kernel, 0 where |z| >= _FAR,
-    and that mask itself."""
-    far = np.abs(z) >= _FAR
-    if not far.any():
-        return np.sinh(z), np.cosh(z), far
-    near = ~far
-    return (
-        np.sinh(z, out=np.zeros_like(z), where=near),
-        np.cosh(z, out=np.zeros_like(z), where=near),
-        far,
-    )
+    and that mask, None when no |z| reaches _FAR.  out, when given, is a real
+    array of shape (2,) + z.shape that receives sinh z and cosh z."""
+    sinh_z, cosh_z = np.empty((2,) + z.shape) if out is None else out
+    if -_FAR < z.min() and z.max() < _FAR:
+        return np.sinh(z, out=sinh_z), np.cosh(z, out=cosh_z), None
+    near = np.abs(z) < _FAR
+    sinh_z[...] = cosh_z[...] = 0.0
+    np.sinh(z, out=sinh_z, where=near)
+    np.cosh(z, out=cosh_z, where=near)
+    return sinh_z, cosh_z, ~near
 
 
 def _position_kernel(
     ctx: ThermalContext, epsilon: float, z: np.ndarray, sinh_z, cosh_z, far, out=None
 ) -> np.ndarray:
-    """(1/beta^2) sinh^{-2}(z + ib), b = pi eps/beta, from the real grids z,
-    sinh z, cosh z and the |z| >= _FAR mask of _sinh_cosh, written to out (a
-    complex array of z's shape) when given.
+    """Real and imaginary parts of (1/beta^2) sinh^{-2}(z + ib), b = pi eps/beta,
+    from the real grids z, sinh z, cosh z and the |z| >= _FAR mask of
+    _sinh_cosh (None for no such z): a real array of shape (2,) + z.shape.
 
-    For real b, sinh(z + ib) = sinh z cos b + i cosh z sin b, so no complex
-    sinh is evaluated.  Where |z| >= _FAR the asymptote
-    sinh(z + ib)^2 ~ e^{2|z|} e^{2ib sgn z}/4 avoids complex overflow.
+    out, when given, is a real array of shape (3,) + z.shape: the parts are
+    written to out[:2] and returned, and out[2] is scratch, so a caller that
+    walks a grid in blocks allocates nothing per block.
+
+    For real b, s = sinh(z + ib) = sinh z cos b + i cosh z sin b and
+    |s|^2 = sinh^2 z + sin^2 b (cosh^2 = 1 + sinh^2), so 1/s^2 = r^2 with
+    r = conj(s)/|s|^2, and no complex number is formed.  |s|^4 is never
+    formed: it overflows from |z| ~ 177.  Where |z| >= _FAR the asymptote
+    sinh(z + ib)^2 ~ e^{2|z|} e^{2ib sgn z}/4 takes over.
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
@@ -559,35 +565,48 @@ def _position_kernel(
         raise DomainViolation("position kernel requires finite beta")
     beta = ctx.beta
     b = math.pi * epsilon / beta
-    s = np.empty(z.shape, dtype=complex) if out is None else out
-    np.multiply(sinh_z, beta * math.cos(b), out=s.real)
-    np.multiply(cosh_z, beta * math.sin(b), out=s.imag)
-    s *= s  # beta^2 sinh^2(z + ib)
-    if not far.any():
-        return np.divide(1.0, s, out=s)
-    np.divide(1.0, s, out=s, where=~far)
-    s[far] = (
-        4.0
-        / beta**2
-        * np.exp(-2.0 * np.abs(z[far]))
-        * np.exp(-2j * np.sign(z[far]) * b)
-    )
-    return s
+    out = np.empty((3,) + z.shape) if out is None else out
+    re, im, r_re = out
+    # 1/(beta |s|^2), left at sin^2 b where |z| >= _FAR (sinh z is 0 there)
+    q = np.multiply(sinh_z, sinh_z, out=re)
+    q += math.sin(b) ** 2
+    np.divide(1.0 / beta, q, out=q, where=True if far is None else ~far)
+    # r = conj(s)/(beta |s|^2), so that r^2 carries the 1/beta^2
+    np.multiply(sinh_z, q, out=r_re)
+    r_re *= math.cos(b)
+    r_im = q
+    r_im *= cosh_z
+    r_im *= -math.sin(b)
+    # r^2 = Re r^2 - Im r^2 + 2i Re r Im r
+    np.multiply(r_re, r_im, out=im)
+    im *= 2.0
+    r_im *= r_im
+    r_re *= r_re
+    np.subtract(r_re, r_im, out=re)
+    if far is not None:
+        e = 4.0 / beta**2 * np.exp(-2.0 * np.abs(z[far]))
+        re[far] = e * math.cos(2.0 * b)
+        im[far] = -e * np.sign(z[far]) * math.sin(2.0 * b)
+    return out[:2]
 
 
 def two_point_position(ctx: ThermalContext, xi, epsilon: float):
     """Regularized position-space kernel (1/beta^2) sinh^{-2}(pi(xi + i eps)/beta).
 
     Only the lowest scaling index has this closed form; the asymptotic branch
-    avoids complex-overflow artifacts for |xi| >> beta.
+    avoids overflow for |xi| >> beta.
     """
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
     _finite("xi", xi)
     z = math.pi * xi / ctx.beta
-    out = _position_kernel(ctx, epsilon, z, *_sinh_cosh(z))
-    return complex(out.flat[0]) if scalar else out
+    # sinh z, cosh z and the kernel's three grids in one allocation
+    work = np.empty((5,) + z.shape)
+    sinh_z, cosh_z, far = _sinh_cosh(z, out=work[:2])
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = _position_kernel(ctx, epsilon, z, sinh_z, cosh_z, far, out=work[2:])
+    return complex(out[0]) if scalar else out
 
 
 # narrow smooth bumps reach the default cutoff with relative tails around

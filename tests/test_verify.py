@@ -191,6 +191,16 @@ class TestBound:
         assert rep.lhs == pytest.approx(lhs, rel=1e-9, abs=0.0)
         assert vector_deviation(ctx, N0, f_pos, 0.5, t) == pytest.approx(dev, rel=1e-9, abs=0.0)
 
+    def test_underflowed_deviation_raises(self, ctx, f_pos):
+        # D^2 ~ e^{-4 pi t/beta} underflows inside the pairing: at t = 62 the
+        # norm read exactly 0.0 where the e^{-2 pi t/beta} rate from
+        # D(55) = 8.87e-151 puts it near 7e-170
+        for t in (62.0, np.array([6.0, 62.0])):
+            with pytest.raises(QuadratureError, match="underflowed at t=62"):
+                vector_deviation(ctx, N0, f_pos, 0.5, t)
+        dev = vector_deviation(ctx, N0, f_pos, 0.5, 6.0)
+        assert dev == pytest.approx(4.5353071436510885e-17, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("t", [np.ones((2, 2)), np.ones((1, 3))])
     def test_2d_separations_name_their_shape(self, monkeypatch, ctx, f_pos, g_neg, t):
         # numpy's broadcast error from inside the pairings said nothing of t
@@ -229,6 +239,9 @@ class TestBound:
 class TestRate:
     def test_u_zero_gives_zero_deviation(self, ctx, f_pos):
         assert vector_deviation(ctx, N0, f_pos, 0.0, 3.0) == 0.0
+        # nothing underflowed there: it used to raise "deviation underflowed"
+        with pytest.raises(ValueError, match="u must be nonzero"):
+            convergence_rate(ctx, N0, f_pos, 0.0, [3.0, 4.0])
 
     def test_slope_matches_prediction(self, ctx, f_pos):
         rep = convergence_rate(ctx, N0, f_pos, 0.3, [3.0, 4.0, 5.0, 6.0])
@@ -344,6 +357,45 @@ class TestKmsBoundary:
         assert rep.deviation < 1e-6
         assert rep.relative < 1e-6
 
+    def test_matches_complex_reference_smear(self, ctx):
+        # both closed forms as complex grids on the whole 801 x 801 grid
+        # (complex sinh(z + ib), complex division, the flow image in its
+        # closed form), summed over both axes by scipy's simpson
+        from scipy.integrate import simpson
+
+        beta, eps, us = 1.0, 1e-4, [-0.5, 0.0, 0.5]
+        f, g = TestFunction.bump(0.5, 0.3), TestFunction.bump(1.85, 0.35)
+        x = np.linspace(*f.support, 801)[:, None]
+        y = np.linspace(*g.support, 801)[None, :]
+        fg = f(x[:, 0])[:, None] * g(y[0])[None, :]
+
+        def smear(form):
+            return simpson(simpson(form * fg, x=y[0], axis=1), x=x[:, 0])
+
+        ey = np.exp(TWO_PI * y / beta)
+        sh, ch = np.sinh(math.pi * x / beta), np.cosh(math.pi * x / beta)
+        deviation = relative = 0.0
+        for u in us:
+            L = beta / TWO_PI * np.log1p(math.exp(-TWO_PI * u) * np.expm1(TWO_PI * y / beta))
+            dL = math.exp(-TWO_PI * u) * ey / (1.0 + math.exp(-TWO_PI * u) * (ey - 1.0))
+            bracket = math.exp(-math.pi * u) * (ey - 1.0) * (ch - sh) - math.exp(
+                math.pi * u
+            ) * 2.0 * sh
+            diff = {}
+            for e in (eps / 2.0, eps):
+                continued = 4.0 * ey / beta**2 / (-bracket + 1j * e) ** 2
+                z = math.pi * (x - L) / beta + 1j * math.pi * e / beta
+                direct = dL / (beta**2 * np.sinh(z) ** 2)
+                diff[e] = smear(continued - direct)
+                if e == eps / 2.0:
+                    scale = abs(smear(direct))
+            dev = abs(2.0 * diff[eps / 2.0] - diff[eps])
+            deviation = max(deviation, dev)
+            relative = max(relative, dev / scale)
+        rep = kms_boundary_check(ctx, f, g, us, eps)
+        assert rep.deviation == pytest.approx(deviation, rel=1e-8, abs=0.0)
+        assert rep.relative == pytest.approx(relative, rel=1e-8, abs=0.0)
+
     # reference values: the unnormalized deviation at the suite's inputs from
     # the complex-sinh kernel evaluated once per regulator
     @pytest.mark.parametrize(
@@ -402,7 +454,8 @@ class TestKmsBoundary:
 
     @staticmethod
     def scaled_kernel(r):
-        # scales the direct form by 1 + r through its kernel
+        # scales the direct form by 1 + r through its kernel, the routine the
+        # direct side calls for the real and imaginary parts
         original = verify._position_kernel
 
         def mutant(*args, **kwargs):
@@ -434,6 +487,21 @@ class TestKmsBoundary:
         assert boundary_case().passed
         monkeypatch.setattr(verify, "_position_kernel", self.scaled_kernel(1e-4))
         case = boundary_case()
+        assert not case.passed
+        assert case.lhs > 5e-5
+
+    def test_relative_gate_fails_a_continued_form_off_by_1e4(self, monkeypatch):
+        # the mirror of the direct-form mutant: the continued form's grids
+        # scaled by 1 + 1e-4, so each of the two closed forms can fail the case
+        original = verify._continued_parts
+
+        def mutant(*args, **kwargs):
+            out = original(*args, **kwargs)
+            out *= 1.0 + 1e-4
+            return out
+
+        monkeypatch.setattr(verify, "_continued_parts", mutant)
+        (case,) = [c for c in run_suite("kms") if c.check == "kms-boundary-identity"]
         assert not case.passed
         assert case.lhs > 5e-5
 

@@ -538,13 +538,14 @@ class TestTwoPointPosition:
     def test_real_sinh_cosh_kernel_against_mpmath(self):
         # sinh(z + ib) from real sinh z and cosh z, against 50 digits, for
         # |z| from 1e-9 to 349.9 of both signs, b from 1e-8 to 1, and the
-        # asymptote just past the switch at |z| = 350
+        # asymptote just past the switch at |z| = 350; |s|^4 would overflow
+        # from |z| ~ 177, so 170 and 180 sit on either side of that edge
         import mpmath
 
         rng = np.random.default_rng(11)
         mags = np.concatenate([
             np.exp(rng.uniform(math.log(1e-9), math.log(349.9), 120)),
-            [1e-9, 1.0, 349.9, 349.99, 350.0, 350.5, 352.0],
+            [1e-9, 1.0, 170.0, 180.0, 349.9, 349.99, 350.0, 350.5, 352.0],
         ])
         z = np.concatenate([mags, -mags])
         worst = 0.0
@@ -553,9 +554,9 @@ class TestTwoPointPosition:
             for b_target in np.exp(np.linspace(math.log(1e-8), 0.0, 5)):
                 eps = b_target * beta / math.pi
                 b = math.pi * eps / beta  # the b the kernel forms
-                got = _position_kernel(ctx, eps, z, *_sinh_cosh(z))
+                re, im = _position_kernel(ctx, eps, z, *_sinh_cosh(z))
                 with mpmath.workdps(50):
-                    for zi, gi in zip(z, got):
+                    for zi, gi in zip(z, re + 1j * im):
                         ref = 1 / (mpmath.mpf(beta) ** 2 * mpmath.sinh(mpmath.mpc(zi, b)) ** 2)
                         worst = max(worst, abs(complex(gi) - complex(ref)) / abs(complex(ref)))
         assert worst < 1e-14
