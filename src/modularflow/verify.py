@@ -51,6 +51,7 @@ from .weyl_field import (
     _deviation_exponents,
     _finite,
     _position_kernel,
+    _simpson_weights,
     _sinh_cosh,
 )
 
@@ -233,14 +234,6 @@ def gamma_conjugation_deviation(
 # ----------------------------------------------------------------------
 # thermal boundary condition of the modular action
 # ----------------------------------------------------------------------
-
-
-def _simpson_weights(n: int, d: float) -> np.ndarray:
-    """Composite Simpson weights (d/3) (1, 4, 2, 4, ..., 2, 4, 1) on n nodes, n odd."""
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (d / 3.0)
 
 
 def _continued_parts(b: np.ndarray, b2: np.ndarray, eps: float, out: np.ndarray):

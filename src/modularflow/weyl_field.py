@@ -19,9 +19,10 @@ pairing by one global constant fixed numerically (see
 calibrate_fourier_pair).
 
 Every integral, in momentum or position space, is one composite Simpson
-rule (_simpson) on a uniform grid with an odd node count.  Momentum integrals
-run on a fixed symmetric grid, each through _pair, which refuses supports
-too far apart for it; transforms are evaluated by the chirp-z algorithm,
+rule on a uniform grid with an odd node count: a dot product with the
+weight vector of _simpson_weights.  Momentum integrals run on a fixed
+symmetric grid, each through _pair, which refuses supports too far apart
+for it; transforms are evaluated by the chirp-z algorithm on numpy's FFT,
 so results are deterministic and bit-stable across runs.  The
 chirp-z routine keeps its chirp and kernel spectrum in a small plan cache
 keyed on (n, m, w), and a TestFunction keeps its transform per momentum
@@ -30,11 +31,10 @@ A deviation function derived from f is sampled on f's own lattice, so it
 shares f's step and chirp-z ratio w, and the deviations at one flow
 parameter u and a row of separations t go through one 2-D chirp-z call.
 
-The transforms run on numpy's pocketfft, the same C++ code as scipy.fft,
-so they agree with scipy's bit for bit.  Off-grid values come from the
-package's own not-a-knot cubic spline (_spline), which repeats the
-arithmetic of scipy's CubicSpline; building one is the only step that loads
-scipy (scipy.linalg's banded solver), so the flow layers never import it.
+Off-grid values come from a not-a-knot cubic spline on the samples'
+lattice (_spline), and higher-index actions integrate by a cumulative
+Simpson rule on a uniform step; both are plain lattice formulas on numpy,
+the package's only runtime dependency.
 """
 
 from __future__ import annotations
@@ -112,13 +112,15 @@ class TestFunction:
 
     @cached_property
     def _spline(self) -> _Spline:
-        return _spline(self.x, self.samples)
+        return _spline(self.x0, self.dx, self.samples)
 
     def __call__(self, pts):
-        """Evaluate by cubic spline; zero outside the sampled window."""
+        """Evaluate by cubic spline; zero outside the sampled window, ±inf
+        included.  A NaN point raises DomainViolation."""
         pts = np.asarray(pts, dtype=float)
         scalar = pts.ndim == 0
         pts = np.atleast_1d(pts)
+        _finite("x", pts[~np.isinf(pts)])
         out = np.zeros_like(pts)
         a, b = self.support
         if not self.compact_support:
@@ -211,127 +213,95 @@ class StateNormalization:
 
 
 class _Spline:
-    """Piecewise polynomial on the knots x in scipy PPoly's layout: on
-    [x[i], x[i+1]] it is sum_k c[k, i] (pt - x[i])^{K-1-k}, K = len(c).
+    """Piecewise polynomial on the lattice x0 + k dx, k < n: on
+    [x_i, x_{i+1}] it is sum_k c[k, i] (pt - x_i)^{K-1-k}, K = len(c).
 
-    Evaluation repeats PPoly's arithmetic: the interval is i with
-    x[i] <= pt < x[i+1], clamped to [0, n-2], and the sum runs from the
-    constant term up, 0.0 + c[K-1] + c[K-2] s + c[K-3] s^2 + ..., with the
-    powers of s = pt - x[i] built by repeated multiplication.  Points are a
-    1-D float array.
+    A point's interval is floor((pt - x0)/dx), clipped to [0, n-2], so the
+    end pieces extend past the outer knots; each piece is summed by
+    Horner's rule.  Points are a 1-D float array without NaN.
     """
 
-    def __init__(self, x: np.ndarray, c: np.ndarray):
-        self.x = x
+    def __init__(self, x0: float, dx: float, c: np.ndarray):
+        self.x0 = x0
+        self.dx = dx
         self.c = c
-        self._scale = (len(x) - 1) / (x[-1] - x[0])
-        # each interval's ends; NaN, which compares false, keeps the first
-        # and last interval open past the outer knots (the clamping)
-        self._left = np.concatenate(([np.nan], x[1:-1]))
-        self._right = np.concatenate((x[1:-1], [np.nan]))
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        x, c = self.x, self.c
-        # the knots are (nearly) uniform: guess each interval from the mean
-        # step, then move the guesses that rounding put a node off by exact
-        # comparisons; indices stay in range, so take's mode="clip" only
-        # skips the bounds check
-        i = np.clip((pts - x[0]) * self._scale, 0, len(x) - 2).astype(np.intp)
-        while True:
-            down = pts < self._left.take(i, mode="clip")
-            up = pts >= self._right.take(i, mode="clip")
-            if not (down.any() or up.any()):
-                break
-            i -= down
-            i += up
-        s = pts - x.take(i, mode="clip")
-        out = c[-1].take(i, mode="clip")
-        out += 0.0
-        term = np.empty_like(s)
-        z = s
-        for k in range(len(c) - 2, -1, -1):
-            c[k].take(i, out=term, mode="clip")
-            term *= z
-            out += term
-            if k:
-                z = z * s
+        c = self.c
+        i = np.clip((pts - self.x0) / self.dx, 0, c.shape[1] - 1).astype(np.intp)
+        s = pts - (self.x0 + i * self.dx)
+        out = c[0].take(i)
+        for ck in c[1:]:
+            out *= s
+            out += ck.take(i)
         return out
 
     def derivative(self) -> _Spline:
-        """The first derivative, with PPoly.derivative's coefficients c[:-1] * (K-1, ..., 1)."""
+        """The first derivative, with coefficients c[:-1] * (K-1, ..., 1)."""
         factor = np.arange(len(self.c) - 1, 0, -1, dtype=float)
-        return _Spline(self.x, self.c[:-1] * factor[:, None])
+        return _Spline(self.x0, self.dx, self.c[:-1] * factor[:, None])
 
 
-def _spline(x: np.ndarray, y: np.ndarray) -> _Spline:
-    """Not-a-knot cubic spline through (x, y), x strictly increasing.
+# The interior rows s_{i-1} + 4 s_i + s_{i+1} = r_i of the slope system have
+# the decaying solutions z^i, z = sqrt(3) - 2, and the Green's function
+# C z^|k|, C = 1/(2 sqrt(3)); |z|^31 ~ 2e-18, so 61 taps and 31 entries at
+# each end carry every term above rounding
+_Z = math.sqrt(3.0) - 2.0
+_ENDS = 31
+_GREEN = _Z ** np.abs(np.arange(1 - _ENDS, _ENDS)) / (2.0 * math.sqrt(3.0))
 
-    This is CubicSpline's general case of n >= 4 nodes (every caller has 10
-    or more; scipy treats 2 and 3 nodes apart).
 
-    The knot slopes solve scipy CubicSpline's banded system, built in its
-    order, and the coefficients follow CubicHermiteSpline's, so the spline
-    and its derivative equal scipy's bit for bit.
+def _slopes(m: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot cubic spline through samples y at step
+    dx, from the secant slopes m_i = (y_{i+1} - y_i)/dx (3 or more).
+
+    They solve s_{i-1} + 4 s_i + s_{i+1} = 3(m_{i-1} + m_i) at interior
+    knots and, for a continuous third derivative at the second and the
+    last-but-one knot, s_0 + 2 s_1 = (5 m_0 + m_1)/2 and its mirror.  A
+    particular solution of the interior rows is the right side convolved
+    with the Green's function; a z^i + b z^{n-1-i}, fixed by a 2x2 solve,
+    then meets both end rows.
     """
-    # imported here, not at module level: scipy then loads only in commands
-    # that interpolate, and the flow layers, figures and their suites run on
-    # numpy alone
-    from scipy.linalg import solve_banded
-
-    n = len(x)
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    A = np.zeros((3, n))  # banded: upper, main and lower diagonal
-    b = np.empty(n)
-    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    A[0, 2:] = dx[:-1]
-    A[-1, :-2] = dx[1:]
-    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-    A[1, 0] = dx[1]
-    A[0, 1] = x[2] - x[0]
-    d = x[2] - x[0]
-    b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-    A[1, -1] = dx[-2]
-    A[-1, -2] = x[-1] - x[-3]
-    d = x[-1] - x[-3]
-    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True, check_finite=False)
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
-    return _Spline(x, c)
+    n = len(m) + 1
+    r = np.zeros(n)
+    r[1:-1] = 3.0 * (m[:-1] + m[1:])
+    s = np.convolve(r, _GREEN)[_ENDS - 1 : 1 - _ENDS]
+    d0 = (5.0 * m[0] + m[1]) / 2.0 - (s[0] + 2.0 * s[1])
+    d1 = (m[-2] + 5.0 * m[-1]) / 2.0 - (2.0 * s[-2] + s[-1])
+    # each end row's coefficient of its own and of the far homogeneous term
+    own, far = 1.0 + 2.0 * _Z, _Z ** (n - 2) * (2.0 + _Z)
+    det = own * own - far * far
+    zk = _Z ** np.arange(min(n, _ENDS))
+    s[: len(zk)] += (own * d0 - far * d1) / det * zk
+    s[n - len(zk) :] += (own * d1 - far * d0) / det * zk[::-1]
+    return s
 
 
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative Simpson integral of y over the increasing nodes x, from 0 at x[0].
+def _spline(x0: float, dx: float, y: np.ndarray) -> _Spline:
+    """Not-a-knot cubic spline through the samples y on the lattice x0 + k dx."""
+    m = np.diff(y) / dx
+    s = _slopes(m)
+    t = (s[:-1] + s[1:] - 2.0 * m) / dx
+    c = np.stack((t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    return _Spline(x0, dx, c)
 
-    scipy's cumulative_simpson(y, x=x, initial=0.0) in its order of
-    operations: each subinterval takes Cartwright's unequal-interval formula
-    on its node triple to the right (h1) or, for every second subinterval
-    and the last, to the left (h2), and the parts are summed in turn.
+
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative Simpson integral of the samples y at step dx, from 0 at the
+    first node (3 or more samples).
+
+    Subinterval j takes the quadratic through its node triple to the right,
+    (dx/12)(5 y_j + 8 y_{j+1} - y_{j+2}), when j is even and is not the
+    last, and otherwise the mirror through the triple to its left.
     """
-
-    def parts(y, dx):
-        x21, x32 = dx[:-1], dx[1:]
-        x31 = x21 + x32
-        x21_x31 = x21 / x31
-        x21_x32 = x21 / x32
-        x21x21_x31x32 = x21_x31 * x21_x32
-        return x21 / 6 * (
-            (3 - x21_x31) * y[:-2]
-            + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-            + (-x21x21_x31x32) * y[2:]
-        )
-
-    dx = np.diff(x)
-    h1 = parts(y, dx)
-    h2 = parts(y[::-1], dx[::-1])[::-1]
-    sub = np.empty(len(dx))
-    sub[:-1:2] = h1[::2]
-    sub[1::2] = h2[::2]
-    sub[-1] = h2[-1]
-    # + 0.0 is scipy's adding of initial, which turns a -0.0 into 0.0
-    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+    right = 5.0 * y[:-2] + 8.0 * y[1:-1] - y[2:]
+    left = -y[:-2] + 8.0 * y[1:-1] + 5.0 * y[2:]
+    sub = np.empty(len(y) - 1)
+    sub[:-1:2] = right[::2]
+    sub[1::2] = left[::2]
+    sub[-1] = left[-1]
+    sub *= dx / 12.0
+    return np.concatenate(([0.0], np.cumsum(sub)))
 
 
 # ----------------------------------------------------------------------
@@ -347,14 +317,23 @@ def _grid_cached(pmax: float, npts: int) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=8)
+def _grid_weights(pmax: float, npts: int) -> np.ndarray:
+    """Simpson weights of the momentum grid, read-only and cached like it."""
+    p = _grid_cached(pmax, npts)
+    w = _simpson_weights(len(p), p[1] - p[0])
+    w.setflags(write=False)
+    return w
+
+
 def momentum_grid(ctx: ThermalContext) -> np.ndarray:
     return _grid_cached(ctx.pmax, ctx.npts)
 
 
 def _next_fast_len(target: int) -> int:
-    """Smallest 11-smooth n >= target, scipy.fft.next_fast_len's rule for
-    complex transforms; a target below 1 is returned as it is, for the FFT
-    to reject."""
+    """Smallest 11-smooth n >= target, a fast length for pocketfft's complex
+    transforms; a target below 1 is returned as it is, for the FFT to
+    reject."""
     n = target
     while n > 0:
         r = n
@@ -369,21 +348,12 @@ def _next_fast_len(target: int) -> int:
 
 @lru_cache(maxsize=16)
 def _czt_plan(n: int, m: int, w: complex):
-    """Bluestein plan (Awk2, Fwk2, wk2[:m], nfft) for n samples, m nodes, a = 1,
-    where Awk2 = a^{-k} wk2[:n] is wk2[:n] itself.
-
-    The chirp wk2 = w^{k^2/2} is scipy's complex power, bit for bit, at a
-    fraction of its cost.  numpy's complex power multiplies when the exponent
-    is an integer in (-100, 100) and otherwise calls libm's cpow(a, b), which
-    is cexp(b clog(a)); numpy's complex exp and log call those same two
-    routines.  So the chirp is exp(k^2/2 log w), with the entries k <= 14
-    (k^2/2 < 100) taken from the power itself.
+    """Bluestein plan (wk2[:n], Fwk2, wk2[:m], nfft) for n samples and m
+    nodes: the chirp wk2 = w^{k^2/2} = exp(k^2/2 log w), and Fwk2 the FFT
+    of its reciprocal over lags -(n-1) .. m-1, on an 11-smooth length nfft.
     """
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-    k2 = k**2 / 2.0
-    w = np.complex128(w)
-    wk2 = np.exp(k2 * np.log(w))
-    wk2[:15] = w ** k2[:15]
+    wk2 = np.exp(k**2 / 2.0 * np.log(np.complex128(w)))
     nfft = _next_fast_len(n + m - 1)
     fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
     for arr in (fwk2, wk2):
@@ -392,21 +362,17 @@ def _czt_plan(n: int, m: int, w: complex):
 
 
 def czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
-    """Chirp-z transform X_k = sum_j x_j w^{jk}, k < m, by Bluestein's algorithm,
-    along the last axis of x.
+    """Chirp-z transform X_k = sum_j x_j w^{jk}, k < m, by Bluestein's algorithm
+    (Rabiner, Schafer & Rader 1969), along the last axis of x.
 
-    The arithmetic and its order are those of scipy.signal.czt with a = 1
-    (Rabiner, Schafer & Rader 1969), and the transforms are numpy's
-    pocketfft, the C++ code scipy.fft runs, so results agree bit for bit;
-    the chirp and kernel spectrum come from a plan cached on (n, m, w), n
+    The chirp and kernel spectrum come from a plan cached on (n, m, w), n
     the length of x's last axis, and every row of a 2-D x shares it.
     """
     n = x.shape[-1]
-    awk2, fwk2, wk2, nfft = _czt_plan(n, m, w)
-    # scipy's operand order: numpy's complex multiply is not bitwise commutative
-    y = fft(x * awk2, nfft)
+    wk2_n, fwk2, wk2_m, nfft = _czt_plan(n, m, w)
+    y = fft(x * wk2_n, nfft)
     y = ifft(np.multiply(fwk2, y, out=y), out=y)
-    return y[..., n - 1 : n + m - 1] * wk2
+    return y[..., n - 1 : n + m - 1] * wk2_m
 
 
 def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
@@ -461,11 +427,14 @@ def _transforms(ctx: ThermalContext, f: TestFunction):
     return t, t[::-1]
 
 
-def _simpson(y: np.ndarray, dx: float):
-    """Composite Simpson sum along the last axis (odd node count), in scipy's order."""
-    r = np.sum(y[..., 0:-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2], axis=-1)
-    r *= dx / 3.0
-    return r
+def _simpson_weights(n: int, d: float) -> np.ndarray:
+    """Composite Simpson weights (d/3) (1, 4, 2, 4, ..., 2, 4, 1) on n nodes,
+    n odd.  A sum is np.vecdot(w, y), along y's last axis, with the real
+    weights first: vecdot conjugates its first argument."""
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (d / 3.0)
 
 
 def _weight(spec: FieldSpec, p: np.ndarray) -> np.ndarray:
@@ -669,7 +638,7 @@ def _pair(ctx: ThermalContext, span, first, *rest, what: str | None = None):
         integrand *= r
     if what is not None:
         _tail_check(integrand, what)
-    val = _simpson(integrand, dp)
+    val = np.vecdot(_grid_weights(ctx.pmax, ctx.npts), integrand)
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -1002,7 +971,7 @@ def higher_transform(
     x = np.linspace(lo, hi, m)
     vals = moved(x)
     for _ in range(n):
-        vals = _cumulative_simpson(vals, x)
+        vals = _cumulative_simpson(vals, x[1] - x[0])
     return TestFunction(
         vals, float(x[0]), float(x[1] - x[0]), (float(x[0]), float(x[-1])),
         compact_support=False,
@@ -1034,7 +1003,7 @@ def localization_defect(
     if lo >= hi:
         return 0.0
     x = np.linspace(lo, hi, 4097)
-    return float(_simpson(integrand(x), x[1] - x[0]))
+    return float(np.vecdot(_simpson_weights(len(x), x[1] - x[0]), integrand(x)))
 
 
 # ----------------------------------------------------------------------
@@ -1068,14 +1037,18 @@ def omega2_position(
     af, vf = on_step(f)
     ag, vg = on_step(g)
     corr = np.correlate(vg, vf, mode="full") * dx
+    # F on the correlation lattice s0 + k dx, k < len(corr)
     s0 = ag - (af + (len(vf) - 1) * dx)
-    s = s0 + np.arange(len(corr)) * dx
-    F = _spline(s, corr)
+    s1 = s0 + (len(corr) - 1) * dx
+    F = _spline(s0, dx, corr)
     h = min(dx, epsilon / 16.0)
-    n = int(math.ceil((s[-1] - s[0]) / h)) | 1
-    sf = np.linspace(s[0], s[-1], n)
+    n = int(math.ceil((s1 - s0) / h)) | 1
+    sf = np.linspace(s0, s1, n)
     k = np.conj(two_point_position(ctx, sf, epsilon))
-    return complex(_simpson(k * F(sf), sf[1] - sf[0]))
+    # numpy's own sum, not np.vecdot: OpenBLAS threads a dot above 10000
+    # entries, and a threaded dot stalls for milliseconds while another
+    # process holds a core
+    return complex(np.sum(_simpson_weights(n, sf[1] - sf[0]) * F(sf) * k))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Golden verify reports and flow figures against the committed ones.
 
 golden/verify_all_beta{0.6,1,1.7}.json are the reports of
-`mfl verify all --beta B`, and golden/toolchain.json names the Python,
-numpy and scipy versions and numpy's enabled CPU features they were made
-with.  On that toolchain a fresh report must match byte for byte.  On
+`mfl verify all --beta B`, and golden/toolchain.json names the Python and
+numpy versions and numpy's enabled CPU features they were made with (the
+package runs on numpy alone).  On that toolchain a fresh report must match byte for byte.  On
 another, the check names, param keys and pass flags must match, and each
 lhs may move by at most 1e-2 * rhs.  Either way a failure lists every
 moved value.
@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from modularflow.cone_wedge import FigureSpec, Region, emit_flow_figure
 from modularflow.flow_maps import ThermalContext
@@ -55,7 +54,6 @@ def toolchain() -> dict:
     return {
         "python": "%d.%d" % sys.version_info[:2],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
     }
 

@@ -31,11 +31,13 @@ from modularflow.weyl_field import (
     _density,
     _deviation_exponents,
     _deviation_samples,
+    _grid_weights,
     _next_fast_len,
     _pair,
     _position_kernel,
-    _simpson,
+    _simpson_weights,
     _sinh_cosh,
+    _slopes,
     _spline,
     _transforms,
     calibrate_fourier_pair,
@@ -94,6 +96,19 @@ class TestTestFunction:
             for field, value in (("samples", vals), ("x0", bad), ("dx", bad)):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     replace(f, **{field: value})
+
+    def test_nan_point_raises(self):
+        # a NaN point fails every window comparison, so it must raise
+        # before the mask could read it as 0.0
+        f = TestFunction.bump(0.5, 0.5)
+        with pytest.raises(DomainViolation, match="x must be finite, got x=nan"):
+            f(math.nan)
+        with pytest.raises(DomainViolation, match="x=nan"):
+            f([math.nan, 0.5, math.inf])
+        # ±inf lies outside the sampled window
+        assert f(math.inf) == 0.0 and f(-math.inf) == 0.0
+        got = f([-math.inf, 0.5, math.inf])
+        assert got[0] == got[2] == 0.0 and got[1] == pytest.approx(math.exp(-1.0))
 
     def test_translate_exact(self):
         f = TestFunction.bump(1.0, 0.3)
@@ -178,18 +193,22 @@ class TestTransformLayer:
             (rng.standard_normal(8193), 4097, np.exp(-1j * dp * 1e-3)),
         ]
 
-    def test_czt_bitwise_equal_to_scipy(self):
+    def test_czt_matches_scipy(self):
+        # worst measured 2.8e-15 of max |X|
         from scipy.signal import czt as scipy_czt
 
         for x, m, w in self._cases():
+            want = scipy_czt(x, m=m, w=w, a=1.0 + 0.0j)
             # twice: once building the plan, once from the cache
             for _ in range(2):
                 got = czt(x, m, w)
-                assert np.array_equal(got, scipy_czt(x, m=m, w=w, a=1.0 + 0.0j))
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_chirp_bitwise_equal_to_power(self):
-        # the chirp comes from exp and log, except below k = 15, where numpy's
-        # power multiplies; sizes below 15 and n > m are among the draws
+    def test_chirp_matches_power(self):
+        # the chirp is exp(k^2/2 log w) throughout; numpy's power multiplies
+        # for k^2/2 < 100 instead: worst measured 7.6e-15 (|chirp| = 1), and
+        # czt against scipy's 1.4e-15 of sum |x|; sizes below 15 and n > m
+        # are among the draws
         from scipy.signal import czt as scipy_czt
 
         rng = np.random.default_rng(15)
@@ -201,39 +220,54 @@ class TestTransformLayer:
             awk2, _, wk2, _ = _czt_plan(n, m, w)
             chirp = awk2 if n >= m else wk2
             k = np.arange(max(n, m))
-            assert np.array_equal(chirp, np.complex128(w) ** (k**2 / 2.0)), (n, m, w)
+            want = np.complex128(w) ** (k**2 / 2.0)
+            assert np.max(np.abs(chirp - want)) <= 2e-13, (n, m, w)
             if i < 12:
                 x = rng.standard_normal(n)
-                assert np.array_equal(czt(x, m, w), scipy_czt(x, m=m, w=w, a=1.0 + 0.0j))
+                got = czt(x, m, w) - scipy_czt(x, m=m, w=w, a=1.0 + 0.0j)
+                assert np.max(np.abs(got)) <= 1e-13 * np.sum(np.abs(x)), (n, m, w)
 
     def test_plan_cache_bounded(self):
         info = _czt_plan.cache_info()
         assert info.maxsize is not None and info.maxsize <= 64
 
-    def test_simpson_bitwise_equal_to_scipy(self):
+    def test_simpson_weights_match_scipy(self):
+        # the error scale of a sum is sum w |y|: worst measured 6.9e-17 of it
         rng = np.random.default_rng(3)
         for n in (3, 5, 8193):
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert _simpson(y, 0.37) == simpson(y, dx=0.37)
+            w = _simpson_weights(n, 0.37)
+            got = np.vecdot(w, y)
+            assert abs(got - simpson(y, dx=0.37)) <= 5e-15 * np.vecdot(w, np.abs(y))
         # rows reduce independently along the last axis, each as in 1-D
         y = rng.standard_normal((4, 801)) + 1j * rng.standard_normal((4, 801))
-        got = _simpson(y, 0.37)
+        w = _simpson_weights(801, 0.37)
+        got = np.vecdot(w, y)
         assert got.shape == (4,)
-        assert np.array_equal(got, simpson(y, dx=0.37, axis=-1))
-        assert all(got[i] == _simpson(y[i], 0.37) for i in range(4))
+        scale = np.vecdot(w, np.abs(y))
+        assert np.all(np.abs(got - simpson(y, dx=0.37, axis=-1)) <= 5e-15 * scale)
+        assert all(got[i] == np.vecdot(w, y[i]) for i in range(4))
+
+    def test_momentum_weights_cached_read_only(self):
+        ctx = ThermalContext()
+        p = momentum_grid(ctx)
+        w = _grid_weights(ctx.pmax, ctx.npts)
+        assert np.array_equal(w, _simpson_weights(len(p), p[1] - p[0]))
+        assert _grid_weights(ctx.pmax, ctx.npts) is w
+        assert not w.flags.writeable
 
     def test_position_integrals_use_the_package_rule(self, monkeypatch):
-        # omega2_position and localization_defect integrate through _simpson,
+        # omega2_position and localization_defect sum with _simpson_weights,
         # on an odd node count (no even-count correction)
         import modularflow.weyl_field as wf
 
         counts = []
 
-        def spy(y, dx):
-            counts.append(np.shape(y)[-1])
-            return _simpson(y, dx)
+        def spy(n, d):
+            counts.append(n)
+            return _simpson_weights(n, d)
 
-        monkeypatch.setattr(wf, "_simpson", spy)
+        monkeypatch.setattr(wf, "_simpson_weights", spy)
         ctx = ThermalContext()
         f, g = TestFunction.bump(0.7, 0.4), TestFunction.bump(1.4, 0.4)
         omega2_position(ctx, f, g, 1e-3)
@@ -335,8 +369,21 @@ def _scipy_modules(*argv):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+# a meta-path finder in front of every other one: `import scipy` fails
+_BLOCK_SCIPY = """
+import sys
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, BlockScipy())
+import modularflow.cli as cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestScipyImports:
-    """scipy loads only where a spline is built (scipy.linalg's banded solver)."""
+    """numpy is the only runtime dependency: no command loads scipy."""
 
     def test_cli_import_leaves_out_scipy(self):
         assert _scipy_modules() == []
@@ -349,32 +396,56 @@ class TestScipyImports:
             ("figure", "--which", "3", "--format", "svg", "-o", "OUT"),
             ("verify", "group-laws", "-o", "OUT"),
             ("verify", "flows", "-o", "OUT"),
+            ("verify", "kernels", "-o", "OUT"),
+            ("verify", "thm22", "-o", "OUT"),
+            ("verify", "all", "-o", "OUT"),
+            ("transform", "IN", "--u", "0.2", "--n", "1", "-o", "OUT"),
+            ("kernel", "--p", "1.0"),
+            ("kernel", "--xi", "0.5", "--epsilon", "1e-3"),
         ],
     )
-    def test_flow_commands_load_no_scipy(self, tmp_path, argv):
-        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
-        assert _scipy_modules(*argv) == []
+    def test_commands_load_no_scipy(self, tmp_path, argv):
+        TestFunction.bump(1.5, 0.5).save(str(tmp_path / "in.json"))
+        names = {"IN": str(tmp_path / "in.json"), "OUT": str(tmp_path / "out")}
+        assert _scipy_modules(*[names.get(a, a) for a in argv]) == []
 
-    def test_interpolating_suite_loads_only_the_banded_solver(self, tmp_path):
-        # the kernels suite builds splines, so the same probe sees scipy.linalg
-        loaded = _scipy_modules("verify", "kernels", "-o", str(tmp_path / "out"))
-        assert "scipy.linalg" in loaded
-        for name in ("scipy.fft", "scipy.integrate", "scipy.interpolate", "scipy.signal"):
-            assert name not in loaded
+    def test_verify_all_runs_with_scipy_blocked(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(modularflow.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        reports = []
+        for code in (_BLOCK_SCIPY, "import sys, modularflow.cli as cli; sys.exit(cli.main())"):
+            out = tmp_path / f"report{len(reports)}.json"
+            subprocess.run(
+                [sys.executable, "-c", code, "verify", "all", "--beta", "1", "-o", str(out)],
+                env=env, capture_output=True, check=True, timeout=120,
+            )
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
-def _spline_pairs(x, y, pts):
-    """(ours, scipy's) values and first derivatives of the spline through (x, y)."""
-    ours, ref = _spline(x, y), CubicSpline(x, y)
+def _spline_pairs(x0, dx, y, pts):
+    """(ours, scipy's) values and first derivatives of the spline through the
+    samples y on the lattice x0 + k dx, and the scales their differences are
+    measured against: max |y| and the largest knot slope."""
+    x = x0 + dx * np.arange(len(y))
+    ours, ref = _spline(x0, dx, y), CubicSpline(x, y)
     return (
-        (ours(pts), ref(pts)),
-        (ours.derivative()(pts), ref.derivative()(pts)),
+        (ours(pts), ref(pts), np.max(np.abs(y))),
+        (ours.derivative()(pts), ref.derivative()(pts), np.max(np.abs(ref.derivative()(x)))),
     )
+
+
+def _assert_spline_close(pairs, value_tol, slope_tol):
+    (got, want, scale), (dgot, dwant, dscale) = pairs
+    assert np.max(np.abs(got - want)) <= value_tol * scale
+    assert np.max(np.abs(dgot - dwant)) <= slope_tol * dscale
 
 
 class TestOwnedNumerics:
-    """The spline, the cumulative Simpson rule and the FFT length repeat
-    scipy's arithmetic, so they are compared with scipy bit for bit."""
+    """The spline and the cumulative Simpson rule are plain uniform-lattice
+    formulas, compared with scipy's CubicSpline and cumulative_simpson to
+    tolerances about 10-100 times the worst measured difference; the FFT
+    length is scipy's rule exactly."""
 
     @staticmethod
     def _bump_points(rng, f):
@@ -387,18 +458,41 @@ class TestOwnedNumerics:
             rng.uniform(x[0], x[-1], 3000),
         ))
 
-    def test_spline_bitwise_on_bump_grids(self):
+    def test_slopes_solve_the_not_a_knot_system(self):
+        # interior rows s_{i-1} + 4 s_i + s_{i+1} = 3(m_{i-1} + m_i), end rows
+        # s_0 + 2 s_1 = (5 m_0 + m_1)/2 and the mirror, each to 1e-14 of the
+        # largest right side (worst measured 7.4e-16); short lattices have
+        # both ends' homogeneous terms on every entry
+        rng = np.random.default_rng(5)
+        for n in (4, 5, 10, 31, 32, 61, 62, 63, 2048, 5001):
+            for y in (rng.standard_normal(n), np.exp(-np.linspace(-2.0, 2.0, n) ** 2)):
+                dx = rng.uniform(1e-3, 2.0)
+                m = np.diff(y) / dx
+                s = _slopes(m)
+                rows = np.concatenate(
+                    ([s[0] + 2 * s[1]], s[:-2] + 4 * s[1:-1] + s[2:], [2 * s[-2] + s[-1]])
+                )
+                rhs = np.concatenate(
+                    ([(5 * m[0] + m[1]) / 2], 3 * (m[:-1] + m[1:]), [(m[-2] + 5 * m[-1]) / 2])
+                )
+                assert np.max(np.abs(rows - rhs)) <= 1e-14 * np.max(np.abs(rhs)), n
+
+    def test_spline_matches_scipy_on_bump_grids(self):
+        # worst measured: values 1.3e-15 of max |y|, slopes 6.6e-13 of the
+        # largest knot slope (scipy's steps np.diff(x) are not exactly dx)
         rng = np.random.default_rng(16)
         sizes = [20, 21, 5000] + rng.integers(20, 5001, size=30).tolist()
         for n in sizes:
             f = TestFunction.bump(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 4.0), n=n)
-            for got, want in _spline_pairs(f.x, f.samples, self._bump_points(rng, f)):
-                assert np.array_equal(got, want), n
-            # TestFunction evaluates through the same spline
+            pairs = _spline_pairs(f.x0, f.dx, f.samples, self._bump_points(rng, f))
+            _assert_spline_close(pairs, 1e-13, 1e-11)
+            # TestFunction evaluates through the same spline: 9.1e-16 of max |y|
             pts = rng.uniform(*f.support, 500)
-            assert np.array_equal(f(pts), CubicSpline(f.x, f.samples)(pts))
+            want = CubicSpline(f.x, f.samples)(pts)
+            assert np.max(np.abs(f(pts) - want)) <= 5e-14 * np.max(f.samples)
 
-    def test_spline_bitwise_on_a_pull_back(self):
+    def test_spline_matches_scipy_on_a_pull_back(self):
+        # worst measured: values 1.1e-15, slopes 6.8e-13
         ctx = ThermalContext(beta=1.0)
         rng = np.random.default_rng(161)
         f = TestFunction.bump(1.5, 0.5)
@@ -406,23 +500,23 @@ class TestOwnedNumerics:
             g = modular_transform(ctx, u, f)
             # g's samples are f's spline at the inverse image of g's grid
             y = modular_flow_ray(ctx, RayDirection.PLUS, -u, g.x[1:-1])
-            for got, want in _spline_pairs(f.x, f.samples, y):
-                assert np.array_equal(got, want), u
-            for got, want in _spline_pairs(g.x, g.samples, self._bump_points(rng, g)):
-                assert np.array_equal(got, want), u
+            _assert_spline_close(_spline_pairs(f.x0, f.dx, f.samples, y), 1e-13, 1e-11)
+            pts = self._bump_points(rng, g)
+            _assert_spline_close(_spline_pairs(g.x0, g.dx, g.samples, pts), 1e-13, 1e-11)
 
-    def test_spline_bitwise_on_a_correlation_grid(self, monkeypatch):
+    def test_spline_matches_scipy_on_a_correlation_grid(self, monkeypatch):
         # every spline omega2_position builds (f's, g's and the correlation
-        # F's), at the points it evaluates them on
+        # F's), at the points it evaluates them on; worst measured: values
+        # 5.7e-16, slopes 2.0e-13
         import modularflow.weyl_field as wf
 
         seen = []
 
-        def spy(x, y):
-            sp = _spline(x, y)
+        def spy(x0, dx, y):
+            sp = _spline(x0, dx, y)
 
             def call(pts):
-                seen.append((x, y, pts))
+                seen.append((x0, dx, y, pts))
                 return sp(pts)
 
             return call
@@ -432,18 +526,18 @@ class TestOwnedNumerics:
         f, g = TestFunction.bump(0.7, 0.4, n=1000), TestFunction.bump(1.4, 0.3, n=1500)
         omega2_position(ctx, f, g, 1e-3)
         assert len(seen) == 3
-        for x, y, pts in seen:
-            for got, want in _spline_pairs(x, y, pts):
-                assert np.array_equal(got, want)
+        for x0, dx, y, pts in seen:
+            _assert_spline_close(_spline_pairs(x0, dx, y, pts), 5e-14, 1e-11)
 
-    def test_cumulative_simpson_bitwise_on_higher_transform_grids(self, monkeypatch):
+    def test_cumulative_simpson_matches_scipy_on_higher_transform_grids(self, monkeypatch):
+        # worst measured 1.4e-16 of the largest |integral|
         import modularflow.weyl_field as wf
 
         seen = []
 
-        def spy(y, x):
-            out = _cumulative_simpson(y, x)
-            seen.append((y, x, out))
+        def spy(y, dx):
+            out = _cumulative_simpson(y, dx)
+            seen.append((y, dx, out))
             return out
 
         monkeypatch.setattr(wf, "_cumulative_simpson", spy)
@@ -453,8 +547,9 @@ class TestOwnedNumerics:
         higher_transform(ctx, 1, "gamma", 0.4, f)
         higher_transform(ctx, 1, "modular", -0.2, TestFunction.bump(2.0, 0.6, n=700))
         assert len(seen) == 4
-        for y, x, out in seen:
-            assert np.array_equal(out, cumulative_simpson(y, x=x, initial=0.0))
+        for y, dx, out in seen:
+            want = cumulative_simpson(y, dx=dx, initial=0.0)
+            assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_next_fast_len_is_scipys(self):
         # the smallest 11-smooth length, scipy's rule for complex input
@@ -618,14 +713,20 @@ class TestSymplecticForm:
             symplectic_K(ThermalContext(), N0, f, f.translate(d))
 
     def test_guarded_value_is_the_simpson_sum(self):
+        # the guard leaves the value alone: it is the weighted sum, bit for
+        # bit, and scipy's simpson to 5e-17 of sum w |integrand| (worst
+        # measured 7.9e-19; K itself is 3.7e-13, a cancellation)
         ctx = ThermalContext()
         f = TestFunction.bump(1.5, 0.5)
         g = f.translate(50.0)
         p = momentum_grid(ctx)
         (tf_p, tf_m), (tg_p, tg_m) = _transforms(ctx, f), _transforms(ctx, g)
         integrand = 0.5 * (p * tf_m * tg_p - p * tg_m * tf_p)
-        want = complex(0.0, simpson(integrand, dx=p[1] - p[0]).imag)
-        assert symplectic_K(ctx, N0, f, g) == want
+        w = _grid_weights(ctx.pmax, ctx.npts)
+        got = symplectic_K(ctx, N0, f, g)
+        assert got == complex(0.0, np.vecdot(w, integrand).imag)
+        want = simpson(integrand, dx=p[1] - p[0]).imag
+        assert abs(got.imag - want) <= 5e-17 * np.vecdot(w, np.abs(integrand))
 
 
 class TestPair:
@@ -659,10 +760,15 @@ class TestPair:
         n = len(momentum_grid(ctx))
         inside, outside, spans = [False], [], []
 
-        def simpson_spy(y, dx):
-            if np.shape(y)[-1] == n and not inside[0]:
-                outside.append(np.shape(y))
-            return _simpson(y, dx)
+        def grid_weights_spy(pmax, npts):
+            if not inside[0]:
+                outside.append((pmax, npts))
+            return _grid_weights(pmax, npts)
+
+        def weights_spy(k, d):
+            if k == n and not inside[0]:
+                outside.append((k, d))
+            return _simpson_weights(k, d)
 
         def pair_spy(ctx, span, *factors, **kw):
             spans.append(np.max(span))
@@ -672,7 +778,8 @@ class TestPair:
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(wf, "_simpson", simpson_spy)
+        monkeypatch.setattr(wf, "_grid_weights", grid_weights_spy)
+        monkeypatch.setattr(wf, "_simpson_weights", weights_spy)
         monkeypatch.setattr(wf, "_pair", pair_spy)
         f, g = TestFunction.bump(1.5, 0.5), TestFunction.bump(-1.5, 0.5)
         omega2(ctx, N0, f, g)
