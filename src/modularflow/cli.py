@@ -93,18 +93,23 @@ class RunConfig:
     def from_file(path: str) -> "RunConfig":
         with open(path) as fh:
             doc = json.load(fh)
-        grid = doc.get("grid", {})
+        grid = doc.get("grid", {}) if isinstance(doc, dict) else None
+        if not isinstance(grid, dict):
+            raise ValueError(f"{path} must hold a JSON object, and its grid an object")
         unknown = sorted(set(doc) - _CONFIG_KEYS)
         unknown += [f"grid.{k}" for k in sorted(set(grid) - _GRID_KEYS)]
         if unknown:
             raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
         cfg = RunConfig()
-        if "beta" in doc:
-            cfg.beta = math.inf if doc["beta"] == "inf" else float(doc["beta"])
-        if "epsilon" in doc:
-            cfg.epsilon = float(doc["epsilon"])
-        cfg.grid_xmin = float(grid.get("xmin", cfg.grid_xmin))
-        cfg.grid_xmax = float(grid.get("xmax", cfg.grid_xmax))
+        try:  # float() of a list, an object or null
+            if "beta" in doc:
+                cfg.beta = math.inf if doc["beta"] == "inf" else float(doc["beta"])
+            if "epsilon" in doc:
+                cfg.epsilon = float(doc["epsilon"])
+            cfg.grid_xmin = float(grid.get("xmin", cfg.grid_xmin))
+            cfg.grid_xmax = float(grid.get("xmax", cfg.grid_xmax))
+        except TypeError as e:
+            raise ValueError(f"bad number in {path}: {e}") from None
         if "output" in doc:
             cfg.output = str(doc["output"])
         if "format" in doc:
@@ -117,12 +122,9 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(path) if path else RunConfig()
     if getattr(args, "beta", None) is not None:
         cfg.beta = math.inf if args.beta == "inf" else float(args.beta)
-    if getattr(args, "epsilon", None) is not None:
-        cfg.epsilon = args.epsilon
-    if getattr(args, "output", None) is not None:
-        cfg.output = args.output
-    if getattr(args, "format", None) is not None:
-        cfg.format = args.format
+    for key in ("epsilon", "output", "format"):  # flags take precedence
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg.validate()
 
 

@@ -168,13 +168,19 @@ class TestFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "TestFunction":
-        return TestFunction(
-            np.asarray(d["samples"], dtype=float),
-            float(d["x0"]),
-            float(d["dx"]),
-            (float(d["support"][0]), float(d["support"][1])),
-            bool(d.get("compact_support", True)),
-        )
+        compact = d.get("compact_support", True) if isinstance(d, dict) else None
+        if not isinstance(compact, bool):
+            raise ValueError("a test function is a JSON object; compact_support is true or false")
+        try:
+            return TestFunction(
+                np.asarray(d["samples"], dtype=float),
+                float(d["x0"]),
+                float(d["dx"]),
+                (float(d["support"][0]), float(d["support"][1])),
+                compact,
+            )
+        except (KeyError, TypeError, IndexError) as e:
+            raise ValueError(f"malformed test function: {e!r}") from None
 
     def save(self, path: str):
         atomic_write(path, json.dumps(self.to_dict()) + "\n")

@@ -75,12 +75,11 @@ def test_criterion_3_geometry():
     ok &= by["near-edge-boost"].lhs < 1e-2
     ok &= by["velocity-consistency"].lhs < 1e-6
     ok &= by["closed-form-flow-lines"].lhs < 1e-8
-    ok &= by["pattern-translation-invariance"].lhs < 1e-10
     _report(
         3,
         "geometry suite: remainders 1e-12, deep interior 1e-6 beta, "
-        "near-boundary limits, velocity 1e-6, flow lines 1e-8, "
-        "pattern invariance 1e-10",
+        "near-boundary limits, velocity 1e-6, flow lines on their "
+        "closed-form constant 1e-8",
         ok,
         f"remainders {by['remainder-reconstruction'].lhs:.2e}, "
         f"velocity {by['velocity-consistency'].lhs:.2e}"
@@ -115,17 +114,18 @@ def test_criterion_5_modular_action():
     ok &= by["two-point-invariance"].lhs < 1e-6
     ok &= by["symplectic-invariance"].lhs < 1e-6
     ok &= by["kms-boundary-identity"].lhs < 1e-6
-    ok &= by["support-interval-mapping"].lhs < 1e-12
-    ok &= by["localization-defect-nonzero"].passed  # nonzero stabilized value
-    ok &= by["localization-defect-stable"].lhs < 1e-8
+    ok &= by["pull-back-integral"].lhs < 1e-10
+    defect = by["localization-defect"]
+    ok &= defect.lhs < 2e-7 and defect.params["closed_form"] != 0.0
     _report(
         5,
         "modular-action suite: group laws 1e-8, unitarity and symplectic "
-        "invariance 1e-6, thermal boundary identity 1e-6 (relative), support mapping, "
-        "nonzero localization defect",
+        "invariance 1e-6, thermal boundary identity 1e-6 (relative), supports "
+        "and integrals of the actions 1e-10, nonzero localization defect on its "
+        "closed form 2e-7 (relative)",
         ok,
         f"boundary identity {by['kms-boundary-identity'].lhs:.2e}, "
-        f"defect {by['localization-defect-nonzero'].rhs:.2e}"
+        f"defect {defect.params['d1']:.6e}"
         + (f"; failed {failed}" if failed else ""),
     )
 

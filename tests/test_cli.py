@@ -360,6 +360,35 @@ class TestFigureCommand:
             assert np.all(np.abs(x1 - (xr - xl) / 2) <= 1e-14 * scale)
 
 
+_BUMP = TestFunction.bump(1.5, 0.5).to_dict()
+# the first five used to exit 1, the code of a failed verification, with a
+# traceback; the last ran and exited 0, reading "false" as true
+MALFORMED = {
+    "config list": ("flow", [1, 2]),
+    "config grid number": ("flow", {"grid": 3}),
+    "config beta list": ("flow", {"beta": [1]}),
+    "function without samples": ("transform", {k: v for k, v in _BUMP.items() if k != "samples"}),
+    "function list": ("transform", [1]),
+    "compact_support string": ("transform", {**_BUMP, "compact_support": "false"}),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_json_exits_2(tmp_path, capsys, case):
+    command, doc = MALFORMED[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    if command == "flow":
+        argv = ("flow", "--config", str(path), "--region", "cone", "--flow", "modular",
+                "--u", "0", "--point", "1,0")
+    else:
+        argv = ("transform", str(path), "--u", "0.2", "-o", str(tmp_path / "out.json"))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == "" and err.startswith("invalid input:")
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestTransformCommand:
     def test_identity_roundtrip(self, tmp_path, capsys):
         src = tmp_path / "in.json"

@@ -9,11 +9,13 @@ independently coded closed forms.
 import json
 import math
 import re
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from modularflow import verify
+from modularflow import cone_wedge, flow_maps, verify, weyl_field
 from modularflow.errors import DomainViolation, QuadratureError
 from modularflow.flow_maps import ThermalContext
 from modularflow.verify import (
@@ -609,3 +611,49 @@ def test_thm22_suites_run_the_shared_modular_remainder(monkeypatch):
     assert {"matrix-element-bound", "decay-rate"} <= failed
     slopes = [c.params["slope"] for c in cases if c.check == "decay-rate"]
     assert all(abs(s + math.pi) < 1e-6 for s in slopes)
+
+
+def _samples_times_1_01(real, ctx, flow, param, f):
+    return real(ctx, flow, param, f).scaled(1.01)
+
+
+def _support_1pct_wide(real, ctx, flow, param, f):
+    # samples unchanged, declared support 1% wider: zeros past the image
+    h = real(ctx, flow, param, f)
+    samples = np.concatenate([h.samples, np.zeros(len(h.samples) // 100)])
+    return replace(h, samples=samples, support=(h.support[0], h.x0 + (len(samples) - 1) * h.dx))
+
+
+def _u_times_1_1(real, beta, u, x, mirror=False):
+    return real(beta, 1.1 * np.asarray(u), x, mirror)
+
+
+def _x0_times_1_01(real, ctx, region, p):
+    return real(ctx, region, replace(p, x0=1.01 * p.x0))
+
+
+# mutant: the module function it wraps, its suite and the cases that must
+# fail under it; each case passes without a mutant
+MUTANTS = {
+    "pull-back samples x1.01": (weyl_field, "_pull_back", _samples_times_1_01, "kms",
+                                {"pull-back-integral", "localization-defect"}),
+    "pull-back support 1% wide": (weyl_field, "_pull_back", _support_1pct_wide, "kms",
+                                  {"pull-back-integral"}),
+    "modular parameter u -> 1.1 u": (flow_maps, "_phi_plus", _u_times_1_1, "kms",
+                                     {"pull-back-integral", "localization-defect"}),
+    "line constant at 1.01 x0": (cone_wedge, "gamma_line_constant", _x0_times_1_01, "flows",
+                                 {"closed-form-flow-lines"}),
+}
+
+
+@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+def test_each_check_can_fail(monkeypatch, mutant):
+    if mutant is None:
+        cases = run_suite("kms", 1.0) + run_suite("flows", 1.0)
+        checks = set().union(*(m[4] for m in MUTANTS.values()))
+        assert checks <= {c.check for c in cases if c.passed}
+        return
+    module, name, wrapper, suite, killed = MUTANTS[mutant]
+    monkeypatch.setattr(module, name, partial(wrapper, getattr(module, name)))
+    failed = {c.check for c in run_suite(suite, 1.0) if not c.passed}
+    assert killed <= failed, failed
