@@ -100,6 +100,8 @@ class RunConfig:
         unknown += [f"grid.{k}" for k in sorted(set(grid) - _GRID_KEYS)]
         if unknown:
             raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+        if any(isinstance(v, bool) for v in (*doc.values(), *grid.values())):
+            raise ValueError(f"bad number in {path}: a JSON boolean")
         cfg = RunConfig()
         try:  # float() of a list, an object or null
             if "beta" in doc:
@@ -110,10 +112,11 @@ class RunConfig:
             cfg.grid_xmax = float(grid.get("xmax", cfg.grid_xmax))
         except TypeError as e:
             raise ValueError(f"bad number in {path}: {e}") from None
-        if "output" in doc:
-            cfg.output = str(doc["output"])
-        if "format" in doc:
-            cfg.format = str(doc["format"])
+        for key in ("output", "format"):
+            if key in doc:
+                if not isinstance(doc[key], str):
+                    raise ValueError(f"{key} in {path} must be a string, got {doc[key]!r}")
+                setattr(cfg, key, doc[key])
         return cfg
 
 

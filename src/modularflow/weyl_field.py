@@ -15,21 +15,23 @@ temperature beta is the Gaussian
 
 Momentum space is the ground truth for all bilinear forms; the regularized
 position kernel is provided as a cross-check only, related to the momentum
-pairing by one global constant fixed numerically (see
+pairing by the derived constant _FOURIER_PAIR_CONSTANT = -1/4 (see
 calibrate_fourier_pair).
 
 Every integral, in momentum or position space, is one composite Simpson
 rule on a uniform grid with an odd node count: a dot product with the
 weight vector of _simpson_weights.  Momentum integrals run on a fixed
 symmetric grid, each through _pair, which refuses supports too far apart
-for it; transforms are evaluated by the chirp-z algorithm on numpy's FFT,
-so results are deterministic and bit-stable across runs.  The
-chirp-z routine keeps its chirp and kernel spectrum in a small plan cache
-keyed on (n, m, w), and a TestFunction keeps its transform per momentum
-grid, so a function paired many times on one grid is transformed once.
-A deviation function derived from f is sampled on f's own lattice, so it
-shares f's step and chirp-z ratio w, and the deviations at one flow
-parameter u and a row of separations t go through one 2-D chirp-z call.
+for it and reads transforms on p >= 0 only (ft(-p) = conj ft(p) for real
+f), each kernel folded into the Simpson weights there.  Transforms are
+evaluated by the chirp-z algorithm on numpy's FFT, so results are
+deterministic and bit-stable across runs.  The chirp-z routine keeps its
+chirp and kernel spectrum in a small plan cache keyed on (n, m, w), and a
+TestFunction keeps its transform per momentum grid, so a function paired
+many times on one grid is transformed once.  A deviation function derived
+from f is sampled on f's own lattice, so it shares f's step and chirp-z
+ratio w, and the deviations at one flow parameter u and a row of
+separations t go through one 2-D chirp-z call.
 
 Off-grid values come from a not-a-knot cubic spline on the samples'
 lattice (_spline), and higher-index actions integrate by a cumulative
@@ -172,6 +174,8 @@ class TestFunction:
         if not isinstance(compact, bool):
             raise ValueError("a test function is a JSON object; compact_support is true or false")
         try:
+            if any(isinstance(v, bool) for v in (d["x0"], d["dx"], *d["support"], *d["samples"])):
+                raise TypeError("a JSON boolean where a number goes")
             return TestFunction(
                 np.asarray(d["samples"], dtype=float),
                 float(d["x0"]),
@@ -323,15 +327,6 @@ def _grid_cached(pmax: float, npts: int) -> np.ndarray:
     return p
 
 
-@lru_cache(maxsize=8)
-def _grid_weights(pmax: float, npts: int) -> np.ndarray:
-    """Simpson weights of the momentum grid, read-only and cached like it."""
-    p = _grid_cached(pmax, npts)
-    w = _simpson_weights(len(p), p[1] - p[0])
-    w.setflags(write=False)
-    return w
-
-
 def momentum_grid(ctx: ThermalContext) -> np.ndarray:
     return _grid_cached(ctx.pmax, ctx.npts)
 
@@ -399,24 +394,22 @@ def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
         raise ValueError("momentum grid must be symmetric about 0")
     if np.max(np.abs(np.diff(p) - dp)) > 1e-9 * dp:
         raise ValueError("momentum grid must be uniform")
-    return _lattice_fourier(f.samples, f.x0, f.dx, p)
+    half = _lattice_fourier(f.samples, f.x0, f.dx, p)
+    return np.concatenate((np.conj(half[:0:-1]), half))
 
 
 def _lattice_fourier(samples: np.ndarray, x0: float, dx: float, p: np.ndarray):
-    """fourier's transform of samples on the lattice x0 + k dx, row by row
-    along the last axis: one chirp-z call and one phase e^{-ip x0} serve
-    every row."""
+    """fourier's transform of samples on the lattice x0 + k dx, on the
+    p >= 0 half of the symmetric grid p, row by row along the last axis:
+    one chirp-z call and one phase e^{-ip x0} serve every row."""
     m = len(p) // 2 + 1
     half = czt(samples, m, np.exp(-1j * (p[1] - p[0]) * dx))
     half *= np.exp(-1j * p[m - 1 :] * x0) * (dx / TWO_PI)
-    out = np.empty(half.shape[:-1] + (len(p),), dtype=complex)
-    out[..., m - 1 :] = half
-    out[..., : m - 1] = np.conj(half[..., 1:])[..., ::-1]
-    return out
+    return half
 
 
-def _transforms(ctx: ThermalContext, f: TestFunction):
-    """(ft(p), ft(-p)) on the momentum grid; the mirror is exact on the symmetric grid.
+def _transforms(ctx: ThermalContext, f: TestFunction) -> np.ndarray:
+    """ft on the p >= 0 half of the momentum grid, all a pairing reads.
 
     The transform is kept read-only in f's __dict__, keyed on the grid's
     (pmax, npts), like the cached x and _spline: the samples are read-only
@@ -427,10 +420,10 @@ def _transforms(ctx: ThermalContext, f: TestFunction):
     key = (ctx.pmax, ctx.npts)
     t = cache.get(key)
     if t is None:
-        t = fourier(f, momentum_grid(ctx))
+        t = _lattice_fourier(f.samples, f.x0, f.dx, momentum_grid(ctx))
         t.setflags(write=False)
         cache[key] = t
-    return t, t[::-1]
+    return t
 
 
 def _simpson_weights(n: int, d: float) -> np.ndarray:
@@ -441,11 +434,6 @@ def _simpson_weights(n: int, d: float) -> np.ndarray:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (d / 3.0)
-
-
-def _weight(spec: FieldSpec, p: np.ndarray) -> np.ndarray:
-    """Kernel weight p Q(p^2) = p^{2n+1}."""
-    return p ** (2 * spec.n + 1)
 
 
 def _finite(name: str, values: np.ndarray):
@@ -489,13 +477,30 @@ def two_point_momentum(ctx: ThermalContext, spec: FieldSpec, p):
     return float(out[0]) if scalar else out
 
 
+def _fold(ctx: ThermalContext, k) -> np.ndarray:
+    """Kernel function k as _pair's read-only rows (w (k(p) + k(-p)),
+    w (k(p) - k(-p)), |k(p)|) on p >= 0: w, the grid's Simpson weights with the
+    one at p = 0 halved, makes sum w (F(p) + F(-p)) the full grid's sum of F."""
+    p = momentum_grid(ctx)
+    w = _simpson_weights(len(p), p[1] - p[0])[len(p) // 2 :]
+    w[0] /= 2.0
+    p = p[len(p) // 2 :]
+    k_p, k_m = k(np.stack((p, -p)))
+    kernel = np.stack((w * (k_p + k_m), w * (k_p - k_m), np.abs(k_p)))
+    kernel.setflags(write=False)
+    return kernel
+
+
 @lru_cache(maxsize=8)
 def _density(ctx: ThermalContext, spec: FieldSpec) -> np.ndarray:
-    """two_point_momentum on the momentum grid, read-only and cached per
-    (beta, pmax, npts) and n, like the grid itself."""
-    dens = two_point_momentum(ctx, spec, momentum_grid(ctx))
-    dens.setflags(write=False)
-    return dens
+    """two_point_momentum folded by _fold, cached per (beta, pmax, npts) and n."""
+    return _fold(ctx, lambda p: two_point_momentum(ctx, spec, p))
+
+
+@lru_cache(maxsize=8)
+def _field_weight(ctx: ThermalContext, spec: FieldSpec) -> np.ndarray:
+    """K's kernel p^{2n+1} folded by _fold, odd by construction: even row 0."""
+    return _fold(ctx, lambda p: np.sign(p) * np.abs(p) ** (2 * spec.n + 1))
 
 
 # |Re z| from which the position kernel takes the asymptote of sinh(z)^2;
@@ -590,13 +595,12 @@ def two_point_position(ctx: ThermalContext, xi, epsilon: float):
 _TAIL_RTOL = 1e-3
 
 
-def _tail_check(integrand: np.ndarray, what: str):
-    n_tail = max(4, len(integrand) // 100)
-    tail = max(
-        float(np.max(np.abs(integrand[:n_tail]))),
-        float(np.max(np.abs(integrand[-n_tail:]))),
-    )
-    peak = float(np.max(np.abs(integrand)))
+def _tail_check(size: np.ndarray, what: str):
+    """Raise when size = |k(p) z| on p >= 0 tops _TAIL_RTOL of its peak on the full
+    grid's last max(4, n // 100) nodes; |k(p)| >= |k(-p)| for both kernels."""
+    n_tail = max(4, (2 * len(size) - 1) // 100)
+    tail = float(np.max(size[-n_tail:]))
+    peak = float(np.max(size))
     if peak > 0 and tail > _TAIL_RTOL * peak:
         raise QuadratureError(
             f"{what}: integrand tail {tail:.3e} above {_TAIL_RTOL:.0e} * peak "
@@ -613,22 +617,26 @@ def _own_tail_check(ctx: ThermalContext, spec: FieldSpec, f: TestFunction):
     passed = f.__dict__.setdefault("_tail_checked", set())
     key = (ctx.pmax, ctx.npts, spec.n)
     if key not in passed:
-        tf_p, tf_m = _transforms(ctx, f)
-        _tail_check(_weight(spec, momentum_grid(ctx)) * tf_m * tf_p, "symplectic form")
+        t = _transforms(ctx, f)
+        _tail_check(_field_weight(ctx, spec)[2] * (t.real**2 + t.imag**2), "symplectic form")
         passed.add(key)
 
 
-def _pair(ctx: ThermalContext, span, first, *rest, what: str | None = None):
-    """Momentum pairing, the one Simpson sum over the momentum grid.
+def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None):
+    """Momentum pairing int k(p) conj(at(p)) bt(p) dp, the one Simpson sum
+    over the momentum grid.
 
-    The factors are multiplied left to right into one new array; 1-D factors
-    give a complex, a row stack one sum per row (bit for bit the 1-D sum of
-    each row).  span, a float or one per row, is the widest separation of
-    the paired supports: Simpson's T_2dp part is periodic in the separation
+    a and b are transforms of real functions on p >= 0, so with z = conj(a) b
+    the integrand at -p is k(-p) conj(z); the sum is vecdot(even, Re z) +
+    i vecdot(odd, Im z), kernel = _fold(k), and z in real arithmetic makes
+    Im z odd in (a, b) and 0 at a = b bit for bit.  1-D transforms give a
+    complex, row stacks one sum per row (bit for bit the 1-D sum of each
+    row).  span, a float or one per row, is the widest separation of the
+    paired supports: Simpson's T_2dp part is periodic in the separation
     with period pi/dp and the kernels decay like e^{-2 pi |y - x|/beta}, so
     a span above pi/dp - 6 beta (an alias above 1e-16) raises
-    QuadratureError.  With what given (1-D factors) the integrand's tail at
-    the cutoff is checked too; what names the pairing in both messages.
+    QuadratureError.  With what given (1-D transforms) the integrand's tail
+    at the cutoff is checked too; what names the pairing in both messages.
     """
     p = momentum_grid(ctx)
     dp = p[1] - p[0]
@@ -639,12 +647,14 @@ def _pair(ctx: ThermalContext, span, first, *rest, what: str | None = None):
             f"{what or 'momentum pairing'}: supports {widest:.6g} apart, above the "
             f"grid's alias-free separation {limit:.6g}; increase npts"
         )
-    integrand = first * rest[0] if rest else first
-    for r in rest[1:]:
-        integrand *= r
+    re = a.real * b.real
+    re += a.imag * b.imag
+    im = a.real * b.imag
+    im -= a.imag * b.real
+    even, odd, size = kernel
     if what is not None:
-        _tail_check(integrand, what)
-    val = np.vecdot(_grid_weights(ctx.pmax, ctx.npts), integrand)
+        _tail_check(size * np.hypot(re, im), what)
+    val = np.vecdot(even, re) + 1j * np.vecdot(odd, im)
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -658,30 +668,23 @@ def symplectic_K(
 ) -> complex:
     """Symplectic form K(f, g); purely imaginary and antisymmetric on real pairs.
 
-    The integrand is antisymmetrized before summation, which makes
-    K(f, g) = -K(g, f) and K(f, f) = 0 hold exactly in the quadrature.
-    Raises QuadratureError when the supports lie too far apart for the grid.
+    The kernel p^{2n+1} is odd, so only Im conj(ft) gt enters the sum, and
+    K(f, g) = -K(g, f) and K(f, f) = 0 hold exactly (see _pair).  Raises
+    QuadratureError when the supports lie too far apart for the grid.
     """
-    w = _weight(spec, momentum_grid(ctx))
-    tf_p, tf_m = _transforms(ctx, f)
-    tg_p, tg_m = _transforms(ctx, g)
-    a = w * tf_m * tg_p
-    b = w * tg_m * tf_p
-    _tail_check(a, "symplectic form")
-    return complex(0.0, _pair(ctx, _separation(f, g), 0.5 * (a - b)).imag)
+    tf, tg = _transforms(ctx, f), _transforms(ctx, g)
+    return _pair(ctx, _separation(f, g), _field_weight(ctx, spec), tf, tg, what="symplectic form")
 
 
 def omega2(
     ctx: ThermalContext, spec: FieldSpec, f: TestFunction, g: TestFunction
 ) -> complex:
-    """Thermal two-point form omega2(f, g); omega2(f, f) is real and >= 0.
+    """Thermal two-point form omega2(f, g) = conj omega2(g, f), real and >= 0 at f = g.
 
     Raises QuadratureError when the supports lie too far apart for the grid.
     """
-    tf_m, tg_p = _transforms(ctx, f)[1], _transforms(ctx, g)[0]
-    dens = _density(ctx, spec)
-    val = _pair(ctx, _separation(f, g), dens, tf_m, tg_p, what="two-point form")
-    return complex(val.real, 0.0) if f is g else val
+    tf, tg = _transforms(ctx, f), _transforms(ctx, g)
+    return _pair(ctx, _separation(f, g), _density(ctx, spec), tf, tg, what="two-point form")
 
 
 def weyl_inner(
@@ -697,11 +700,9 @@ def weyl_inner(
     linear); QuadratureError when the supports together span too far for the
     grid.  That pairing comes first: its union span covers K's separation.
     """
-    tf_p, tf_m = _transforms(ctx, f)
-    tg_p, tg_m = _transforms(ctx, g)
+    d = _transforms(ctx, f) - _transforms(ctx, g)
     span = max(f.support[1], g.support[1]) - min(f.support[0], g.support[0])
-    dens = _density(ctx, spec)
-    o = _pair(ctx, span, dens, tf_m - tg_m, tf_p - tg_p, what="two-point form").real
+    o = _pair(ctx, span, _density(ctx, spec), d, d, what="two-point form").real
     k = symplectic_K(ctx, spec, g, f)
     return complex(np.exp(k / 2.0 - norm.c * o))
 
@@ -788,42 +789,35 @@ def _deviation_exponents(
     """
     if f.support[0] <= 0.0:
         raise DomainViolation("supp f must lie in the positive half-line")
-    p = momentum_grid(ctx)
-    dens = _density(ctx, spec)
-    wgt = _weight(spec, p)
-    tf_p, tf_m = _transforms(ctx, f)
+    dens, wgt = _density(ctx, spec), _field_weight(ctx, spec)
+    tf = _transforms(ctx, f)
     rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
     if g is not None:
-        tg_p, tg_m = _transforms(ctx, g)
+        tg = _transforms(ctx, g)
         _own_tail_check(ctx, spec, f)
         _own_tail_check(ctx, spec, g)
         lo, hi = np.minimum(lo, g.support[0]), np.maximum(hi, g.support[1])
     span = hi - lo
-    td_p = _lattice_fourier(rows, x0, f.dx, p)
-    # both translates move by the shift through the phase e^{-ip shift},
-    # mirrored like the transforms, so each factor at -p is a reversed view
-    m = len(p) // 2
-    ph = np.empty_like(td_p)
-    ph[..., m:] = np.exp(-1j * p[m:] * shift[:, None])
-    ph[..., :m] = np.conj(ph[..., :m:-1])
-    td_p *= ph
-    td_m = td_p[..., ::-1]
-    # the rest is formed in ph's buffer, so at most three row-sized arrays
-    # are alive at once: a freed row-sized temporary per product costs page
-    # faults once the heap is trimmed
-    th2_p = ph
-    th2_p *= tf_p  # h2's transform
+    p = momentum_grid(ctx)
+    td = _lattice_fourier(rows, x0, f.dx, p)
+    # both translates move by the shift through the phase e^{-ip shift}
+    ph = np.exp(-1j * p[len(p) // 2 :] * shift[:, None])
+    td *= ph
+    # the rest is formed in ph's buffer, so at most two complex row stacks
+    # and _pair's real parts are alive at once: a freed row-sized temporary
+    # per product costs page faults once the heap is trimmed
+    th2 = ph
+    th2 *= tf  # h2's transform
+    k = _pair(ctx, span, wgt, th2 if g is None else tg, td)
     if g is None:
-        k = _pair(ctx, span, wgt, th2_p[..., ::-1], td_p)
-        o = _pair(ctx, span, dens, td_m, td_p).real
-        return np.zeros(len(t)), -norm.c * o + 1j * (k.imag / 2.0)
-    te_p = th2_p
-    te_p -= tg_p
-    z2 = -norm.c * _pair(ctx, span, dens, te_p[..., ::-1], te_p).real
-    k = _pair(ctx, span, wgt * tg_m, td_p)
-    te_p *= 2.0
-    te_p += td_p  # td_p + 2 te_p
-    o = _pair(ctx, span, dens, td_m, te_p).real
+        z2, te = np.zeros(len(t)), td  # e = 0
+    else:
+        te = th2
+        te -= tg
+        z2 = -norm.c * _pair(ctx, span, dens, te, te).real
+        te *= 2.0
+        te += td  # td + 2 te
+    o = _pair(ctx, span, dens, td, te).real
     return z2, -norm.c * o + 1j * (k.imag / 2.0)
 
 
@@ -1057,22 +1051,18 @@ def omega2_position(
     return complex(np.sum(_simpson_weights(n, sf[1] - sf[0]) * F(sf) * k))
 
 
+# int dens(p) e^{-eps p} e^{ipz} dp = -(pi/beta)^2 sinh^{-2}(pi (z + i eps)/beta)
+# at n = 0 and conj ft gt carries (1/2pi)^2, so the damped momentum pairing is
+# (1/4pi^2)(-pi^2) = -1/4 times omega2_position's lower-boundary smear
+_FOURIER_PAIR_CONSTANT = -0.25
+
+
 @dataclass(frozen=True)
 class FourierPairCalibration:
-    """Constant tying the position kernel to the momentum pairing."""
+    """Momentum/position ratio on the first pair; see calibrate_fourier_pair."""
 
     constant: complex
     max_relative_deviation: float
-
-
-def _omega2_damped(
-    ctx: ThermalContext, spec: FieldSpec, f: TestFunction, g: TestFunction, epsilon: float
-) -> complex:
-    """Momentum pairing with the e^{-eps p} damping matching the kernel's eps."""
-    if epsilon >= ctx.beta:
-        raise ValueError("damping scale must stay below beta")
-    dens = _density(ctx, spec) * np.exp(-epsilon * momentum_grid(ctx))
-    return _pair(ctx, _separation(f, g), dens, _transforms(ctx, f)[1], _transforms(ctx, g)[0])
 
 
 def calibrate_fourier_pair(
@@ -1080,20 +1070,23 @@ def calibrate_fourier_pair(
     pairs: list[tuple[TestFunction, TestFunction]],
     epsilon: float,
 ) -> FourierPairCalibration:
-    """Fix the momentum/position constant on the first pair; check the rest.
+    """Check the momentum/position constant on every pair.
 
-    The ratio (damped momentum pairing) / (lower-boundary position smearing)
-    must not depend on the pair; its spread is reported as
-    max_relative_deviation.
+    The ratio of the n = 0 momentum pairing, damped by e^{-eps p} to match
+    the kernel's eps, to the lower-boundary position smearing must be
+    _FOURIER_PAIR_CONSTANT for every pair; max_relative_deviation is the
+    worse of its spread and its relative deviation from that constant.
     """
     if not pairs:
         raise ValueError("at least one pair is needed")
-    spec = FieldSpec(0)
+    if epsilon >= ctx.beta:
+        raise ValueError("damping scale must stay below beta")
+    dens = _fold(ctx, lambda p: two_point_momentum(ctx, FieldSpec(0), p) * np.exp(-epsilon * p))
     ratios = []
     for f, g in pairs:
-        mom = _omega2_damped(ctx, spec, f, g, epsilon)
-        pos = omega2_position(ctx, f, g, epsilon)
-        ratios.append(mom / pos)
+        mom = _pair(ctx, _separation(f, g), dens, _transforms(ctx, f), _transforms(ctx, g))
+        ratios.append(mom / omega2_position(ctx, f, g, epsilon))
     c0 = ratios[0]
-    dev = float(np.max([abs(r - c0) / abs(c0) for r in ratios]))  # keeps a NaN
+    devs = [(abs(r - c0) / abs(c0), abs(r / _FOURIER_PAIR_CONSTANT - 1.0)) for r in ratios]
+    dev = float(np.max(devs))  # keeps a NaN
     return FourierPairCalibration(constant=c0, max_relative_deviation=dev)

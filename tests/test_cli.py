@@ -362,7 +362,11 @@ class TestFigureCommand:
 
 _BUMP = TestFunction.bump(1.5, 0.5).to_dict()
 # the first five used to exit 1, the code of a failed verification, with a
-# traceback; the last ran and exited 0, reading "false" as true
+# traceback; "compact_support string" ran and exited 0, reading "false" as
+# true.  Of the later six, "beta true", "output number", "x0 true" and
+# "sample false" ran and exited 0 (a boolean read as 1 or 0, the number as
+# the file name "3"); the other two were refused only for the value read,
+# xmin 0 not centred and the format "None"
 MALFORMED = {
     "config list": ("flow", [1, 2]),
     "config grid number": ("flow", {"grid": 3}),
@@ -370,6 +374,12 @@ MALFORMED = {
     "function without samples": ("transform", {k: v for k, v in _BUMP.items() if k != "samples"}),
     "function list": ("transform", [1]),
     "compact_support string": ("transform", {**_BUMP, "compact_support": "false"}),
+    "config beta true": ("flow", {"beta": True}),
+    "config grid xmin false": ("flow", {"grid": {"xmin": False, "xmax": 3.0}}),
+    "config output number": ("flow", {"output": 3}),
+    "config format null": ("flow", {"format": None}),
+    "function x0 true": ("transform", {**_BUMP, "x0": True}),
+    "function sample false": ("transform", {**_BUMP, "samples": [False] + _BUMP["samples"][1:]}),
 }
 
 

@@ -632,6 +632,10 @@ def _x0_times_1_01(real, ctx, region, p):
     return real(ctx, region, replace(p, x0=1.01 * p.x0))
 
 
+def _times_1_01(real, *args):
+    return 1.01 * real(*args)
+
+
 # mutant: the module function it wraps, its suite and the cases that must
 # fail under it; each case passes without a mutant
 MUTANTS = {
@@ -643,13 +647,16 @@ MUTANTS = {
                                      {"pull-back-integral", "localization-defect"}),
     "line constant at 1.01 x0": (cone_wedge, "gamma_line_constant", _x0_times_1_01, "flows",
                                  {"closed-form-flow-lines"}),
+    # every pair's ratio moves alike, so only the derived -1/4 notices
+    "position kernel x1.01": (weyl_field, "two_point_position", _times_1_01, "kernels",
+                              {"fourier-pair-calibration"}),
 }
 
 
 @pytest.mark.parametrize("mutant", [None, *MUTANTS])
 def test_each_check_can_fail(monkeypatch, mutant):
     if mutant is None:
-        cases = run_suite("kms", 1.0) + run_suite("flows", 1.0)
+        cases = run_suite("kms", 1.0) + run_suite("flows", 1.0) + run_suite("kernels", 1.0)
         checks = set().union(*(m[4] for m in MUTANTS.values()))
         assert checks <= {c.check for c in cases if c.passed}
         return

@@ -31,7 +31,8 @@ from modularflow.weyl_field import (
     _density,
     _deviation_exponents,
     _deviation_samples,
-    _grid_weights,
+    _field_weight,
+    _fold,
     _next_fast_len,
     _pair,
     _position_kernel,
@@ -248,13 +249,43 @@ class TestTransformLayer:
         assert np.all(np.abs(got - simpson(y, dx=0.37, axis=-1)) <= 5e-15 * scale)
         assert all(got[i] == np.vecdot(w, y[i]) for i in range(4))
 
-    def test_momentum_weights_cached_read_only(self):
+    def test_fold_rows(self):
+        # the rows are w (k(p) + k(-p)), w (k(p) - k(-p)) and |k(p)| on p >= 0,
+        # w the full grid's Simpson weights there with the one at p = 0 halved
         ctx = ThermalContext()
         p = momentum_grid(ctx)
-        w = _grid_weights(ctx.pmax, ctx.npts)
-        assert np.array_equal(w, _simpson_weights(len(p), p[1] - p[0]))
-        assert _grid_weights(ctx.pmax, ctx.npts) is w
-        assert not w.flags.writeable
+        m = len(p) // 2
+        w = _simpson_weights(len(p), p[1] - p[0])[m:]
+        w[0] /= 2.0
+        kernel = _fold(ctx, lambda q: np.exp(q) - 3.0)
+        q = p[m:]
+        k_p, k_m = np.exp(q) - 3.0, np.exp(-q) - 3.0
+        assert np.array_equal(kernel, [w * (k_p + k_m), w * (k_p - k_m), np.abs(k_p)])
+        assert not kernel.flags.writeable
+
+    # npts | 1 nodes: 8193 = 1 mod 4 puts a Simpson weight 2 at p = 0, 8195 a 4
+    @pytest.mark.parametrize("npts", [8192, 8194])
+    def test_folded_sum_is_the_full_grid_simpson_sum(self, npts):
+        # the pairing on p >= 0 is scipy's simpson of the mirrored integrand
+        # on the full grid, k(p) z at p and k(-p) conj(z) at -p, z = conj(a) b;
+        # worst measured 1.3e-17 of sum w |integrand|
+        ctx = ThermalContext(npts=npts)
+        p = momentum_grid(ctx)
+        m = len(p) // 2
+        rng = np.random.default_rng(npts)
+        a, b = rng.standard_normal((2, m + 1)) + 1j * rng.standard_normal((2, m + 1))
+        a[0], b[0] = a[0].real, b[0].real  # transforms of real functions are real at 0
+
+        def k(q):
+            return np.exp(q / 80.0) + np.sin(q)  # neither even nor odd
+
+        z = np.conj(a) * b
+        q = p[m:]
+        integrand = np.concatenate(((k(-q) * np.conj(z))[:0:-1], k(q) * z))
+        got = _pair(ctx, 0.0, _fold(ctx, k), a, b)
+        want = simpson(integrand, dx=p[1] - p[0])
+        w = _simpson_weights(len(p), p[1] - p[0])
+        assert abs(got - want) <= 1e-15 * np.vecdot(w, np.abs(integrand))
 
     def test_position_integrals_use_the_package_rule(self, monkeypatch):
         # omega2_position and localization_defect sum with _simpson_weights,
@@ -278,15 +309,16 @@ class TestTransformLayer:
         assert all(n % 2 == 1 for n in counts)
 
     def test_transform_memoized_read_only(self):
+        # kept on p >= 0 only: fourier's p < 0 half is its mirror image
         ctx = ThermalContext(beta=1.0)
         f = TestFunction.bump(1.2, 0.5)
-        t_p, t_m = _transforms(ctx, f)
-        assert np.array_equal(t_p, fourier(f, momentum_grid(ctx)))
-        assert _transforms(ctx, f)[0] is t_p
-        for t in (t_p, t_m):
-            assert not t.flags.writeable
-            with pytest.raises(ValueError):
-                t[0] = 0.0
+        t = _transforms(ctx, f)
+        p = momentum_grid(ctx)
+        assert np.array_equal(t, fourier(f, p)[len(p) // 2 :])
+        assert _transforms(ctx, f) is t
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 0.0
 
     def test_new_instances_do_not_inherit_the_transform(self):
         ctx = ThermalContext(beta=1.0)
@@ -295,8 +327,8 @@ class TestTransformLayer:
         _transforms(ctx, f)
         for g in (f.translate(0.3), f.scaled(2.0), replace(f, samples=f.samples**2)):
             assert "_transforms" not in g.__dict__
-            assert np.array_equal(_transforms(ctx, g)[0], fourier(g, p))
-            assert not np.array_equal(_transforms(ctx, g)[0], _transforms(ctx, f)[0])
+            assert np.array_equal(_transforms(ctx, g), fourier(g, p)[len(p) // 2 :])
+            assert not np.array_equal(_transforms(ctx, g), _transforms(ctx, f))
 
     def test_grids_do_not_share_a_transform(self):
         f = TestFunction.bump(1.2, 0.5)
@@ -305,18 +337,26 @@ class TestTransformLayer:
             ThermalContext(beta=1.0, npts=2048),
             ThermalContext(beta=1.0, npts=2048, pmax=150.0),
         ):
-            got = _transforms(ctx, f)[0]
-            assert np.array_equal(got, fourier(f, momentum_grid(ctx)))
+            p = momentum_grid(ctx)
+            assert np.array_equal(_transforms(ctx, f), fourier(f, p)[len(p) // 2 :])
         assert len(f.__dict__["_transforms"]) == 3
 
-    def test_density_memoized_read_only(self):
+    def test_kernels_memoized_read_only(self):
         ctx = ThermalContext(beta=1.3)
         dens = _density(ctx, N0)
-        assert np.array_equal(dens, two_point_momentum(ctx, N0, momentum_grid(ctx)))
+        assert np.array_equal(dens, _fold(ctx, lambda p: two_point_momentum(ctx, N0, p)))
         assert _density(ThermalContext(beta=1.3), FieldSpec(0)) is dens
         assert not dens.flags.writeable
         assert not np.array_equal(_density(ctx, FieldSpec(1)), dens)
-        assert len(_density(ThermalContext(beta=1.3, npts=1024), N0)) == 1025
+        assert _density(ThermalContext(beta=1.3, npts=1024), N0).shape == (3, 513)
+        # K's kernel p^{2n+1} is odd to the last bit, so its even row is 0;
+        # numpy's power is not: (-p)**3 != -(p**3) at about 5% of the nodes
+        for n in (0, 1, 2):
+            wgt = _field_weight(ctx, FieldSpec(n))
+            assert _field_weight(ctx, FieldSpec(n)) is wgt and not wgt.flags.writeable
+            assert np.all(wgt[0] == 0.0)
+            odd = _fold(ctx, lambda p: np.stack((p[0] ** (2 * n + 1), -p[0] ** (2 * n + 1))))
+            assert np.array_equal(wgt, odd)
 
     def test_deviation_grid_work_done_once(self, monkeypatch):
         # the density and the tail checks of f and g do not change along a
@@ -713,62 +753,63 @@ class TestSymplecticForm:
             symplectic_K(ThermalContext(), N0, f, f.translate(d))
 
     def test_guarded_value_is_the_simpson_sum(self):
-        # the guard leaves the value alone: it is the weighted sum, bit for
-        # bit, and scipy's simpson to 5e-17 of sum w |integrand| (worst
-        # measured 7.9e-19; K itself is 3.7e-13, a cancellation)
+        # the guard leaves the value alone: it is the odd-weight sum of
+        # Im conj(ft) gt, bit for bit, and scipy's simpson of the full-grid
+        # integrand p ft(-p) gt(p) to 5e-17 of sum w |integrand| (worst
+        # measured 1.4e-18; K itself is 3.7e-13, a cancellation)
         ctx = ThermalContext()
         f = TestFunction.bump(1.5, 0.5)
         g = f.translate(50.0)
-        p = momentum_grid(ctx)
-        (tf_p, tf_m), (tg_p, tg_m) = _transforms(ctx, f), _transforms(ctx, g)
-        integrand = 0.5 * (p * tf_m * tg_p - p * tg_m * tf_p)
-        w = _grid_weights(ctx.pmax, ctx.npts)
+        tf, tg = _transforms(ctx, f), _transforms(ctx, g)
         got = symplectic_K(ctx, N0, f, g)
-        assert got == complex(0.0, np.vecdot(w, integrand).imag)
+        im = tf.real * tg.imag - tf.imag * tg.real
+        assert got == complex(0.0, np.vecdot(_field_weight(ctx, N0)[1], im))
+        p = momentum_grid(ctx)
+        integrand = p * fourier(f, p)[::-1] * fourier(g, p)
         want = simpson(integrand, dx=p[1] - p[0]).imag
+        w = _simpson_weights(len(p), p[1] - p[0])
         assert abs(got.imag - want) <= 5e-17 * np.vecdot(w, np.abs(integrand))
 
 
 class TestPair:
     def test_row_stack_is_each_row(self):
         ctx = ThermalContext()
-        n = len(momentum_grid(ctx))
+        m = len(momentum_grid(ctx)) // 2 + 1
         rng = np.random.default_rng(19)
-        a = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
-        b = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
-        dens = _density(ctx, N0)
+        a = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+        b = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
         spans = np.linspace(1.0, 50.0, 5)
-        got = _pair(ctx, spans, dens, a[..., ::-1], b)
-        assert got.shape == (5,)
-        for i in range(5):
-            one = _pair(ctx, spans[i], dens, a[i, ::-1], b[i])
-            assert type(one) is complex
-            assert got[i] == one
+        for kernel in (_density(ctx, N0), _field_weight(ctx, N0)):
+            got = _pair(ctx, spans, kernel, a, b)
+            assert got.shape == (5,)
+            for i in range(5):
+                one = _pair(ctx, spans[i], kernel, a[i], b[i])
+                assert type(one) is complex
+                assert got[i] == one
+            # one 1-D factor against a row stack is that factor in every row
+            got = _pair(ctx, spans, kernel, a[0], b)
+            assert all(got[i] == _pair(ctx, spans[i], kernel, a[0], b[i]) for i in range(5))
 
     def test_one_wide_row_raises(self):
         ctx = ThermalContext()
-        y = np.ones((3, len(momentum_grid(ctx))))
+        y = np.ones((3, len(momentum_grid(ctx)) // 2 + 1), dtype=complex)
         with pytest.raises(QuadratureError, match="supports 60 apart"):
-            _pair(ctx, np.array([1.0, 60.0, 2.0]), y)
+            _pair(ctx, np.array([1.0, 60.0, 2.0]), _density(ctx, N0), y, y)
 
     def test_every_momentum_sum_is_a_guarded_pair(self, monkeypatch):
-        # a Simpson sum over the momentum grid happens only inside _pair,
-        # and every _pair call gets the span of what it pairs
+        # a sum over the momentum nodes happens only inside _pair, and every
+        # _pair call gets the span of what it pairs
         import modularflow.weyl_field as wf
 
         ctx = ThermalContext()
-        n = len(momentum_grid(ctx))
+        m = len(momentum_grid(ctx)) // 2 + 1
         inside, outside, spans = [False], [], []
+        vecdot = np.vecdot
 
-        def grid_weights_spy(pmax, npts):
-            if not inside[0]:
-                outside.append((pmax, npts))
-            return _grid_weights(pmax, npts)
-
-        def weights_spy(k, d):
-            if k == n and not inside[0]:
-                outside.append((k, d))
-            return _simpson_weights(k, d)
+        def vecdot_spy(x, y, **kw):
+            if m in np.shape(x)[-1:] + np.shape(y)[-1:] and not inside[0]:
+                outside.append((np.shape(x), np.shape(y)))
+            return vecdot(x, y, **kw)
 
         def pair_spy(ctx, span, *factors, **kw):
             spans.append(np.max(span))
@@ -778,8 +819,7 @@ class TestPair:
             finally:
                 inside[0] = False
 
-        monkeypatch.setattr(wf, "_grid_weights", grid_weights_spy)
-        monkeypatch.setattr(wf, "_simpson_weights", weights_spy)
+        monkeypatch.setattr(np, "vecdot", vecdot_spy)
         monkeypatch.setattr(wf, "_pair", pair_spy)
         f, g = TestFunction.bump(1.5, 0.5), TestFunction.bump(-1.5, 0.5)
         omega2(ctx, N0, f, g)
@@ -828,10 +868,23 @@ class TestOmega2:
             assert abs(lhs - rhs) < 1e-10
 
     def test_hermitian_on_real_pairs(self):
+        # bit for bit: summed over the full grid, 15 of these 20 pairs
+        # missed by rounding
         ctx = ThermalContext()
         rng = np.random.default_rng(23)
-        f, g = random_bumps(rng, 2)
-        assert abs(omega2(ctx, N0, g, f) - np.conj(omega2(ctx, N0, f, g))) < 1e-14
+        for _ in range(20):
+            f, g = random_bumps(rng, 2)
+            assert omega2(ctx, N0, g, f) == np.conj(omega2(ctx, N0, f, g))
+
+    def test_real_on_an_equal_copy(self):
+        # no `f is g` branch: a copy pairs to a real number too (it read
+        # an imaginary part of -2.1e-20 with the full-grid integrand)
+        ctx = ThermalContext()
+        f = TestFunction.bump(1.2, 0.5)
+        g = replace(f)
+        assert g is not f and _transforms(ctx, g) is not _transforms(ctx, f)
+        assert omega2(ctx, N0, f, g).imag == 0.0
+        assert omega2(ctx, N0, f, g) == omega2(ctx, N0, f, f)
 
     def test_far_supports_match_fine_grid(self):
         # Simpson's T_2dp part aliases at separation pi/dp ~ 64.35 beta; 50 is clear
@@ -1138,19 +1191,16 @@ class TestFourierPairCalibration:
         cal = calibrate_fourier_pair(ctx, pairs, eps)
         assert cal.max_relative_deviation < 1e-4
 
-    def test_calibrated_kernel_reproduces_momentum_form(self):
-        # at matched regularization the calibrated position smear reproduces
-        # the momentum pairing on a fresh pair to well under 1e-4
-        from modularflow.weyl_field import _omega2_damped
-
+    def test_derived_constant_reproduces_momentum_form(self):
+        # at matched regularization -1/4 times the position smear reproduces
+        # the damped momentum pairing on each pair to well under 1e-4
         ctx = ThermalContext()
         eps = 1e-3 * ctx.beta
-        f1, g1 = TestFunction.bump(0.7, 0.4), TestFunction.bump(1.3, 0.4)
-        cal = calibrate_fourier_pair(ctx, [(f1, g1)], eps)
-        f2, g2 = TestFunction.bump(0.45, 0.3), TestFunction.bump(1.0, 0.5)
-        mom = _omega2_damped(ctx, N0, f2, g2, eps)
-        pos = cal.constant * omega2_position(ctx, f2, g2, eps)
-        assert abs(mom - pos) / abs(mom) < 1e-4
+        f, g = TestFunction.bump(0.45, 0.3), TestFunction.bump(1.0, 0.5)
+        cal = calibrate_fourier_pair(ctx, [(f, g)], eps)
+        assert abs(cal.constant / -0.25 - 1.0) < 1e-6
+        assert cal.max_relative_deviation == abs(cal.constant / -0.25 - 1.0)
         # removing the regularization moves the value only at O(eps)
-        mom0 = omega2(ctx, N0, f2, g2)
+        mom = cal.constant * omega2_position(ctx, f, g, eps)
+        mom0 = omega2(ctx, N0, f, g)
         assert abs(mom0 - mom) / abs(mom0) < 5e-2
