@@ -102,6 +102,12 @@ class RunConfig:
             raise ValueError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
         if any(isinstance(v, bool) for v in (*doc.values(), *grid.values())):
             raise ValueError(f"bad number in {path}: a JSON boolean")
+        numbers = {k: doc[k] for k in ("beta", "epsilon") if k in doc}
+        numbers.update((f"grid.{k}", v) for k, v in grid.items())
+        for key, v in numbers.items():
+            # "inf" is beta's one documented string
+            if isinstance(v, str) and (key, v) != ("beta", "inf"):
+                raise ValueError(f"bad number in {path}: {key} is the JSON string {v!r}")
         cfg = RunConfig()
         try:  # float() of a list, an object or null
             if "beta" in doc:

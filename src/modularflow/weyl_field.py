@@ -26,7 +26,7 @@ for it and reads transforms on p >= 0 only (ft(-p) = conj ft(p) for real
 f), each kernel folded into the Simpson weights there.  Transforms are
 evaluated by the chirp-z algorithm on numpy's FFT, so results are
 deterministic and bit-stable across runs.  The chirp-z routine keeps its
-chirp and kernel spectrum in a small plan cache keyed on (n, m, w), and a
+chirp and kernel spectrum in a small plan cache keyed on (n, m, log w), and a
 TestFunction keeps its transform per momentum grid, so a function paired
 many times on one grid is transformed once.  A deviation function derived
 from f is sampled on f's own lattice, so it shares f's step and chirp-z
@@ -174,8 +174,10 @@ class TestFunction:
         if not isinstance(compact, bool):
             raise ValueError("a test function is a JSON object; compact_support is true or false")
         try:
-            if any(isinstance(v, bool) for v in (d["x0"], d["dx"], *d["support"], *d["samples"])):
-                raise TypeError("a JSON boolean where a number goes")
+            for v in (d["x0"], d["dx"], *d["support"], *d["samples"]):
+                if isinstance(v, (bool, str)):  # float() reads both
+                    kind = "boolean" if isinstance(v, bool) else "string"
+                    raise TypeError(f"a JSON {kind} where a number goes: {v!r}")
             return TestFunction(
                 np.asarray(d["samples"], dtype=float),
                 float(d["x0"]),
@@ -348,13 +350,13 @@ def _next_fast_len(target: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _czt_plan(n: int, m: int, w: complex):
+def _czt_plan(n: int, m: int, log_w: complex):
     """Bluestein plan (wk2[:n], Fwk2, wk2[:m], nfft) for n samples and m
     nodes: the chirp wk2 = w^{k^2/2} = exp(k^2/2 log w), and Fwk2 the FFT
     of its reciprocal over lags -(n-1) .. m-1, on an 11-smooth length nfft.
     """
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-    wk2 = np.exp(k**2 / 2.0 * np.log(np.complex128(w)))
+    wk2 = np.exp(k**2 / 2.0 * log_w)
     nfft = _next_fast_len(n + m - 1)
     fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
     for arr in (fwk2, wk2):
@@ -362,18 +364,33 @@ def _czt_plan(n: int, m: int, w: complex):
     return wk2[:n], fwk2, wk2[:m], nfft
 
 
-def czt(x: np.ndarray, m: int, w: complex) -> np.ndarray:
+def czt(
+    x: np.ndarray, m: int, w: complex | None = None, *, log_w: complex | None = None, out=None
+) -> np.ndarray:
     """Chirp-z transform X_k = sum_j x_j w^{jk}, k < m, by Bluestein's algorithm
     (Rabiner, Schafer & Rader 1969), along the last axis of x.
 
-    The chirp and kernel spectrum come from a plan cached on (n, m, w), n
-    the length of x's last axis, and every row of a 2-D x shares it.
+    log_w, given in place of w, is log w itself: a unit-modulus ratio
+    e^{i theta} is exact as log_w = i theta, where np.log(np.exp(i theta))
+    keeps a real part of rounding size that scales term j k by |w|^{jk}.
+    The chirp and kernel spectrum come from a plan cached on (n, m, log w),
+    n the length of x's last axis, and every row of a 2-D x shares it.  The
+    transform is formed in one complex buffer of the FFT length nfft =
+    _next_fast_len(n + m - 1) and returned as a view into it; out, when
+    given, is that buffer, of shape x.shape[:-1] + (nfft,).
     """
     n = x.shape[-1]
-    wk2_n, fwk2, wk2_m, nfft = _czt_plan(n, m, w)
-    y = fft(x * wk2_n, nfft)
-    y = ifft(np.multiply(fwk2, y, out=y), out=y)
-    return y[..., n - 1 : n + m - 1] * wk2_m
+    if log_w is None:
+        log_w = np.log(np.complex128(w))
+    wk2_n, fwk2, wk2_m, nfft = _czt_plan(n, m, complex(log_w))
+    y = np.empty(x.shape[:-1] + (nfft,), dtype=complex) if out is None else out
+    np.multiply(x, wk2_n, out=y[..., :n])
+    y[..., n:] = 0.0
+    fft(y, out=y)
+    ifft(np.multiply(fwk2, y, out=y), out=y)
+    res = y[..., n - 1 : n + m - 1]
+    res *= wk2_m
+    return res
 
 
 def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
@@ -398,14 +415,40 @@ def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
     return np.concatenate((np.conj(half[:0:-1]), half))
 
 
-def _lattice_fourier(samples: np.ndarray, x0: float, dx: float, p: np.ndarray):
+def _lattice_fourier(samples: np.ndarray, x0: float, dx: float, p: np.ndarray, out=None):
     """fourier's transform of samples on the lattice x0 + k dx, on the
     p >= 0 half of the symmetric grid p, row by row along the last axis:
-    one chirp-z call and one phase e^{-ip x0} serve every row."""
+    one chirp-z call, on the exact unit-modulus ratio e^{-i dp dx}, and one
+    phase e^{-ip x0} serve every row.  out is czt's."""
     m = len(p) // 2 + 1
-    half = czt(samples, m, np.exp(-1j * (p[1] - p[0]) * dx))
-    half *= np.exp(-1j * p[m - 1 :] * x0) * (dx / TWO_PI)
+    dp = p[1] - p[0]
+    half = czt(samples, m, log_w=-1j * (dp * dx), out=out)
+    half *= _phases(dp, x0, m, dx / TWO_PI)
     return half
+
+
+# _phases takes ceil(m/_FINE) + _FINE complex exponentials for m phases
+_FINE = 64
+
+
+def _phases(dp: float, x, m: int, scale: float = 1.0, out=None) -> np.ndarray:
+    """scale * e^{-ik dp x} for k < m: shape (m,) for a float x, and one row
+    per entry of a 1-D array x.
+
+    Node k = q _FINE + r is the coarse entry scale * e^{-i (q _FINE dp) x}
+    times the fine entry e^{-i (r dp) x}; each angle is one rounding of
+    (k dp) x, as in np.exp(-1j * p * x) on nodes p = k dp.  The result is a
+    view into one complex array of ceil(m/_FINE) _FINE entries per row,
+    out when given.
+    """
+    x = np.asarray(x, dtype=float)[..., None, None]
+    blocks = -(-m // _FINE)
+    fine = np.exp(-1j * (dp * np.arange(_FINE)) * x)
+    coarse = np.exp(-1j * (_FINE * dp * np.arange(blocks)[:, None]) * x)
+    coarse *= scale
+    if out is not None:
+        out = out.reshape(x.shape[:-2] + (blocks, _FINE))
+    return np.multiply(coarse, fine, out=out).reshape(x.shape[:-2] + (-1,))[..., :m]
 
 
 def _transforms(ctx: ThermalContext, f: TestFunction) -> np.ndarray:
@@ -622,7 +665,7 @@ def _own_tail_check(ctx: ThermalContext, spec: FieldSpec, f: TestFunction):
         passed.add(key)
 
 
-def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None):
+def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None, work=None):
     """Momentum pairing int k(p) conj(at(p)) bt(p) dp, the one Simpson sum
     over the momentum grid.
 
@@ -637,6 +680,8 @@ def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None):
     a span above pi/dp - 6 beta (an alias above 1e-16) raises
     QuadratureError.  With what given (1-D transforms) the integrand's tail
     at the cutoff is checked too; what names the pairing in both messages.
+    work, when given, is a real array of shape (2,) + the stack's shape that
+    takes the products in place of two new ones.
     """
     p = momentum_grid(ctx)
     dp = p[1] - p[0]
@@ -647,14 +692,25 @@ def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None):
             f"{what or 'momentum pairing'}: supports {widest:.6g} apart, above the "
             f"grid's alias-free separation {limit:.6g}; increase npts"
         )
-    re = a.real * b.real
-    re += a.imag * b.imag
-    im = a.real * b.imag
-    im -= a.imag * b.real
     even, odd, size = kernel
+    # a part that is 0 by construction is not formed: K's odd kernel has an
+    # even row of zeros (the tail check still reads |z|), and Im conj(a) a = 0
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    x, y = np.empty((2,) + shape) if work is None else work
+    re = im = 0.0
+    re_sum = im_sum = np.zeros(shape[:-1])
+    if what is not None or even.any():
+        re = np.multiply(a.real, b.real, out=x)
+        re += np.multiply(a.imag, b.imag, out=y)
+        re_sum = np.vecdot(even, re)
+    if a is not b:
+        im = np.multiply(a.real, b.imag, out=y)
+        # x is free once Re z is summed, unless the tail check reads it
+        im -= np.multiply(a.imag, b.real, out=x if what is None else None)
+        im_sum = np.vecdot(odd, im)
     if what is not None:
         _tail_check(size * np.hypot(re, im), what)
-    val = np.vecdot(even, re) + 1j * np.vecdot(odd, im)
+    val = re_sum + 1j * im_sum
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -799,25 +855,28 @@ def _deviation_exponents(
         lo, hi = np.minimum(lo, g.support[0]), np.maximum(hi, g.support[1])
     span = hi - lo
     p = momentum_grid(ctx)
-    td = _lattice_fourier(rows, x0, f.dx, p)
-    # both translates move by the shift through the phase e^{-ip shift}
-    ph = np.exp(-1j * p[len(p) // 2 :] * shift[:, None])
-    td *= ph
-    # the rest is formed in ph's buffer, so at most two complex row stacks
-    # and _pair's real parts are alive at once: a freed row-sized temporary
-    # per product costs page faults once the heap is trimmed
-    th2 = ph
+    (n_rows, n), m = rows.shape, len(tf)
+    # the row pipeline runs in one buffer per call, freed on return: the
+    # chirp-z transform's (td is a view into it), the shift phases (h2's
+    # transform, then e's) and the pairings' two real products
+    sizes = n_rows * np.array([_next_fast_len(n + m - 1), _FINE * -(-m // _FINE), m])
+    fft_buf, ph_buf, work = np.split(np.empty(sizes.sum(), dtype=complex), np.cumsum(sizes)[:-1])
+    td = _lattice_fourier(rows, x0, f.dx, p, out=fft_buf.reshape(n_rows, -1))
+    # both translates move by the shift through one phase e^{-ip shift}
+    th2 = _phases(p[1] - p[0], shift, m, out=ph_buf)
+    td *= th2
     th2 *= tf  # h2's transform
-    k = _pair(ctx, span, wgt, th2 if g is None else tg, td)
+    work = work.view(float).reshape(2, n_rows, m)
+    k = _pair(ctx, span, wgt, th2 if g is None else tg, td, work=work)
     if g is None:
         z2, te = np.zeros(len(t)), td  # e = 0
     else:
         te = th2
         te -= tg
-        z2 = -norm.c * _pair(ctx, span, dens, te, te).real
+        z2 = -norm.c * _pair(ctx, span, dens, te, te, work=work).real
         te *= 2.0
         te += td  # td + 2 te
-    o = _pair(ctx, span, dens, td, te).real
+    o = _pair(ctx, span, dens, td, te, work=work).real
     return z2, -norm.c * o + 1j * (k.imag / 2.0)
 
 

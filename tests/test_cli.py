@@ -380,6 +380,14 @@ MALFORMED = {
     "config format null": ("flow", {"format": None}),
     "function x0 true": ("transform", {**_BUMP, "x0": True}),
     "function sample false": ("transform", {**_BUMP, "samples": [False] + _BUMP["samples"][1:]}),
+    # float() reads a numeric string: these ran, "2" as beta 2
+    "config beta string": ("flow", {"beta": "2"}),
+    "config epsilon string": ("flow", {"epsilon": "1e-4"}),
+    "config grid xmin string": ("flow", {"grid": {"xmin": "-3", "xmax": 3.0}}),
+    "function x0 string": ("transform", {**_BUMP, "x0": str(_BUMP["x0"])}),
+    "function dx string": ("transform", {**_BUMP, "dx": str(_BUMP["dx"])}),
+    "function support string": ("transform", {**_BUMP, "support": ["1.0", _BUMP["support"][1]]}),
+    "function sample string": ("transform", {**_BUMP, "samples": ["0"] + _BUMP["samples"][1:]}),
 }
 
 
@@ -397,6 +405,16 @@ def test_malformed_json_exits_2(tmp_path, capsys, case):
     assert code == EXIT_DOMAIN
     assert out == "" and err.startswith("invalid input:")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_config_beta_inf_is_the_one_string(tmp_path, capsys):
+    # the documented "inf" reads as the vacuum, as --beta inf does
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"beta": "inf"}))
+    argv = ("flow", "--region", "cone", "--flow", "modular", "--u", "0.5", "--point", "1,0")
+    code, out, _ = run(capsys, *argv, "--config", str(path))
+    assert code == EXIT_OK
+    assert out == run(capsys, *argv, "--beta", "inf")[1]
 
 
 class TestTransformCommand:

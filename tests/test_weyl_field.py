@@ -35,6 +35,7 @@ from modularflow.weyl_field import (
     _fold,
     _next_fast_len,
     _pair,
+    _phases,
     _position_kernel,
     _simpson_weights,
     _sinh_cosh,
@@ -206,10 +207,10 @@ class TestTransformLayer:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_chirp_matches_power(self):
-        # the chirp is exp(k^2/2 log w) throughout; numpy's power multiplies
-        # for k^2/2 < 100 instead: worst measured 7.6e-15 (|chirp| = 1), and
-        # czt against scipy's 1.4e-15 of sum |x|; sizes below 15 and n > m
-        # are among the draws
+        # the chirp is exp(k^2/2 log w) throughout, the plan keyed on log w;
+        # numpy's power multiplies for k^2/2 < 100 instead: worst measured
+        # 7.6e-15 (|chirp| = 1), and czt against scipy's 1.4e-15 of sum |x|;
+        # sizes below 15 and n > m are among the draws
         from scipy.signal import czt as scipy_czt
 
         rng = np.random.default_rng(15)
@@ -218,7 +219,7 @@ class TestTransformLayer:
         assert any(n > m for n, m in sizes) and any(max(n, m) < 15 for n, m in sizes)
         for i, (n, m) in enumerate(sizes):
             w = np.exp(-1j * math.exp(rng.uniform(math.log(1e-7), math.log(0.5))))
-            awk2, _, wk2, _ = _czt_plan(n, m, w)
+            awk2, _, wk2, _ = _czt_plan(n, m, complex(np.log(w)))
             chirp = awk2 if n >= m else wk2
             k = np.arange(max(n, m))
             want = np.complex128(w) ** (k**2 / 2.0)
@@ -227,6 +228,58 @@ class TestTransformLayer:
                 x = rng.standard_normal(n)
                 got = czt(x, m, w) - scipy_czt(x, m=m, w=w, a=1.0 + 0.0j)
                 assert np.max(np.abs(got)) <= 1e-13 * np.sum(np.abs(x)), (n, m, w)
+
+    def test_lattice_sum_against_mpmath(self):
+        # the lattice sum (dx/2pi) sum_j f_j e^{-ip_k (x0 + j dx)} at beta 1;
+        # worst measured 1.2e-16, 1.6e-17, 1.6e-14, 3.7e-13 and 1.3e-12 at
+        # these k, against 2.0e-14, 7.3e-13, 8.3e-11, 4.9e-11 and 1.1e-10 on
+        # the ratio np.exp(-1j dp dx), whose |w| - 1 ~ 2e-17 scaled term j k
+        # by |w|^{jk}; the chirp's angle k^2/2 dp dx rounds like k^2, so the
+        # bound is about 100x the measured 1e-16 + 8e-20 k^2
+        import mpmath
+
+        f = TestFunction.bump(0.8, 0.4)
+        p = momentum_grid(ThermalContext(beta=1.0))
+        got = fourier(f, p)
+        m = len(p) // 2
+        with mpmath.workprec(113):
+            dp, x0, dx = (mpmath.mpf(v) for v in (p[1] - p[0], f.x0, f.dx))
+            for k in (1, 37, 1000, 2500, 4096):
+                terms = (
+                    mpmath.mpf(f.samples[j]) * mpmath.expj(-k * dp * (x0 + j * dx))
+                    for j in np.flatnonzero(f.samples).tolist()
+                )
+                want = complex(mpmath.fsum(terms) * dx / (2 * mpmath.pi))
+                assert abs(got[m + k] - want) <= (1e-14 + 1e-17 * k**2) * abs(want), k
+
+    def test_phase_table(self):
+        # each angle is one rounding of (k dp) x, as in np.exp, so both lie
+        # within about half an ulp of the largest angle of the exact phase
+        # (worst measured 8.5e-13 at x = 49.3, against a one-ulp bound of
+        # 1.8e-12), and they agree to 2.5e-16 where (k dp) x is exact
+        import mpmath
+
+        p = momentum_grid(ThermalContext(beta=1.0))
+        m = len(p) // 2 + 1
+        dp = p[1] - p[0]
+        assert np.array_equal(p[m - 1 :], dp * np.arange(m))  # nodes k dp
+        dyadic = [0.0, 0.5, 5.5, 54.5, 61.0]
+        x = np.array(dyadic + np.random.default_rng(5).uniform(0.0, 61.0, 4).tolist())
+        got = _phases(dp, x, m)
+        assert got.shape == (len(x), m)
+        want = np.exp(-1j * p[m - 1 :] * x[:, None])
+        assert np.max(np.abs(got[: len(dyadic)] - want[: len(dyadic)])) <= 1e-15
+        k = np.arange(0, m, 37)
+        with mpmath.workprec(150):
+            for row, xi in zip(got, x.tolist()):
+                exact = [complex(mpmath.expj(-int(kk) * mpmath.mpf(dp) * xi)) for kk in k]
+                limit = np.spacing(dp * (m - 1) * xi) + 1e-15
+                assert np.max(np.abs(row[k] - exact)) <= limit, xi
+        # a float x gives one row, the scale rides on it, and out takes it
+        out = np.empty(-(-m // 64) * 64, dtype=complex)
+        one = _phases(dp, 54.5, m, 0.25, out=out)
+        assert one.shape == (m,) and np.shares_memory(one, out)
+        assert np.max(np.abs(one - 0.25 * want[3])) <= 1e-15
 
     def test_plan_cache_bounded(self):
         info = _czt_plan.cache_info()
@@ -789,6 +842,30 @@ class TestPair:
             # one 1-D factor against a row stack is that factor in every row
             got = _pair(ctx, spans, kernel, a[0], b)
             assert all(got[i] == _pair(ctx, spans[i], kernel, a[0], b[i]) for i in range(5))
+
+    def test_skipped_parts_are_the_full_sum(self):
+        # K's even row is 0 and Im conj(a) a is 0, so those parts are not
+        # formed; the result is bit for bit the two-part sum, 1-D and per row
+        ctx = ThermalContext()
+        m = len(momentum_grid(ctx)) // 2 + 1
+        rng = np.random.default_rng(23)
+        decay = np.exp(-np.arange(m) / 40.0)  # within the tail rule
+        a, b = (rng.standard_normal((2, 3, m)) + 1j * rng.standard_normal((2, 3, m))) * decay
+        a[:, 0], b[:, 0] = a[:, 0].real, b[:, 0].real
+        for kernel in (_density(ctx, N0), _field_weight(ctx, N0), _density(ctx, FieldSpec(1))):
+            even, odd, _ = kernel
+            for x, y in ((a, b), (a, a), (b, b)):
+                want = (np.vecdot(even, x.real * y.real + x.imag * y.imag)
+                        + 1j * np.vecdot(odd, x.real * y.imag - x.imag * y.real))
+                work = np.empty((2,) + x.shape)
+                for got in (_pair(ctx, 1.0, kernel, x, y), _pair(ctx, 1.0, kernel, x, y, work=work)):
+                    assert got.shape == (3,) and np.array_equal(got, want)
+                for i in range(3):
+                    xi = x[i]
+                    yi = xi if x is y else y[i]
+                    for what in (None, "test pairing"):
+                        assert _pair(ctx, 1.0, kernel, xi, yi, what=what) == want[i]
+        assert not _field_weight(ctx, N0)[0].any()
 
     def test_one_wide_row_raises(self):
         ctx = ThermalContext()
