@@ -13,8 +13,8 @@ below the rounding noise of naive grid subtraction, so the matrix-element
 bound and the deviation norm both take the change of the Weyl overlap from
 one routine, weyl_field._deviation_exponents, which builds the deviation
 function from the parameter shift, flow_maps' modular remainder (the code
-the flow maps themselves run), times a spline derivative and pairs only
-that deviation.
+the flow maps themselves run), as increments of f's spline from its knots,
+and pairs only that deviation.
 """
 
 from __future__ import annotations
@@ -92,6 +92,15 @@ def _separations(t) -> np.ndarray:
     return np.atleast_1d(ts)
 
 
+def _expm1_ratio(a: float, b: float) -> float:
+    """min(|e^a - 1| / (e^b - 1), 1) for b > 0.  Past expm1's range (709) it
+    is 1 at a >= b, and below that e^{max(a,0) - b} (1 - e^{-|a|}), as
+    1 - e^{-b} is 1: finite, and it may underflow to 0."""
+    if max(a, b) < 709.0:
+        return min(abs(math.expm1(a)) / math.expm1(b), 1.0)
+    return 1.0 if a >= b else -math.expm1(-abs(a)) * math.exp(max(a, 0.0) - b)
+
+
 def matrix_element_bound(
     ctx: ThermalContext,
     spec: FieldSpec,
@@ -121,10 +130,7 @@ def matrix_element_bound(
         raise DomainViolation("t must be positive")
     z2, dz = _deviation_exponents(ctx, spec, norm, f, u, ts, g)
     lhs = np.exp(z2) * np.abs(np.expm1(dz))
-    rhs = np.array([
-        2.0 * min(abs(math.expm1(TWO_PI * u)) / math.expm1(TWO_PI * tj / ctx.beta), 1.0)
-        for tj in ts.tolist()
-    ])
+    rhs = np.array([2.0 * _expm1_ratio(TWO_PI * u, TWO_PI * tj / ctx.beta) for tj in ts.tolist()])
     if np.ndim(t) == 0:
         return BoundReport(lhs=float(lhs[0]), rhs=float(rhs[0]))
     return BoundReport(lhs=lhs, rhs=rhs)

@@ -29,9 +29,9 @@ deterministic and bit-stable across runs.  The chirp-z routine keeps its
 chirp and kernel spectrum in a small plan cache keyed on (n, m, log w), and a
 TestFunction keeps its transform per momentum grid, so a function paired
 many times on one grid is transformed once.  A deviation function derived
-from f is sampled on f's own lattice, so it shares f's step and chirp-z
-ratio w, and the deviations at one flow parameter u and a row of
-separations t go through one 2-D chirp-z call.
+from f is sampled on f's own lattice, one increment of f's spline per entry,
+so it shares f's step and chirp-z ratio w, and the deviations at one flow
+parameter u and a row of separations t go through one 2-D chirp-z call.
 
 Off-grid values come from a not-a-knot cubic spline on the samples'
 lattice (_spline), and higher-index actions integrate by a cumulative
@@ -225,10 +225,12 @@ class StateNormalization:
 
 
 class _Spline:
-    """Piecewise polynomial on the lattice x0 + k dx, k < n: on
-    [x_i, x_{i+1}] it is sum_k c[k, i] (pt - x_i)^{K-1-k}, K = len(c).
+    """Cubic spline on the lattice x0 + k dx, k < n, by its Taylor data at
+    the knots: rows c = (c0, c1, c2, y) of n columns, with c2 the slopes, c1
+    half the curvatures and c0 the cubic coefficient of the piece to the
+    knot's right (the last column repeats the last piece's).
 
-    A point's interval is floor((pt - x0)/dx), clipped to [0, n-2], so the
+    A point's piece is floor((pt - x0)/dx), clipped to [0, n-2], so the
     end pieces extend past the outer knots; each piece is summed by
     Horner's rule.  Points are a 1-D float array without NaN.
     """
@@ -240,18 +242,13 @@ class _Spline:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         c = self.c
-        i = np.clip((pts - self.x0) / self.dx, 0, c.shape[1] - 1).astype(np.intp)
+        i = np.clip((pts - self.x0) / self.dx, 0, c.shape[1] - 2).astype(np.intp)
         s = pts - (self.x0 + i * self.dx)
         out = c[0].take(i)
         for ck in c[1:]:
             out *= s
             out += ck.take(i)
         return out
-
-    def derivative(self) -> _Spline:
-        """The first derivative, with coefficients c[:-1] * (K-1, ..., 1)."""
-        factor = np.arange(len(self.c) - 1, 0, -1, dtype=float)
-        return _Spline(self.x0, self.dx, self.c[:-1] * factor[:, None])
 
 
 # The interior rows s_{i-1} + 4 s_i + s_{i+1} = r_i of the slope system have
@@ -294,7 +291,9 @@ def _spline(x0: float, dx: float, y: np.ndarray) -> _Spline:
     m = np.diff(y) / dx
     s = _slopes(m)
     t = (s[:-1] + s[1:] - 2.0 * m) / dx
-    c = np.stack((t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]))
+    c0, c1 = t / dx, (m - s[:-1]) / dx - t
+    # the last knot's half curvature is the last piece's at its right end
+    c = np.stack((np.append(c0, c0[-1]), np.append(c1, c1[-1] + 3.0 * t[-1]), s, y))
     return _Spline(x0, dx, c)
 
 
@@ -364,15 +363,13 @@ def _czt_plan(n: int, m: int, log_w: complex):
     return wk2[:n], fwk2, wk2[:m], nfft
 
 
-def czt(
-    x: np.ndarray, m: int, w: complex | None = None, *, log_w: complex | None = None, out=None
-) -> np.ndarray:
+def czt(x: np.ndarray, m: int, *, log_w: complex, out=None) -> np.ndarray:
     """Chirp-z transform X_k = sum_j x_j w^{jk}, k < m, by Bluestein's algorithm
     (Rabiner, Schafer & Rader 1969), along the last axis of x.
 
-    log_w, given in place of w, is log w itself: a unit-modulus ratio
-    e^{i theta} is exact as log_w = i theta, where np.log(np.exp(i theta))
-    keeps a real part of rounding size that scales term j k by |w|^{jk}.
+    The ratio is given as log_w = log w: a unit-modulus ratio e^{i theta} is
+    exact as log_w = i theta, where np.log(np.exp(i theta)) keeps a real
+    part of rounding size that scales term j k by |w|^{jk}.
     The chirp and kernel spectrum come from a plan cached on (n, m, log w),
     n the length of x's last axis, and every row of a 2-D x shares it.  The
     transform is formed in one complex buffer of the FFT length nfft =
@@ -380,8 +377,6 @@ def czt(
     given, is that buffer, of shape x.shape[:-1] + (nfft,).
     """
     n = x.shape[-1]
-    if log_w is None:
-        log_w = np.log(np.complex128(w))
     wk2_n, fwk2, wk2_m, nfft = _czt_plan(n, m, complex(log_w))
     y = np.empty(x.shape[:-1] + (nfft,), dtype=complex) if out is None else out
     np.multiply(x, wk2_n, out=y[..., :n])
@@ -651,20 +646,6 @@ def _tail_check(size: np.ndarray, what: str):
         )
 
 
-def _own_tail_check(ctx: ThermalContext, spec: FieldSpec, f: TestFunction):
-    """The symplectic-form tail check on f's own transform, once per grid and n.
-
-    A pass is recorded in f's __dict__ next to its cached transforms; a
-    failure raises QuadratureError and records nothing, so it raises again.
-    """
-    passed = f.__dict__.setdefault("_tail_checked", set())
-    key = (ctx.pmax, ctx.npts, spec.n)
-    if key not in passed:
-        t = _transforms(ctx, f)
-        _tail_check(_field_weight(ctx, spec)[2] * (t.real**2 + t.imag**2), "symplectic form")
-        passed.add(key)
-
-
 def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None, work=None):
     """Momentum pairing int k(p) conj(at(p)) bt(p) dp, the one Simpson sum
     over the momentum grid.
@@ -693,8 +674,8 @@ def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None, work
             f"grid's alias-free separation {limit:.6g}; increase npts"
         )
     even, odd, size = kernel
-    # a part that is 0 by construction is not formed: K's odd kernel has an
-    # even row of zeros (the tail check still reads |z|), and Im conj(a) a = 0
+    # a part that is 0 by construction is not formed: a kernel row of zeros
+    # (K's even row; the tail check still reads |z|), and Im conj(a) a = 0
     shape = np.broadcast_shapes(a.shape, b.shape)
     x, y = np.empty((2,) + shape) if work is None else work
     re = im = 0.0
@@ -703,7 +684,7 @@ def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None, work
         re = np.multiply(a.real, b.real, out=x)
         re += np.multiply(a.imag, b.imag, out=y)
         re_sum = np.vecdot(even, re)
-    if a is not b:
+    if a is not b and (what is not None or odd.any()):
         im = np.multiply(a.real, b.imag, out=y)
         # x is free once Re z is summed, unless the tail check reads it
         im -= np.multiply(a.imag, b.real, out=x if what is None else None)
@@ -771,18 +752,21 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     """delta_u(f(. - t)) - f(. - (t - beta u)) over f's own coordinates, one
     row per entry of the 1-D array t.
 
-    Returns (rows, x0, shift, (lo, hi)): row j is the deviation at t[j],
-    supported in [lo[j], hi[j]], translated back by shift[j] = t[j] - beta u
+    Returns (rows, x0, shift, (lo, hi)): row r is the deviation at t[r],
+    supported in [lo[r], hi[r]], translated back by shift[r] = t[r] - beta u
     and sampled on f's lattice x0 + k f.dx, so the translate is f's own
-    samples and every row shares f's chirp-z step.  The
-    rows span the union of the nodes' index ranges, rounded up to whole
-    _DEVIATION_PAD blocks; outside its own range a row is exactly 0 (both
-    functions vanish there), so each row is its node's deviation
-    zero-padded to the common range.
+    samples and every row shares f's chirp-z step.  The rows span the union
+    of the nodes' index ranges, rounded up to whole _DEVIATION_PAD blocks;
+    outside its own range a row is exactly 0 (both functions vanish there),
+    so each row is its node's deviation zero-padded to the common range.
     The parameter shift L(u, y) - y - beta u is the modular remainder at -u,
-    flow_maps.modular_remainder(beta, -u, y), and where it is below the grid
-    scale the difference is replaced by spline derivative * shift, keeping
-    full relative accuracy down to shifts ~ 1e-300.
+    delta = flow_maps.modular_remainder(beta, -u, y).  Entry k is
+    f(x_k + delta) - f(x_k), summed from the knot j nearest x_k + delta on
+    x_k's side as (y_j - y_k) + s (c2_j + s (c1_j + s c0)) with the data of
+    f's _Spline, s = x_k + delta - x_j (|s| <= dx) and c0 from the piece on
+    s's side.  For |delta| < dx, j = k and the sum has no constant term, so
+    it keeps full relative accuracy down to shifts ~ 1e-300.  A target
+    outside supp f, or a NaN delta, leaves -y_k.
     """
     beta = ctx.beta
     a0, b0 = f.support
@@ -801,20 +785,25 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     # NaN where L(u, y) is undefined: those entries keep only the translate
     delta = modular_remainder(beta, -u, a_grid + shift[:, None])
     own = (k >= 0) & (k < len(f.samples))
-    rows = np.zeros(delta.shape)
-    rows[:, own] = -f.samples[k[own]]
-    size = np.abs(delta)
-    small = size < 1e-3 * dx
-    if np.any(small):
-        mid = (a_grid + delta / 2.0)[small]
-        dv = np.zeros_like(mid)
-        ins = (mid > a0) & (mid < b0)
-        dv[ins] = f._spline.derivative()(mid[ins])
-        rows[small] = dv * delta[small]
-    big = size >= 1e-3 * dx
-    rows[big] += f((a_grid + delta)[big])
-    if not np.isfinite(rows).all():
-        raise ValueError("deviation samples must be finite")
+    neg = np.zeros(len(k))  # -y_k, 0 off f's lattice
+    neg[own] = -f.samples[k[own]]
+    target = a_grid + delta
+    out = ~((target >= a0) & (target <= b0))  # NaN included
+    delta[out] = 0.0
+    c0, c1, c2, y = f._spline.c
+    # the cast rounds delta/dx toward 0, to the knot on x_k's side
+    j = np.clip(k + (delta / dx).astype(np.intp), 0, len(y) - 1)
+    s = np.multiply(j - k, -dx, out=target)
+    s += delta
+    p = c0.take(j - (s < 0), mode="clip")
+    for ck in (c1, c2):
+        p *= s
+        p += ck.take(j)
+    p *= s
+    rows = y.take(j)
+    rows += neg
+    rows += p
+    np.copyto(rows, neg, where=out)
     support = (np.minimum(a0, img_lo) + shift, np.maximum(b0, img_hi) + shift)
     return rows, float(a_grid[0]), shift, support
 
@@ -833,8 +822,8 @@ def _deviation_exponents(
     functions).  dz pairs d only, so nothing cancels at the e^{-2pi t/beta}
     scale; those pairings are not tail-checked.  g = None means g = h2 (e = 0,
     z2 = 0); a given g and f get symplectic_K's tail check on their own
-    transforms (once per function and grid), raising QuadratureError when
-    too narrow for the cutoff.
+    transforms on every call, raising QuadratureError when too narrow for
+    the cutoff.
 
     The t values form one row: their deviations, zero-padded to a common
     range of f's lattice, go through one 2-D chirp-z call, and each pairing
@@ -850,8 +839,8 @@ def _deviation_exponents(
     rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
     if g is not None:
         tg = _transforms(ctx, g)
-        _own_tail_check(ctx, spec, f)
-        _own_tail_check(ctx, spec, g)
+        for th in (tf, tg):  # symplectic_K's tail check on each own transform
+            _tail_check(wgt[2] * (th.real**2 + th.imag**2), "symplectic form")
         lo, hi = np.minimum(lo, g.support[0]), np.maximum(hi, g.support[1])
     span = hi - lo
     p = momentum_grid(ctx)
@@ -876,7 +865,8 @@ def _deviation_exponents(
         z2 = -norm.c * _pair(ctx, span, dens, te, te, work=work).real
         te *= 2.0
         te += td  # td + 2 te
-    o = _pair(ctx, span, dens, td, te, work=work).real
+    # Re omega2(d, d + 2e) alone: the density's even row, a zero odd row
+    o = _pair(ctx, span, (dens[0], np.zeros(m), dens[2]), td, te, work=work).real
     return z2, -norm.c * o + 1j * (k.imag / 2.0)
 
 

@@ -81,6 +81,31 @@ class TestBound:
         assert rep.rhs == 2.0
         assert rep.lhs <= 2.0
 
+    @pytest.mark.parametrize("npts, u, t", [(65536, 0.5, 115.0), (32768, 120.0, 2.0)])
+    def test_rhs_past_the_expm1_range(self, f_pos, g_neg, npts, u, t):
+        # 2 pi t/beta or 2 pi u above 709.78, where math.expm1 raised
+        # OverflowError: the bound is 2 min(|e^{2pi u} - 1|/(e^{2pi t} - 1), 1),
+        # a subnormal 6.9e-313 and 2 (the grids keep the rows alias-free)
+        import mpmath
+
+        rep = matrix_element_bound(ThermalContext(1.0, npts=npts), N0, f_pos, g_neg, u, t)
+        a, b = TWO_PI * mpmath.mpf(u), TWO_PI * mpmath.mpf(t)
+        want = float(2 * min(abs(mpmath.expm1(a)) / mpmath.expm1(b), 1))
+        assert rep.rhs == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert rep.lhs <= rep.rhs
+
+    def test_bound_ratio_across_the_expm1_range(self):
+        # the ratio min(|e^a - 1|/(e^b - 1), 1) on both sides of a, b = 709,
+        # against mpmath; past 745 it underflows to 0
+        import mpmath
+
+        cases = [(3.0, 708.9), (3.0, 709.0), (-2.0, 709.5), (0.0, 720.0), (708.5, 709.5),
+                 (750.0, 760.0), (800.0, 790.0), (709.5, 100.0), (3.0, 760.0)]
+        for a, b in cases:
+            want = min(abs(mpmath.expm1(a)) / mpmath.expm1(b), 1)
+            assert verify._expm1_ratio(a, b) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+        assert verify._expm1_ratio(3.0, 760.0) == 0.0
+
     def test_margin_on_subgrid(self, ctx, f_pos, g_neg):
         for u in (-1.0, -0.3, 0.4, 1.0):
             for t in (0.5, 2.0, 6.0):

@@ -203,7 +203,7 @@ class TestTransformLayer:
             want = scipy_czt(x, m=m, w=w, a=1.0 + 0.0j)
             # twice: once building the plan, once from the cache
             for _ in range(2):
-                got = czt(x, m, w)
+                got = czt(x, m, log_w=np.log(w))
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_chirp_matches_power(self):
@@ -226,7 +226,7 @@ class TestTransformLayer:
             assert np.max(np.abs(chirp - want)) <= 2e-13, (n, m, w)
             if i < 12:
                 x = rng.standard_normal(n)
-                got = czt(x, m, w) - scipy_czt(x, m=m, w=w, a=1.0 + 0.0j)
+                got = czt(x, m, log_w=np.log(w)) - scipy_czt(x, m=m, w=w, a=1.0 + 0.0j)
                 assert np.max(np.abs(got)) <= 1e-13 * np.sum(np.abs(x)), (n, m, w)
 
     def test_lattice_sum_against_mpmath(self):
@@ -412,8 +412,9 @@ class TestTransformLayer:
             assert np.array_equal(wgt, odd)
 
     def test_deviation_grid_work_done_once(self, monkeypatch):
-        # the density and the tail checks of f and g do not change along a
-        # thm22 grid, so repeated nodes compute neither again
+        # the density does not change along a thm22 grid, so repeated nodes
+        # do not compute it again; the tail checks of f and g run on every
+        # call with a given g
         import modularflow.weyl_field as wf
 
         densities, tails = [], []
@@ -430,7 +431,9 @@ class TestTransformLayer:
         assert (len(densities), len(tails)) == (1, 2)
         for u, t in ((0.3, [1.0]), (-0.5, [2.0, 3.0]), (1.0, [0.5])):
             got = _deviation_exponents(ctx, N0, NORM, f, u, np.array(t), g)
-        assert (len(densities), len(tails)) == (1, 2)
+        assert (len(densities), len(tails)) == (1, 8)
+        _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]))
+        assert (len(densities), len(tails)) == (1, 8)
         again = _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]), g)
         assert all(np.array_equal(a, b) for a, b in zip(again, first))
         again = _deviation_exponents(ctx, N0, NORM, f, 1.0, np.array([0.5]), g)
@@ -517,21 +520,23 @@ class TestScipyImports:
 
 
 def _spline_pairs(x0, dx, y, pts):
-    """(ours, scipy's) values and first derivatives of the spline through the
-    samples y on the lattice x0 + k dx, and the scales their differences are
-    measured against: max |y| and the largest knot slope."""
+    """(ours, scipy's, scale) for the spline through the samples y on the
+    lattice x0 + k dx: its values at pts, then its slopes and curvatures
+    (2 c1) at all knots, each difference measured against max |y|, the
+    largest knot slope and the largest knot curvature."""
     x = x0 + dx * np.arange(len(y))
     ours, ref = _spline(x0, dx, y), CubicSpline(x, y)
-    return (
-        (ours(pts), ref(pts), np.max(np.abs(y))),
-        (ours.derivative()(pts), ref.derivative()(pts), np.max(np.abs(ref.derivative()(x)))),
-    )
+    _, c1, c2, _ = ours.c
+    pairs = [(ours(pts), ref(pts), np.max(np.abs(y)))]
+    for got, nu in ((c2, 1), (2.0 * c1, 2)):
+        want = ref(x, nu)
+        pairs.append((got, want, np.max(np.abs(want))))
+    return pairs
 
 
-def _assert_spline_close(pairs, value_tol, slope_tol):
-    (got, want, scale), (dgot, dwant, dscale) = pairs
-    assert np.max(np.abs(got - want)) <= value_tol * scale
-    assert np.max(np.abs(dgot - dwant)) <= slope_tol * dscale
+def _assert_spline_close(pairs, value_tol, slope_tol, curvature_tol):
+    for (got, want, scale), tol in zip(pairs, (value_tol, slope_tol, curvature_tol)):
+        assert np.max(np.abs(got - want)) <= tol * scale
 
 
 class TestOwnedNumerics:
@@ -571,21 +576,23 @@ class TestOwnedNumerics:
                 assert np.max(np.abs(rows - rhs)) <= 1e-14 * np.max(np.abs(rhs)), n
 
     def test_spline_matches_scipy_on_bump_grids(self):
-        # worst measured: values 1.3e-15 of max |y|, slopes 6.6e-13 of the
-        # largest knot slope (scipy's steps np.diff(x) are not exactly dx)
+        # worst measured: values 1.3e-15 of max |y|, slopes 6.6e-13 and
+        # curvatures 4.1e-10 of the largest at a knot (scipy's steps
+        # np.diff(x) are not exactly dx; on exact steps the curvatures agree
+        # to 1e-12)
         rng = np.random.default_rng(16)
         sizes = [20, 21, 5000] + rng.integers(20, 5001, size=30).tolist()
         for n in sizes:
             f = TestFunction.bump(rng.uniform(-3.0, 3.0), rng.uniform(0.05, 4.0), n=n)
             pairs = _spline_pairs(f.x0, f.dx, f.samples, self._bump_points(rng, f))
-            _assert_spline_close(pairs, 1e-13, 1e-11)
+            _assert_spline_close(pairs, 1e-13, 1e-11, 1e-8)
             # TestFunction evaluates through the same spline: 9.1e-16 of max |y|
             pts = rng.uniform(*f.support, 500)
             want = CubicSpline(f.x, f.samples)(pts)
             assert np.max(np.abs(f(pts) - want)) <= 5e-14 * np.max(f.samples)
 
     def test_spline_matches_scipy_on_a_pull_back(self):
-        # worst measured: values 1.1e-15, slopes 6.8e-13
+        # worst measured: values 1.1e-15, slopes 6.8e-13, curvatures 1.4e-10
         ctx = ThermalContext(beta=1.0)
         rng = np.random.default_rng(161)
         f = TestFunction.bump(1.5, 0.5)
@@ -593,14 +600,14 @@ class TestOwnedNumerics:
             g = modular_transform(ctx, u, f)
             # g's samples are f's spline at the inverse image of g's grid
             y = modular_flow_ray(ctx, RayDirection.PLUS, -u, g.x[1:-1])
-            _assert_spline_close(_spline_pairs(f.x0, f.dx, f.samples, y), 1e-13, 1e-11)
+            _assert_spline_close(_spline_pairs(f.x0, f.dx, f.samples, y), 1e-13, 1e-11, 1e-8)
             pts = self._bump_points(rng, g)
-            _assert_spline_close(_spline_pairs(g.x0, g.dx, g.samples, pts), 1e-13, 1e-11)
+            _assert_spline_close(_spline_pairs(g.x0, g.dx, g.samples, pts), 1e-13, 1e-11, 1e-8)
 
     def test_spline_matches_scipy_on_a_correlation_grid(self, monkeypatch):
         # every spline omega2_position builds (f's, g's and the correlation
         # F's), at the points it evaluates them on; worst measured: values
-        # 5.7e-16, slopes 2.0e-13
+        # 5.7e-16, slopes 2.2e-13, curvatures 2.6e-11
         import modularflow.weyl_field as wf
 
         seen = []
@@ -620,7 +627,7 @@ class TestOwnedNumerics:
         omega2_position(ctx, f, g, 1e-3)
         assert len(seen) == 3
         for x0, dx, y, pts in seen:
-            _assert_spline_close(_spline_pairs(x0, dx, y, pts), 5e-14, 1e-11)
+            _assert_spline_close(_spline_pairs(x0, dx, y, pts), 5e-14, 1e-11, 1e-9)
 
     def test_cumulative_simpson_matches_scipy_on_higher_transform_grids(self, monkeypatch):
         # worst measured 1.4e-16 of the largest |integral|
@@ -652,7 +659,86 @@ class TestOwnedNumerics:
         # no samples: the FFT rejects the length, as scipy.signal.czt does
         assert _next_fast_len(0) == next_fast_len(0) == 0
         with pytest.raises(ValueError):
-            czt(np.zeros(0), 1, np.exp(-0.1j))
+            czt(np.zeros(0), 1, log_w=-0.1j)
+
+
+def _spline_increment(f, k, d):
+    """f(x_k + d) - f(x_k) in mpmath on the pieces of f's coefficient table,
+    x_k = x0 + k dx exactly: -y_k for a target off supp f, and otherwise the
+    piece holding the target, taken from x_k itself when x_k ends that piece
+    (y_k is 0 off f's lattice).  A target within rounding of a support edge
+    is on the side of the rounded sum x_k + d (both sides are 0 there to
+    about |d f'|)."""
+    import mpmath as mp
+
+    c = f._spline.c
+    n = len(f.samples)
+    x0, dx = mp.mpf(f.x0), mp.mpf(f.dx)
+    xk = x0 + k * dx
+    yk = mp.mpf(f.samples[k]) if 0 <= k < n else mp.mpf(0)
+    if not f.support[0] <= (f.x0 + k * f.dx) + d <= f.support[1]:
+        return -yk
+    target = xk + mp.mpf(d)
+    i = min(max(int(mp.floor((target - x0) / dx)), 0), n - 2)
+
+    def piece(x):
+        s = x - (x0 + i * dx)
+        return ((mp.mpf(c[0, i]) * s + mp.mpf(c[1, i])) * s + mp.mpf(c[2, i])) * s + mp.mpf(c[3, i])
+
+    return piece(target) - (piece(xk) if i <= k <= i + 1 else yk)
+
+
+class TestDeviationRows:
+    """_deviation_samples sums each entry f(x_k + delta) - f(x_k) as one
+    Taylor increment of f's spline from a knot."""
+
+    def test_rows_against_mpmath(self, monkeypatch):
+        # shifts |delta|/dx from 1e-16 to 10 of both signs, and NaN, cycled
+        # over the entries in place of the modular remainder; worst measured
+        # 2.4e-16 of |delta| max |f'|, which keeps full relative accuracy at
+        # the smallest shifts
+        import mpmath as mp
+        import warnings
+
+        import modularflow.weyl_field as wf
+
+        mp.mp.prec = 200
+        bump = TestFunction.bump(0.6, 0.4, n=200)
+        # the bump's window is its support; the padded copy's knots run 6
+        # steps past the support at both ends
+        padded = TestFunction(np.pad(bump.samples, 6), bump.x0 - 6 * bump.dx, bump.dx, bump.support)
+        for f in (bump, padded):
+            ratios = np.concatenate((10.0 ** np.arange(-16.0, 0.0), np.arange(1.0, 11.0)))
+            pattern = np.concatenate((ratios * f.dx, -ratios * f.dx, [np.nan]))
+            monkeypatch.setattr(wf, "modular_remainder", lambda beta, u, y: np.resize(pattern, y.shape))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows, x0, _, _ = _deviation_samples(ThermalContext(1.0), f, 0.3, np.linspace(1.0, 2.0, 8))
+            delta = np.resize(pattern, rows.shape)
+            k = round((x0 - f.x0) / f.dx) + np.arange(rows.shape[1])
+            x = f.x0 + k * f.dx
+            scale = np.max(np.abs(f._spline.c[2]))
+            a, b = f.support
+            crossings = np.zeros(4, dtype=int)
+            for (r, col), got in np.ndenumerate(rows):
+                d = delta[r, col]
+                if math.isnan(d):
+                    # the modular image is undefined: the translate alone
+                    want = -f.samples[k[col]] if 0 <= k[col] < len(f.samples) else 0.0
+                    assert got == want
+                    continue
+                want = _spline_increment(f, int(k[col]), d)
+                assert abs(mp.mpf(got) - want) <= 1e-14 * abs(d) * scale, (f.x0, k[col], d)
+                y, target = x[col], x[col] + d
+                crossings += [y < a <= target, target < a <= y, y <= b < target, target <= b < y]
+            # targets cross both support edges, from either side
+            assert np.all(crossings > 0), crossings
+
+    def test_rows_vanish_at_u_zero(self):
+        ctx = ThermalContext(1.0)
+        for f in (TestFunction.bump(0.6, 0.4), TestFunction.bump(1.5, 0.5).translate(0.02)):
+            rows, _, _, _ = _deviation_samples(ctx, f, 0.0, np.array([0.5, 1.0, 3.0]))
+            assert not rows.any()
 
 
 class TestTwoPointMomentum:
