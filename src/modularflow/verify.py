@@ -244,20 +244,17 @@ def gamma_conjugation_deviation(
 # ----------------------------------------------------------------------
 
 
-def _continued_parts(b: np.ndarray, b2: np.ndarray, eps: float, out: np.ndarray):
-    """The grids 1/D, 1/D^2 and B/D^2, D = B^2 + eps^2, written to out (of
-    shape (3,) + b.shape) and returned, from B and B^2.
+def _continued_parts(b: np.ndarray, b2: np.ndarray, eps: float) -> np.ndarray:
+    """The grids 1/D, 1/D^2 and B/D^2, D = B^2 + eps^2, from B and B^2, as
+    one real array of shape (3,) + b.shape.
 
     1/(-B + i eps)^2 = ((B^2 - eps^2) + 2i B eps)/D^2
                      = (1/D - 2 eps^2/D^2) + 2i eps B/D^2,
     so sums of the three grids against one weight vector give the real and
     imaginary parts of the sum of the continued form."""
-    inv, inv2, b_inv2 = out
-    np.add(b2, eps * eps, out=inv)
-    np.divide(1.0, inv, out=inv)
-    np.multiply(inv, inv, out=inv2)
-    np.multiply(inv2, b, out=b_inv2)
-    return out
+    inv = 1.0 / (b2 + eps * eps)
+    inv2 = inv * inv
+    return np.stack((inv, inv2, inv2 * b))
 
 
 def _modular_jacobian(u: float, e):
@@ -284,12 +281,10 @@ def _kms_inner_sums(ctx: ThermalContext, u_grid, x, y, wy, epsilons):
     weight vector per u and side, and each sum over y is a row of a
     matrix-vector product with it.  No complex grid is formed: the direct
     form's grids come from _position_kernel, the continued form's from
-    _continued_parts.  L, dL and the weights are computed once per u.  The x
-    rows are walked in blocks of _KMS_ROWS, in one preallocated set of
-    grids near the cache size.  The products are np.vecdot, one dot
-    product per row, so a row's sum does not depend on the block size or the
-    BLAS thread count; a BLAS matrix-vector product's summation order
-    depends on both.
+    _continued_parts.  L, dL, the weights and the grids that do not depend
+    on the regulator are computed once per u.  The products are np.vecdot,
+    one dot product per row, so a row's sum does not depend on the BLAS
+    thread count; a BLAS matrix-vector product's summation order does.
     """
     beta = ctx.beta
     ey = np.exp(TWO_PI * y / beta)
@@ -305,38 +300,25 @@ def _kms_inner_sums(ctx: ThermalContext, u_grid, x, y, wy, epsilons):
     # _continued_parts' three grids
     shape = (len(epsilons), len(u_grid), len(x))
     direct_sums, continued_sums = np.empty((2,) + shape), np.empty((3,) + shape)
-    # one block's grids: z = pi (x - L)/beta, sinh z, cosh z, B, B^2 and
-    # three parts, the kernel's (with its scratch), then _continued_parts
-    work = np.empty((8, min(_KMS_ROWS, len(x)), len(y)))
     for i, u in enumerate(map(float, u_grid)):
         # the bracket e^{-pi u}(ey - 1)(ch - sh) - 2 e^{pi u} sh is an x
         # column times a y row, minus an x column
         by = math.exp(-math.pi * u) * (ey - 1.0)
         bx = math.exp(math.pi * u) * 2.0 * sh
+        b = em[:, None] * by - bx[:, None]
+        b2 = b * b
         # direct side through the flow map and its derivative
         L = modular_flow_ray(ctx, RayDirection.PLUS, u, y)
         # x - L is monotone in x, so its first and last rows bound the grid
         _finite("xi", x[[0, -1], None] - L)
         w_direct = _modular_jacobian(u, ey) * wy
-        cL = math.pi * L / beta
-        for lo in range(0, len(x), _KMS_ROWS):
-            rows = slice(lo, lo + _KMS_ROWS)
-            block = work[:, : len(x[rows])]
-            z, b, b2 = block[0], block[3], block[4]
-            sinh_cosh, parts = block[1:3], block[5:]
-            np.subtract(cx[rows, None], cL, out=z)
-            sinh_z, cosh_z, far = _sinh_cosh(z, out=sinh_cosh)
-            np.multiply(em[rows, None], by, out=b)
-            b -= bx[rows, None]
-            np.multiply(b, b, out=b2)
-            for k, eps in enumerate(epsilons):
-                # the kernel first: it refuses a bad regulator or beta
-                kernel = _position_kernel(ctx, eps, z, sinh_z, cosh_z, far, out=parts)
-                np.vecdot(kernel, w_direct, out=direct_sums[:, k, i, rows])
-                np.vecdot(
-                    _continued_parts(b, b2, eps, out=parts), w_cont,
-                    out=continued_sums[:, k, i, rows],
-                )
+        z = cx[:, None] - math.pi * L / beta
+        sinh_z, cosh_z, far = _sinh_cosh(z)
+        for k, eps in enumerate(epsilons):
+            # the kernel first: it refuses a bad regulator or beta
+            kernel = _position_kernel(ctx, eps, z, sinh_z, cosh_z, far)
+            np.vecdot(kernel, w_direct, out=direct_sums[:, k, i])
+            np.vecdot(_continued_parts(b, b2, eps), w_cont, out=continued_sums[:, k, i])
     e = np.asarray(epsilons, dtype=float)[:, None, None]
     inv, inv2, b_inv2 = continued_sums
     continued = (inv - 2.0 * e * e * inv2) + 2j * e * b_inv2
@@ -366,10 +348,6 @@ class KmsReport:
     relative: float
 
 
-# x rows per block of the KMS smear: eight 32 x 801 real grids take 1.6 MB
-_KMS_ROWS = 32
-
-
 def kms_boundary_check(
     ctx: ThermalContext,
     f: TestFunction,
@@ -385,29 +363,33 @@ def kms_boundary_check(
     positive half-line; the comparison is sharp when the flow image of
     supp g stays clear of supp f.  The regulator enters the two forms
     differently (additively in the bracket vs. inside the kernel argument),
-    an O(eps) discrepancy that cancels in the boundary value; the smeared
-    difference is therefore extrapolated to eps -> 0 from eps and eps/2.
-    The direct form is smeared at eps/2 only: at eps it differs by O(eps).
+    a discrepancy of O(eps) and O(eps^2) that vanishes in the boundary
+    value; the smeared difference D is therefore taken at eps/4, eps/2 and
+    eps and extrapolated to eps -> 0 as (8 D(eps/4) - 6 D(eps/2) + D(eps))/3,
+    which cancels both orders and leaves an O(eps^3) residue.  Both forms
+    are smeared at every regulator; the relative scale is the direct form's
+    smear at the smallest one, eps/4.
 
-    Composite Simpson on 801 nodes per axis: _kms_inner_sums takes g(y)
+    Composite Simpson on 101 nodes per axis: _kms_inner_sums takes g(y)
     and the Simpson weights over y into its weight vectors and leaves the
     inner sum of every x row; the outer sum over x, Simpson weights times
-    f(x), runs once at the end, so the result does not depend on _KMS_ROWS.
+    f(x), runs once at the end.
     """
     if f.support[0] <= 0.0 or g.support[0] <= 0.0:
         raise DomainViolation("both supports must lie in the positive half-line")
     u_grid = np.atleast_1d(np.asarray(u_grid, dtype=float))
     if len(u_grid) == 0:
         raise ValueError("u grid must not be empty")
-    n = 801  # Simpson nodes per axis
+    n = 101  # Simpson nodes per axis
     x = np.linspace(f.support[0], f.support[1], n)
     y = np.linspace(g.support[0], g.support[1], n)
     wy = g(y) * _simpson_weights(n, y[1] - y[0])
-    # inner sums per regulator (eps/2, eps), u and x row
-    continued, direct = _kms_inner_sums(ctx, u_grid, x, y, wy, (epsilon / 2.0, epsilon))
+    # inner sums per regulator (eps/4, eps/2, eps), u and x row
+    epsilons = (epsilon / 4.0, epsilon / 2.0, epsilon)
+    continued, direct = _kms_inner_sums(ctx, u_grid, x, y, wy, epsilons)
     wx = f(x) * _simpson_weights(n, x[1] - x[0])
-    half, full = np.vecdot(wx, continued - direct)
-    devs = np.abs(2.0 * half - full)
+    quarter, half, full = np.vecdot(wx, continued - direct)
+    devs = np.abs(8.0 * quarter - 6.0 * half + full) / 3.0
     scales = np.abs(np.vecdot(wx, direct[0]))
     worst = worst_rel = 0.0
     for dev, scale in zip(devs, scales):
@@ -813,10 +795,11 @@ def _suite_modular_action(beta: float) -> list[CaseResult]:
         np.linspace(-0.5, 0.5, 7),
         epsilon=1e-4 * beta,
     )
-    # relative to the direct form's smear: about 1.1e-7 at every beta, while a
-    # direct form off by a factor 1 + 1e-4 reads 1e-4
+    # relative to the direct form's smear: 7.4e-12 at every beta, the O(eps^3)
+    # residue of the three-regulator extrapolation, while a direct form off by
+    # a factor 1 + 1e-7 reads 1e-7; the gate is about 100 times the floor
     cases.append(
-        _case("kms-boundary-identity", {"epsilon": 1e-4 * beta}, dev.relative, 1e-6)
+        _case("kms-boundary-identity", {"epsilon": 1e-4 * beta}, dev.relative, 1e-9)
     )
 
     # supports move to the flow images phi_u = b log(1 + e^{-2pi u}(E - 1))

@@ -546,30 +546,24 @@ def _field_weight(ctx: ThermalContext, spec: FieldSpec) -> np.ndarray:
 _FAR = 350.0
 
 
-def _sinh_cosh(z: np.ndarray, out=None):
+def _sinh_cosh(z: np.ndarray):
     """Real sinh z and cosh z for the position kernel, 0 where |z| >= _FAR,
-    and that mask, None when no |z| reaches _FAR.  out, when given, is a real
-    array of shape (2,) + z.shape that receives sinh z and cosh z."""
-    sinh_z, cosh_z = np.empty((2,) + z.shape) if out is None else out
+    and that mask, None when no |z| reaches _FAR."""
     if -_FAR < z.min() and z.max() < _FAR:
-        return np.sinh(z, out=sinh_z), np.cosh(z, out=cosh_z), None
+        return np.sinh(z), np.cosh(z), None
     near = np.abs(z) < _FAR
-    sinh_z[...] = cosh_z[...] = 0.0
+    sinh_z, cosh_z = np.zeros((2,) + z.shape)
     np.sinh(z, out=sinh_z, where=near)
     np.cosh(z, out=cosh_z, where=near)
     return sinh_z, cosh_z, ~near
 
 
 def _position_kernel(
-    ctx: ThermalContext, epsilon: float, z: np.ndarray, sinh_z, cosh_z, far, out=None
+    ctx: ThermalContext, epsilon: float, z: np.ndarray, sinh_z, cosh_z, far
 ) -> np.ndarray:
     """Real and imaginary parts of (1/beta^2) sinh^{-2}(z + ib), b = pi eps/beta,
     from the real grids z, sinh z, cosh z and the |z| >= _FAR mask of
     _sinh_cosh (None for no such z): a real array of shape (2,) + z.shape.
-
-    out, when given, is a real array of shape (3,) + z.shape: the parts are
-    written to out[:2] and returned, and out[2] is scratch, so a caller that
-    walks a grid in blocks allocates nothing per block.
 
     For real b, s = sinh(z + ib) = sinh z cos b + i cosh z sin b and
     |s|^2 = sinh^2 z + sin^2 b (cosh^2 = 1 + sinh^2), so 1/s^2 = r^2 with
@@ -583,14 +577,14 @@ def _position_kernel(
         raise DomainViolation("position kernel requires finite beta")
     beta = ctx.beta
     b = math.pi * epsilon / beta
-    out = np.empty((3,) + z.shape) if out is None else out
-    re, im, r_re = out
+    out = np.empty((2,) + z.shape)
+    re, im = out
     # 1/(beta |s|^2), left at sin^2 b where |z| >= _FAR (sinh z is 0 there)
     q = np.multiply(sinh_z, sinh_z, out=re)
     q += math.sin(b) ** 2
     np.divide(1.0 / beta, q, out=q, where=True if far is None else ~far)
     # r = conj(s)/(beta |s|^2), so that r^2 carries the 1/beta^2
-    np.multiply(sinh_z, q, out=r_re)
+    r_re = sinh_z * q
     r_re *= math.cos(b)
     r_im = q
     r_im *= cosh_z
@@ -605,7 +599,7 @@ def _position_kernel(
         e = 4.0 / beta**2 * np.exp(-2.0 * np.abs(z[far]))
         re[far] = e * math.cos(2.0 * b)
         im[far] = -e * np.sign(z[far]) * math.sin(2.0 * b)
-    return out[:2]
+    return out
 
 
 def two_point_position(ctx: ThermalContext, xi, epsilon: float):
@@ -619,11 +613,8 @@ def two_point_position(ctx: ThermalContext, xi, epsilon: float):
     xi = np.atleast_1d(xi)
     _finite("xi", xi)
     z = math.pi * xi / ctx.beta
-    # sinh z, cosh z and the kernel's three grids in one allocation
-    work = np.empty((5,) + z.shape)
-    sinh_z, cosh_z, far = _sinh_cosh(z, out=work[:2])
     out = np.empty(z.shape, dtype=complex)
-    out.real, out.imag = _position_kernel(ctx, epsilon, z, sinh_z, cosh_z, far, out=work[2:])
+    out.real, out.imag = _position_kernel(ctx, epsilon, z, *_sinh_cosh(z))
     return complex(out[0]) if scalar else out
 
 

@@ -113,14 +113,14 @@ def test_criterion_5_modular_action():
     ok &= by["modular-group-law"].lhs < 1e-8 and by["gamma-additivity"].lhs < 1e-8
     ok &= by["two-point-invariance"].lhs < 1e-6
     ok &= by["symplectic-invariance"].lhs < 1e-6
-    ok &= by["kms-boundary-identity"].lhs < 1e-6
+    ok &= by["kms-boundary-identity"].lhs < 1e-9
     ok &= by["pull-back-integral"].lhs < 1e-10
     defect = by["localization-defect"]
     ok &= defect.lhs < 2e-7 and defect.params["closed_form"] != 0.0
     _report(
         5,
         "modular-action suite: group laws 1e-8, unitarity and symplectic "
-        "invariance 1e-6, thermal boundary identity 1e-6 (relative), supports "
+        "invariance 1e-6, thermal boundary identity 1e-9 (relative), supports "
         "and integrals of the actions 1e-10, nonzero localization defect on its "
         "closed form 2e-7 (relative)",
         ok,
