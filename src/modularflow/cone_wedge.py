@@ -10,6 +10,8 @@ site; only the two primary regions are first-class here.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -371,6 +373,40 @@ def figure_lines(ctx: ThermalContext, region: Region, flow: str, spec: FigureSpe
     raise ValueError(f"flow must be 'modular' or 'gamma', got {flow!r}")
 
 
+class _FigureKey:
+    """figure_lines' arguments, equal when their reprs are.
+
+    == and hash make 0.0 and -0.0 one key, though the two print apart; float
+    repr tells every non-NaN float apart.  The seeds are read once, into a
+    tuple, whose repr shows every seed: an array's elides past 1000 of them
+    and a generator's shows only its id.
+    """
+
+    __slots__ = ("args", "key")
+
+    def __init__(self, ctx, region, flow, spec):
+        if spec.seeds is not None:
+            spec = dataclasses.replace(spec, seeds=tuple(spec.seeds))
+        self.args = (ctx, region, flow, spec)
+        self.key = (repr(ctx), region, flow, repr(spec))
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@functools.lru_cache(maxsize=4)  # the four flow patterns
+def _emitted_lines(k: _FigureKey):
+    """figure_lines(*k.args) as a tuple of read-only lines; failures are not cached."""
+    lines = tuple(figure_lines(*k.args))
+    for _, ln in lines:
+        ln.params.flags.writeable = False
+        ln.points.flags.writeable = False
+    return lines
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -447,8 +483,13 @@ def emit_flow_figure(
     beta = inf.  SVG lines are 0.01 beta wide, window/300 at beta = inf.
     Output is written to a temporary file and renamed, so no partial file is
     left behind on error.
+
+    One process emitting a figure in several formats computes its lines
+    once: the lines of the last four figures are kept, read-only, keyed on
+    the reprs of ctx and spec, so a spec with -0.0 where another has 0.0 is
+    another figure.  figure_lines itself computes them on every call.
     """
-    lines = figure_lines(ctx, region, flow, spec)
+    lines = _emitted_lines(_FigureKey(ctx, region, flow, spec))
     if fmt == "csv":
         text = _render_csv(lines)
     elif fmt == "json":

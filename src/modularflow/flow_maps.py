@@ -192,7 +192,8 @@ def modular_remainder(beta: float, u, x):
     b = beta / TWO_PI
     with np.errstate(over="ignore", invalid="ignore"):
         w = TWO_PI * u
-        c = np.reshape([math.expm1(min(v, 709.0)) for v in np.ravel(w).tolist()], np.shape(u))
+        c = np.minimum(np.ravel(w), 709.0)
+        c = np.fromiter(map(math.expm1, c.tolist()), float, c.size).reshape(np.shape(u))
         arg = c * np.exp(-x / b)
         out = b * np.log1p(np.where(arg > -1.0, arg, np.nan))
         if np.any(w > 709.0):
@@ -231,7 +232,7 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
     # element has x/b < -9, so arg < -1 and the check raises either way; the
     # lower cap keeps it nonzero, so an overflowing expm1(x/b) gives inf
     w = TWO_PI * u
-    chart = np.array([math.exp(-min(max(c, -709.0), 745.0)) for c in w.tolist()])
+    chart = np.fromiter(map(math.exp, (-np.clip(w, -709.0, 745.0)).tolist()), float, w.size)
     arg = chart * np.expm1(x / b)
     far = np.isinf(arg) | (w > 700.0)
     if np.count_nonzero(far):
@@ -247,7 +248,7 @@ def _phi_plus(beta: float, u, x, mirror: bool = False):
     if np.count_nonzero(near) and np.count_nonzero(near := near & (w > 0.0)):
         un, xn = at(near)
         wn = TWO_PI * un
-        lead = np.array([-math.expm1(-c) for c in wn.tolist()])
+        lead = -np.fromiter(map(math.expm1, (-wn).tolist()), float, wn.size)
         out[near] = b * np.log(lead + np.exp(xn / b - wn))
     if np.count_nonzero(big):
         # the remainder's 1 + expm1(2pi u) e^{-x/b} as the sum of its terms,

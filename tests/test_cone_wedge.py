@@ -759,3 +759,119 @@ class TestRenderers:
         values = re.findall(r'="([^"]*)"', text)
         assert not [v for v in values if re.search("inf|nan", v)]
         assert text.count('stroke-width="0.01"') == 12  # window/300, 0.01 beta at a 3 beta window
+
+
+class TestEmittedLines:
+    """emit_flow_figure computes a figure's lines once for all its formats."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        cone_wedge._emitted_lines.cache_clear()
+        yield
+        cone_wedge._emitted_lines.cache_clear()
+
+    @staticmethod
+    def emit(path, ctx, region, flow, spec, fmt):
+        emit_flow_figure(ctx, region, flow, str(path), fmt=fmt, spec=spec)
+        return path.read_text()
+
+    def cold_emit(self, path, *args):
+        cone_wedge._emitted_lines.cache_clear()
+        return self.emit(path, *args)
+
+    def test_one_figure_lines_call_for_three_formats(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return figure_lines(*args)
+
+        monkeypatch.setattr(cone_wedge, "figure_lines", counted)
+        ctx, spec = ThermalContext(beta=1.3), FigureSpec(n_lines=3, n_samples=7)
+        for region, flow in [(CONE, "modular"), (WEDGE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")]:
+            for fmt in ("csv", "json", "svg", "csv"):
+                got = self.emit(tmp_path / f"warm.{fmt}", ctx, region, flow, spec, fmt)
+                assert got == self.cold_emit(tmp_path / f"cold.{fmt}", ctx, region, flow, spec, fmt)
+        # one call per figure when warm, one per cold emission
+        assert len(calls) == 4 + 4 * 4
+
+    @pytest.mark.parametrize("region, field, a, b, fmt", [
+        (CONE, "param_span", 0.0, -0.0, "csv"),
+        (CONE, "window", 0.0, -0.0, "csv"),
+        (CONE, "window", -0.0, 0.0, "json"),
+        (CONE, "seeds", (SpacetimePoint(1.0, 0.0),), (SpacetimePoint(1.0, -0.0),), "json"),
+        (WEDGE, "seeds", (SpacetimePoint(-0.0, 1.0),), (SpacetimePoint(0.0, 1.0),), "json"),
+    ])
+    def test_signed_zeros_are_distinct_figures(self, tmp_path, region, field, a, b, fmt):
+        # 0.0 == -0.0 and both hash alike, but they print apart
+        ctx = ThermalContext(beta=1.0)
+        for value in (a, b):
+            spec = FigureSpec(n_lines=2, n_samples=2, **{field: value})
+            got = self.emit(tmp_path / f"warm.{fmt}", ctx, region, "modular", spec, fmt)
+            assert got == self.cold_emit(tmp_path / f"cold.{fmt}", ctx, region, "modular", spec, fmt)
+
+    def test_negative_zero_span_after_positive(self, tmp_path):
+        ctx = ThermalContext(beta=1.0)
+        for span in (0.0, -0.0):
+            spec = FigureSpec(n_lines=2, n_samples=2, param_span=span)
+            text = self.emit(tmp_path / "f.csv", ctx, CONE, "modular", spec, "csv")
+        assert text.splitlines()[2].startswith("0,-0,1.5,")
+
+    def test_list_of_seeds(self, tmp_path):
+        ctx, seeds = ThermalContext(beta=1.0), [SpacetimePoint(1.0, 0.2)]
+        spec = FigureSpec(n_samples=5, seeds=seeds)
+        first = self.emit(tmp_path / "a.json", ctx, CONE, "modular", spec, "json")
+        assert self.emit(tmp_path / "b.json", ctx, CONE, "modular", spec, "json") == first
+        # the key is read at each call: a seed appended to the list is a new figure
+        seeds.append(SpacetimePoint(1.0, -0.2))
+        got = self.emit(tmp_path / "c.json", ctx, CONE, "modular", spec, "json")
+        assert len(json.loads(got)["lines"]) == 2
+        assert got == self.cold_emit(tmp_path / "d.json", ctx, CONE, "modular", spec, "json")
+
+    def test_seeds_past_an_arrays_repr(self, tmp_path):
+        # repr elides an array of more than 1000 seeds; the key shows them all
+        ctx = ThermalContext(beta=1.0)
+        seeds = np.array([SpacetimePoint(0.5, 1.0)] * 1001, dtype=object)
+        self.emit(tmp_path / "a.csv", ctx, CONE, "gamma", FigureSpec(n_samples=4, seeds=seeds), "csv")
+        seeds = seeds.copy()
+        seeds[500] = SpacetimePoint(0.5, 2.0)
+        spec = FigureSpec(n_samples=4, seeds=seeds)
+        got = self.emit(tmp_path / "b.csv", ctx, CONE, "gamma", spec, "csv")
+        assert got == self.cold_emit(tmp_path / "c.csv", ctx, CONE, "gamma", spec, "csv")
+
+    def test_cached_lines_are_read_only(self, tmp_path):
+        ctx, spec = ThermalContext(beta=1.0), FigureSpec(n_lines=2, n_samples=5)
+        for region, flow in [(CONE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")]:
+            self.emit(tmp_path / "f.csv", ctx, region, flow, spec, "csv")
+            lines = cone_wedge._emitted_lines(cone_wedge._FigureKey(ctx, region, flow, spec))
+            assert isinstance(lines, tuple)
+            for _, ln in lines:
+                for a in (ln.params, ln.points):
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[0] = 7.0
+        assert cone_wedge._emitted_lines.cache_info().hits == 3
+
+    def test_public_lines_stay_writable_and_apart(self, tmp_path):
+        ctx, spec = ThermalContext(beta=1.0), FigureSpec(n_lines=2, n_samples=5)
+        want = self.emit(tmp_path / "a.csv", ctx, WEDGE, "modular", spec, "csv")
+        lines = figure_lines(ctx, WEDGE, "modular", spec)
+        for _, ln in lines:
+            ln.params[:] = 7.0
+            ln.points[:] = 7.0
+        lines.clear()
+        assert self.emit(tmp_path / "b.csv", ctx, WEDGE, "modular", spec, "csv") == want
+
+    @pytest.mark.parametrize("beta, flow, spec, error", [
+        (1.0, "spiral", FigureSpec(), ValueError),
+        # xL = -1 lies outside the cone: the modular flow leaves the domain
+        (1.0, "modular", FigureSpec(seeds=(SpacetimePoint(1.0, 2.0),)), DomainViolation),
+        (math.inf, "modular", FigureSpec(), DomainViolation),
+    ])
+    def test_failures_raise_on_every_repeat(self, tmp_path, beta, flow, spec, error):
+        ctx = ThermalContext(beta=beta)
+        for fmt in ("csv", "json", "svg") * 2:
+            path = tmp_path / f"f.{fmt}"
+            with pytest.raises(error):
+                emit_flow_figure(ctx, CONE, flow, str(path), fmt=fmt, spec=spec)
+            assert not path.exists()
+        assert cone_wedge._emitted_lines.cache_info().currsize == 0

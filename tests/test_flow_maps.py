@@ -813,6 +813,28 @@ def test_parameter_array_is_the_scalar_call(log_beta, direction, flow, log_y, lo
     assert all(flow(ctx, direction, v, x) == w for v, w in zip(params, want))
 
 
+def test_per_parameter_constants_are_the_math_loop():
+    # each u's constant is one math call, as a per-parameter loop computes it:
+    # the remainder's expm1(2 pi u), capped at 709, and phi_+'s -expm1(-2 pi u)
+    # left of the fixed point, where it sums its positive terms
+    beta = 1.3
+    b = beta / TWO_PI
+    us = np.array([-1e308, -200.0, -1.0, -0.0, 0.0, 1e-300, 0.3, 708.5 / TWO_PI, 113.0, 1e308])
+    x = np.array([[0.4], [2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = TWO_PI * us
+        c = np.array([math.expm1(min(v, 709.0)) for v in w.tolist()])
+        arg = c * np.exp(-x / b)
+        want = b * np.log1p(np.where(arg > -1.0, arg, np.nan))
+        want = np.where(w > 709.0, b * np.logaddexp(0.0, (beta * us - x) / b), want)
+        got = flow_maps.modular_remainder(beta, us, x)
+    assert np.array_equal(got, want, equal_nan=True)
+    us = np.array([1e-3, 0.01, 0.05, 0.1])
+    w = TWO_PI * us
+    want = b * np.log(np.array([-math.expm1(-v) for v in w.tolist()]) + np.exp(-3.0 / b - w))
+    assert np.array_equal(modular_flow_ray(ThermalContext(beta=beta), PLUS, us, -3.0), want)
+
+
 class TestParameterArray:
     @pytest.mark.parametrize("flow", [modular_flow_ray, gamma_flow_ray])
     @pytest.mark.parametrize("direction", [PLUS, MINUS])
