@@ -21,6 +21,7 @@ momentum quadrature.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -236,6 +237,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
+class _SuiteChoices:
+    """The verify subcommand's choices: verify.SUITES, read at each parse
+    and each help text, plus "all"."""
+
+    def __contains__(self, name) -> bool:
+        return name == "all" or name in SUITES
+
+    def __iter__(self):
+        return iter((*SUITES, "all"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mfl",
@@ -280,13 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[common, writes], help="run a verification suite")
-    p.add_argument("suite", choices=(*SUITES, "all"))
+    p.add_argument("suite", choices=_SuiteChoices())
     p.set_defaults(func=cmd_verify)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parsing leaves it as
+    it was, and the suite choices are read live."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainViolation as e:

@@ -33,6 +33,14 @@ from f is sampled on f's own lattice, one increment of f's spline per entry,
 so it shares f's step and chirp-z ratio w, and the deviations at one flow
 parameter u and a row of separations t go through one 2-D chirp-z call.
 
+The module-level caches are sized to one beta's working set, since every
+caller works at one context at a time: the momentum grid, the folded density
+and the folded K weight keep 2 contexts each (a caller alternating between
+a pair still hits), and the chirp-z plans keep 4, because a transform is
+cached on its function and a plan is reused only by the Thm 2.2 and rates
+rows on one lattice and by functions that share a lattice step.  Larger
+caches only hold the arrays of contexts that are never seen again.
+
 Off-grid values come from a not-a-knot cubic spline on the samples'
 lattice (_spline), and higher-index actions integrate by a cumulative
 Simpson rule on a uniform step; both are plain lattice formulas on numpy,
@@ -152,9 +160,16 @@ class TestFunction:
         )
 
     def translate(self, t: float) -> "TestFunction":
-        """Shift by t: x -> x - t maps onto the same samples (exact)."""
+        """Shift by t: x -> x - t maps onto the same samples (exact).
+
+        A built spline table is shared with the translate: it depends on dx
+        and the samples only, and is read-only."""
         a, b = self.support
-        return replace(self, x0=self.x0 + t, support=(a + t, b + t))
+        moved = replace(self, x0=self.x0 + t, support=(a + t, b + t))
+        spline = self.__dict__.get("_spline")
+        if spline is not None:
+            moved.__dict__["_spline"] = _Spline(moved.x0, self.dx, spline.c)
+        return moved
 
     def scaled(self, factor: float) -> "TestFunction":
         return replace(self, samples=self.samples * factor)
@@ -294,6 +309,7 @@ def _spline(x0: float, dx: float, y: np.ndarray) -> _Spline:
     c0, c1 = t / dx, (m - s[:-1]) / dx - t
     # the last knot's half curvature is the last piece's at its right end
     c = np.stack((np.append(c0, c0[-1]), np.append(c1, c1[-1] + 3.0 * t[-1]), s, y))
+    c.setflags(write=False)  # shared by a TestFunction's translates
     return _Spline(x0, dx, c)
 
 
@@ -320,7 +336,11 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
+# The beta-keyed caches hold two entries: every caller works at one context
+# at a time (an mfl process, a verify suite, a benchmark operation), and two
+# still serve a caller that alternates between a pair; a larger cache only
+# keeps grids and kernels of contexts that are never seen again.
+@lru_cache(maxsize=2)
 def _grid_cached(pmax: float, npts: int) -> np.ndarray:
     n = npts | 1  # composite Simpson wants an odd count
     p = np.linspace(-pmax, pmax, n)
@@ -348,7 +368,12 @@ def _next_fast_len(target: int) -> int:
     return n
 
 
-@lru_cache(maxsize=16)
+# A transform is cached on its function, so a plan is reused only by the
+# Thm 2.2 and rates rows on one lattice and by functions that share a
+# lattice step.  At a fresh beta a verify pass builds 35 plans and a field
+# query 7 whatever the size; four keep the Thm 2.2 rows' three for a rerun
+# at the same beta, and older plans are never read again.
+@lru_cache(maxsize=4)
 def _czt_plan(n: int, m: int, log_w: complex):
     """Bluestein plan (wk2[:n], Fwk2, wk2[:m], nfft) for n samples and m
     nodes: the chirp wk2 = w^{k^2/2} = exp(k^2/2 log w), and Fwk2 the FFT
@@ -529,13 +554,13 @@ def _fold(ctx: ThermalContext, k) -> np.ndarray:
     return kernel
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)  # one context's, like _grid_cached
 def _density(ctx: ThermalContext, spec: FieldSpec) -> np.ndarray:
     """two_point_momentum folded by _fold, cached per (beta, pmax, npts) and n."""
     return _fold(ctx, lambda p: two_point_momentum(ctx, spec, p))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)  # one context's, like _grid_cached
 def _field_weight(ctx: ThermalContext, spec: FieldSpec) -> np.ndarray:
     """K's kernel p^{2n+1} folded by _fold, odd by construction: even row 0."""
     return _fold(ctx, lambda p: np.sign(p) * np.abs(p) ** (2 * spec.n + 1))
@@ -914,10 +939,12 @@ def gamma_transform(ctx: ThermalContext, tau: float, f: TestFunction) -> TestFun
 # ----------------------------------------------------------------------
 
 
-def _spectral_ok(vals: np.ndarray) -> bool:
-    spec = np.abs(np.fft.rfft(vals, 2 * len(vals)))
-    top = spec[-max(2, len(spec) // 50) :]
-    peak = spec.max()
+def _spectral_ok(spec: np.ndarray) -> bool:
+    """Whether the zero-padded spectrum spec of the samples has decayed at
+    the Nyquist band."""
+    size = np.abs(spec)
+    top = size[-max(2, len(size) // 50) :]
+    peak = size.max()
     return peak > 0 and top.max() < 1e-12 * peak
 
 
@@ -935,10 +962,10 @@ def _derivative_once_fd4(vals: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _derivative_values(vals: np.ndarray, dx: float, n: int) -> np.ndarray:
-    if _spectral_ok(vals):
-        m = 2 * len(vals)
+    m = 2 * len(vals)
+    spec = np.fft.rfft(vals, m)
+    if _spectral_ok(spec):
         freq = np.fft.rfftfreq(m, dx) * TWO_PI
-        spec = np.fft.rfft(vals, m)
         out = np.fft.irfft(spec * (1j * freq) ** n, m)[: len(vals)]
     else:
         out = np.asarray(vals, dtype=float)

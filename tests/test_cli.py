@@ -125,6 +125,37 @@ class TestConfig:
         assert json.loads(out.read_text()) == []
         assert "0/0 checks passed" in stdout
 
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        # main parses with one parser per process; build_parser stays fresh
+        calls = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or real())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "kernel", "--p", "1")[0] == EXIT_OK
+        assert len(calls) == 1
+        assert real() is not real()
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--help"], ["verify", "nope"], ["--help"], ["figure", "--which", "7"]]
+    )
+    def test_shared_parser_prints_a_fresh_parsers_text(self, capsys, argv):
+        texts = []
+        for parse in (main, cli.build_parser().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(list(argv))
+            texts.append((exc.value.code, capsys.readouterr()))
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_suite_added_after_the_parser_is_offered(self, monkeypatch, capsys):
+        from modularflow import verify
+
+        cli._parser()
+        monkeypatch.setitem(verify.SUITES, "empty", lambda beta: [])
+        with pytest.raises(SystemExit):
+            main(["verify", "nope"])
+        assert "'rates', 'empty', 'all')" in capsys.readouterr().err
+
     def test_off_centre_grid_rejected(self, tmp_path, capsys):
         # figures span [-w, w]; a grid on [0, 6] used to draw [-3, 3] silently
         cfgfile = tmp_path / "conf.json"

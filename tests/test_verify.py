@@ -160,6 +160,30 @@ class TestBound:
         run_suite("thm22", beta=1.0)
         assert _czt_plan.cache_info().misses <= 12
 
+    def test_verify_pass_builds_few_plans(self):
+        # transforms are cached on their functions, so a pass at a new beta
+        # builds its plans afresh whatever the cache keeps: four cached plans
+        # cost it two builds over sixteen (33)
+        _czt_plan.cache_clear()
+        run_suite("all", beta=1.0)
+        before = _czt_plan.cache_info().misses
+        run_suite("all", beta=1.4)
+        assert _czt_plan.cache_info().misses - before <= 35
+        assert _czt_plan.cache_info().currsize <= 4
+
+    def test_beta_keyed_caches_hold_two_contexts(self):
+        # each pass at a new beta builds its grid and folded kernels once
+        # and the caches keep no more than two contexts
+        caches = (weyl_field._grid_cached, weyl_field._density, weyl_field._field_weight)
+        for cache in caches:
+            cache.cache_clear()
+        for beta in (0.6, 1.0, 1.7):
+            misses = [cache.cache_info().misses for cache in caches]
+            run_suite("all", beta=beta)
+            for cache, before in zip(caches, misses):
+                assert cache.cache_info().misses - before == 1
+                assert cache.cache_info().currsize <= 2
+
     def test_rows_take_no_grid_sized_complex_exp(self, monkeypatch, ctx):
         # every phase over the momentum grid is built from _phases' two
         # small tables; a chirp-z plan computes its chirp once, so the plans

@@ -29,6 +29,8 @@ from modularflow.weyl_field import (
     _cumulative_simpson,
     _czt_plan,
     _density,
+    _derivative_once_fd4,
+    _derivative_values,
     _deviation_exponents,
     _deviation_samples,
     _field_weight,
@@ -40,6 +42,7 @@ from modularflow.weyl_field import (
     _simpson_weights,
     _sinh_cosh,
     _slopes,
+    _spectral_ok,
     _spline,
     _transforms,
     calibrate_fourier_pair,
@@ -118,6 +121,26 @@ class TestTestFunction:
         assert g.support == (0.7 + 2.5, 1.3 + 2.5)
         np.testing.assert_array_equal(g.samples, f.samples)
         assert g(3.5) == pytest.approx(f(1.0), abs=1e-15)
+
+    def test_translate_shares_the_spline_table(self):
+        # a translate reads its source's read-only table, which depends on dx
+        # and the samples only: its values are a fresh spline's bit for bit,
+        # inside and outside the sampled window
+        f = TestFunction.bump(1.0, 0.3)
+        f(1.0)  # builds f's spline
+        rng = np.random.default_rng(11)
+        for t in (2.5, -0.7, 1e-3 / 3, 1e5 + 0.1):
+            g = f.translate(t).translate(0.25)
+            assert g._spline.c is f._spline.c and not g._spline.c.flags.writeable
+            fresh = replace(f, x0=g.x0, support=g.support)
+            assert "_spline" not in fresh.__dict__
+            pts = rng.uniform(g.x[0] - 0.3, g.x[-1] + 0.3, 10_000)
+            pts[:4] = (g.x[0], g.x[-1], g.support[0], g.support[1])
+            np.testing.assert_array_equal(g._spline(pts), fresh._spline(pts))
+            np.testing.assert_array_equal(g(pts), fresh(pts))
+            np.testing.assert_array_equal(fresh._spline.c, f._spline.c)
+        # a source without a table gives a translate without one
+        assert "_spline" not in TestFunction.bump(1.0, 0.3).translate(1.0).__dict__
 
     def test_json_roundtrip(self, tmp_path):
         f = TestFunction.bump(0.8, 0.25, n=256)
@@ -1307,6 +1330,43 @@ class TestHigherTransform:
         ):
             with pytest.raises(ValueError, match="non-negative integer"):
                 call()
+
+
+def _derivative_two_spectra(vals, dx, n):
+    """_derivative_values as it was with its spectral check forming a
+    spectrum of its own."""
+    spec = np.abs(np.fft.rfft(vals, 2 * len(vals)))
+    top = spec[-max(2, len(spec) // 50) :]
+    if spec.max() > 0 and top.max() < 1e-12 * spec.max():
+        m = 2 * len(vals)
+        freq = np.fft.rfftfreq(m, dx) * TWO_PI
+        return np.fft.irfft(np.fft.rfft(vals, m) * (1j * freq) ** n, m)[: len(vals)]
+    out = np.asarray(vals, dtype=float)
+    for _ in range(n):
+        out = _derivative_once_fd4(out, dx)
+    return out
+
+
+class TestDerivative:
+    def test_one_spectrum_per_derivative(self, monkeypatch):
+        # a smooth bump takes the spectral branch, a kinked one the finite
+        # differences; both equal the two-spectra formula bit for bit, full
+        # grid and half grid, and each forms one spectrum
+        smooth = TestFunction.bump(1.2, 0.5)
+        x = np.linspace(0.7, 1.7, 2048)
+        kinked = TestFunction(np.maximum(0.0, 0.25 - np.abs(x - 1.2)), x[0], x[1] - x[0], (0.7, 1.7))
+        real_rfft, calls = np.fft.rfft, []
+        monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or real_rfft(*a, **k))
+        for f in (smooth, kinked):
+            for n in (1, 2, 3):
+                for vals, dx in ((f.samples, f.dx), (f.samples[::2], 2.0 * f.dx)):
+                    want = _derivative_two_spectra(vals, dx, n)
+                    calls.clear()
+                    got = _derivative_values(vals, dx, n)
+                    assert len(calls) == 1
+                    np.testing.assert_array_equal(got, want)
+        for f, spectral in ((smooth, True), (kinked, False)):
+            assert bool(_spectral_ok(real_rfft(f.samples, 2 * len(f.samples)))) is spectral
 
 
 class TestLocalizationDefect:
