@@ -397,52 +397,90 @@ class _FigureKey:
         return self.key == other.key
 
 
+class _Figure:
+    """One figure's read-only lines and, from the first format that prints
+    them, the "%.17g" strings of each line's x0 and x1: csv and svg both
+    print these, and no other strings are kept."""
+
+    __slots__ = ("lines", "_xy")
+
+    def __init__(self, lines):
+        self.lines = lines
+        self._xy = None
+
+    def xy(self) -> list[tuple[list[str], list[str]]]:
+        """(x0 strings, x1 strings) of each line, formatted at the first call."""
+        if self._xy is None:
+            memo = {}
+            self._xy = [tuple(_strings(c, "%.17g", memo) for c in ln.points.T)
+                        for _, ln in self.lines]
+        return self._xy
+
+
 @functools.lru_cache(maxsize=4)  # the four flow patterns
-def _emitted_lines(k: _FigureKey):
-    """figure_lines(*k.args) as a tuple of read-only lines; failures are not cached."""
+def _emitted_figure(k: _FigureKey) -> _Figure:
+    """figure_lines(*k.args) as a _Figure of read-only lines; failures are not cached."""
     lines = tuple(figure_lines(*k.args))
     for _, ln in lines:
         ln.params.flags.writeable = False
         ln.points.flags.writeable = False
-    return lines
+    return _Figure(lines)
+
+
+def _strings(col: np.ndarray, spec: str, memo: dict) -> list[str]:
+    """spec % x for each x of a float column, in one "%" over the column.
+
+    memo maps column bits to their strings, so a column with another's bits
+    is formatted once: a modular figure's parameter column repeats on every
+    line, and a positive-generator figure's is its x1 or x0 column.
+    """
+    key = col.tobytes()
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = ((spec + "\n") * len(col) % tuple(col.tolist())).splitlines()
+    return s
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render_csv(lines) -> str:
-    # one "%" per row over Python floats: "%.17g" prints the digits of
-    # format(x, ".17g"), and the column sums are the per-element IEEE sums
-    rows = ["line_id,param,x0,x1,xR,xL\n"]
-    for i, (_, ln) in enumerate(lines):
-        x0, x1 = ln.points[:, 0], ln.points[:, 1]
-        cols = [c.tolist() for c in (ln.params, x0, x1, x0 + x1, x0 - x1)]
-        rows += ["%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" % (i, *row) for row in zip(*cols)]
-    return "".join(rows)
+def _render_csv(fig: _Figure) -> str:
+    xy = fig.xy()
+    # x0's and x1's strings serve a parameter column with their bits
+    memo = {c.tobytes(): s for (_, ln), pair in zip(fig.lines, xy)
+            for c, s in zip(ln.points.T, pair)}
+    rows = ["line_id,param,x0,x1,xR,xL"]
+    for i, ((_, ln), (s0, s1)) in enumerate(zip(fig.lines, xy)):
+        # xR and xL as numpy column sums: the per-element IEEE sums
+        x0, x1 = ln.points.T
+        param, xr, xl = (_strings(c, "%.17g", memo) for c in (ln.params, x0 + x1, x0 - x1))
+        rows += map(",".join, zip([str(i)] * len(s0), param, s0, s1, xr, xl))
+    return "\n".join(rows) + "\n"
 
 
 # json.dumps(doc, indent=1) of the one document shape figures have, by template
 _JSON_DOC = '{\n "region": %s,\n "flow": %s,\n "beta": %s,\n "lines": [%s]\n}\n'
 _JSON_LINE = '\n  {\n   "id": %d,\n   "seed": [\n    %s,\n    %s\n   ],\n   "points": [%s]\n  }'
-_JSON_POINT = "\n    [\n     %r,\n     %r\n    ]"
+_JSON_POINTS = "\n    [\n     %s\n    ]\n   "  # a non-empty "points" list
+_JSON_POINT_SEP = "\n    ],\n    [\n     "
 
 
-def _render_json(ctx, region, flow, lines) -> str:
-    items = []
-    for i, (seed, ln) in enumerate(lines):
-        pts = ",".join([_JSON_POINT % p for p in zip(*ln.points.T.tolist())])
-        # json spells repr's nan, inf and -inf as NaN, Infinity and -Infinity;
-        # no finite repr contains "nan" or "inf"
-        pts = pts.replace("nan", "NaN").replace("inf", "Infinity")
+def _render_json(fig: _Figure, ctx, region, flow) -> str:
+    memo, items = {}, []
+    for i, (seed, ln) in enumerate(fig.lines):
+        x0, x1 = (_strings(c, "%r", memo) for c in ln.points.T)
+        pts = _JSON_POINT_SEP.join(map(",\n     ".join, zip(x0, x1)))
         seed_text = map(json.dumps, (seed.x0, seed.x1))
-        items.append(_JSON_LINE % (i, *seed_text, pts and pts + "\n   "))
-    body = ",".join(items)
+        items.append(_JSON_LINE % (i, *seed_text, pts and _JSON_POINTS % pts))
+    # json spells repr's nan, inf and -inf as NaN, Infinity and -Infinity; no
+    # finite repr, key or json.dumps output here contains "nan" or "inf"
+    body = ",".join(items).replace("nan", "NaN").replace("inf", "Infinity")
     beta = ctx.beta if ctx.finite else "inf"  # the spelling --beta takes; Infinity is not JSON
     return _JSON_DOC % (*map(json.dumps, (region.value, flow, beta)), body and body + "\n ")
 
 
-def _render_svg(lines, window: float, stroke_width: float) -> str:
+def _render_svg(fig: _Figure, window: float, stroke_width: float) -> str:
     # world (x1, x0) -> svg (x, -y): time axis points up
     w = window
     head = (
@@ -456,9 +494,10 @@ def _render_svg(lines, window: float, stroke_width: float) -> str:
         f'stroke="#888" stroke-width="{_fmt(stroke_width / 2)}"/>\n'
     )
     body = []
-    for _, ln in lines:
-        xy = zip(ln.points[:, 1].tolist(), (-ln.points[:, 0]).tolist())
-        pts = " ".join(["%.17g,%.17g" % p for p in xy])
+    for s0, s1 in fig.xy():
+        # "%.17g" % -x is x's string with its sign toggled; nan prints unsigned
+        pts = " ".join([f"{x},{y[1:]}" if y[0] == "-" else f"{x},{y}" if y == "nan"
+                        else f"{x},-{y}" for x, y in zip(s1, s0)])
         body.append(
             f'<polyline fill="none" stroke="#000" '
             f'stroke-width="{_fmt(stroke_width)}" points="{pts}"/>\n'
@@ -484,19 +523,23 @@ def emit_flow_figure(
     Output is written to a temporary file and renamed, so no partial file is
     left behind on error.
 
-    One process emitting a figure in several formats computes its lines
-    once: the lines of the last four figures are kept, read-only, keyed on
-    the reprs of ctx and spec, so a spec with -0.0 where another has 0.0 is
-    another figure.  figure_lines itself computes them on every call.
+    One process emitting a figure in several formats computes its lines and
+    formats their numbers once: the last four figures are kept, keyed on the
+    reprs of ctx and spec, so a spec with -0.0 where another has 0.0 is
+    another figure.  Each keeps its lines, read-only, and, once csv or svg
+    has printed them, the "%.17g" strings of x0 and x1, which the other
+    prints too (svg's -x0 is x0's string with its sign toggled).  The other
+    columns and json's reprs are formatted at each emission, each distinct
+    column once.  figure_lines itself computes the lines on every call.
     """
-    lines = _emitted_lines(_FigureKey(ctx, region, flow, spec))
+    fig = _emitted_figure(_FigureKey(ctx, region, flow, spec))
     if fmt == "csv":
-        text = _render_csv(lines)
+        text = _render_csv(fig)
     elif fmt == "json":
-        text = _render_json(ctx, region, flow, lines)
+        text = _render_json(fig, ctx, region, flow)
     elif fmt == "svg":
         w = _default_window(ctx, spec)
-        text = _render_svg(lines, w, 0.01 * ctx.beta if ctx.finite else w / 300.0)
+        text = _render_svg(fig, w, 0.01 * ctx.beta if ctx.finite else w / 300.0)
     else:
         raise ValueError(f"format must be csv, json or svg, got {fmt!r}")
     atomic_write(path, text)

@@ -723,11 +723,27 @@ class TestRenderers:
     )
     def test_same_bytes_as_the_references(self, drawn, beta, region, flow, window):
         ctx, lines = ThermalContext(beta=beta), as_lines(drawn)
+        render = {
+            "csv": cone_wedge._render_csv,
+            "json": lambda fig: cone_wedge._render_json(fig, ctx, region, flow),
+            "svg0": lambda fig: cone_wedge._render_svg(fig, window, 0.01 * beta),
+            "svg1": lambda fig: cone_wedge._render_svg(fig, window, window),
+        }
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 + 1e308
-            assert cone_wedge._render_csv(lines) == reference_csv(lines)
-            assert cone_wedge._render_json(ctx, region, flow, lines) == reference_json(ctx, region, flow, lines)
-            for sw in (0.01 * beta, window):
-                assert cone_wedge._render_svg(lines, window, sw) == reference_svg(lines, window, sw)
+            want = {
+                "csv": reference_csv(lines),
+                "json": reference_json(ctx, region, flow, lines),
+                "svg0": reference_svg(lines, window, 0.01 * beta),
+                "svg1": reference_svg(lines, window, window),
+            }
+            # each format on a figure of its own, then all of them on one
+            # figure, svg first and csv first
+            for fmt in render:
+                assert render[fmt](cone_wedge._Figure(tuple(lines))) == want[fmt]
+            for order in (["svg0", "json", "csv", "svg1"], ["csv", "svg1", "json", "svg0"]):
+                fig = cone_wedge._Figure(tuple(lines))
+                for fmt in order:
+                    assert render[fmt](fig) == want[fmt]
 
     @pytest.mark.parametrize("beta", [1, 1.7])
     @pytest.mark.parametrize("spec", [FigureSpec(n_lines=3, n_samples=9), FigureSpec(n_samples=1), FigureSpec(seeds=())])
@@ -766,9 +782,9 @@ class TestEmittedLines:
 
     @pytest.fixture(autouse=True)
     def cold(self):
-        cone_wedge._emitted_lines.cache_clear()
+        cone_wedge._emitted_figure.cache_clear()
         yield
-        cone_wedge._emitted_lines.cache_clear()
+        cone_wedge._emitted_figure.cache_clear()
 
     @staticmethod
     def emit(path, ctx, region, flow, spec, fmt):
@@ -776,7 +792,7 @@ class TestEmittedLines:
         return path.read_text()
 
     def cold_emit(self, path, *args):
-        cone_wedge._emitted_lines.cache_clear()
+        cone_wedge._emitted_figure.cache_clear()
         return self.emit(path, *args)
 
     def test_one_figure_lines_call_for_three_formats(self, tmp_path, monkeypatch):
@@ -794,6 +810,49 @@ class TestEmittedLines:
                 assert got == self.cold_emit(tmp_path / f"cold.{fmt}", ctx, region, flow, spec, fmt)
         # one call per figure when warm, one per cold emission
         assert len(calls) == 4 + 4 * 4
+
+    @pytest.mark.parametrize("order", [("csv", "json", "svg"), ("svg", "json", "csv"), ("json", "svg", "csv")])
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_every_order_writes_the_cold_bytes(self, tmp_path, beta, order):
+        ctx = ThermalContext(beta=beta)
+        cone_seeds = (SpacetimePoint(1.0, 0.0), SpacetimePoint(1.0, -0.0), SpacetimePoint(1.5, 0.4))
+        seeds = {CONE: cone_seeds, WEDGE: tuple(SpacetimePoint(s.x1, s.x0) for s in cone_seeds)}
+        figures = [(CONE, "modular"), (WEDGE, "modular")]
+        if ctx.finite:
+            figures += [(CONE, "gamma"), (WEDGE, "gamma")]
+        for region, flow in figures:
+            for spec in (FigureSpec(n_lines=3, n_samples=9, window=3.0),
+                         FigureSpec(n_samples=9, window=3.0, seeds=seeds[region])):
+                cold = {fmt: self.cold_emit(tmp_path / f"cold.{fmt}", ctx, region, flow, spec, fmt)
+                        for fmt in order}
+                cone_wedge._emitted_figure.cache_clear()
+                for fmt in order:
+                    assert self.emit(tmp_path / f"warm.{fmt}", ctx, region, flow, spec, fmt) == cold[fmt]
+
+    def test_svg_alone_formats_only_x0_and_x1(self, tmp_path, monkeypatch):
+        formatted = []
+
+        def spy(col, spec, memo):
+            formatted.append((col.tobytes(), spec))
+            return strings(col, spec, memo)
+
+        strings = cone_wedge._strings
+        monkeypatch.setattr(cone_wedge, "_strings", spy)
+        ctx, spec = ThermalContext(beta=1.0), FigureSpec(n_lines=3, n_samples=9)
+        self.emit(tmp_path / "f.svg", ctx, CONE, "modular", spec, "svg")
+        lines = figure_lines(ctx, CONE, "modular", spec)
+        assert formatted == [(c.tobytes(), "%.17g") for _, ln in lines for c in ln.points.T]
+
+    @pytest.mark.parametrize("x0, y", [
+        (0.0, "-0"), (-0.0, "0"), (math.nan, "nan"), (math.inf, "-inf"), (-math.inf, "inf"),
+        (5e-324, "-4.9406564584124654e-324"), (-2.5e-310, "2.5000000000000171e-310"),
+    ])
+    def test_svg_toggles_the_sign_of_x0(self, x0, y):
+        # the svg y coordinate is "%.17g" % -x0, made from x0's string
+        assert "%.17g" % -x0 == y
+        line = FlowLine(np.array([0.0]), np.array([[x0, 1.0]]))
+        fig = cone_wedge._Figure(((SpacetimePoint(1.0, 0.0), line),))
+        assert f'points="1,{y}"' in cone_wedge._render_svg(fig, 1.0, 0.01)
 
     @pytest.mark.parametrize("region, field, a, b, fmt", [
         (CONE, "param_span", 0.0, -0.0, "csv"),
@@ -843,13 +902,13 @@ class TestEmittedLines:
         ctx, spec = ThermalContext(beta=1.0), FigureSpec(n_lines=2, n_samples=5)
         for region, flow in [(CONE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")]:
             self.emit(tmp_path / "f.csv", ctx, region, flow, spec, "csv")
-            lines = cone_wedge._emitted_lines(cone_wedge._FigureKey(ctx, region, flow, spec))
+            lines = cone_wedge._emitted_figure(cone_wedge._FigureKey(ctx, region, flow, spec)).lines
             assert isinstance(lines, tuple)
             for _, ln in lines:
                 for a in (ln.params, ln.points):
                     with pytest.raises(ValueError, match="read-only"):
                         a[0] = 7.0
-        assert cone_wedge._emitted_lines.cache_info().hits == 3
+        assert cone_wedge._emitted_figure.cache_info().hits == 3
 
     def test_public_lines_stay_writable_and_apart(self, tmp_path):
         ctx, spec = ThermalContext(beta=1.0), FigureSpec(n_lines=2, n_samples=5)
@@ -874,4 +933,4 @@ class TestEmittedLines:
             with pytest.raises(error):
                 emit_flow_figure(ctx, CONE, flow, str(path), fmt=fmt, spec=spec)
             assert not path.exists()
-        assert cone_wedge._emitted_lines.cache_info().currsize == 0
+        assert cone_wedge._emitted_figure.cache_info().currsize == 0

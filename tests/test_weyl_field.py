@@ -633,10 +633,11 @@ class TestOwnedNumerics:
         # 5.7e-16, slopes 2.2e-13, curvatures 2.6e-11
         import modularflow.weyl_field as wf
 
-        seen = []
+        built, seen = [], []
 
         def spy(x0, dx, y):
             sp = _spline(x0, dx, y)
+            built.append(x0)
 
             def call(pts):
                 seen.append((x0, dx, y, pts))
@@ -648,7 +649,8 @@ class TestOwnedNumerics:
         ctx = ThermalContext(beta=1.0)
         f, g = TestFunction.bump(0.7, 0.4, n=1000), TestFunction.bump(1.4, 0.3, n=1500)
         omega2_position(ctx, f, g, 1e-3)
-        assert len(seen) == 3
+        # F is evaluated block by block
+        assert len(built) == 3 and len(seen) > 3
         for x0, dx, y, pts in seen:
             _assert_spline_close(_spline_pairs(x0, dx, y, pts), 5e-14, 1e-11, 1e-9)
 
@@ -872,6 +874,59 @@ class TestTwoPointPosition:
     def test_non_finite_separation_raises(self, xi):
         with pytest.raises(DomainViolation, match="xi must be finite"):
             two_point_position(ThermalContext(), xi, 1e-4)
+
+
+def one_array_omega2_position(ctx, f, g, epsilon):
+    """omega2_position with its kernel and products over the whole
+    correlation grid in one array each, as it was before it worked in blocks."""
+    dx = min(f.dx, g.dx)
+
+    def on_step(fn):
+        a, b = fn.support
+        count = int(math.ceil((b - a) / dx - 1e-12)) + 1
+        return a, fn(a + dx * np.arange(count))
+
+    af, vf = on_step(f)
+    ag, vg = on_step(g)
+    corr = np.correlate(vg, vf, mode="full") * dx
+    s0 = ag - (af + (len(vf) - 1) * dx)
+    s1 = s0 + (len(corr) - 1) * dx
+    F = _spline(s0, dx, corr)
+    h = min(dx, epsilon / 16.0)
+    n = int(math.ceil((s1 - s0) / h)) | 1
+    sf = np.linspace(s0, s1, n)
+    k = np.conj(two_point_position(ctx, sf, epsilon))
+    return complex(np.sum(_simpson_weights(n, sf[1] - sf[0]) * F(sf) * k))
+
+
+class TestOmega2Position:
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.37, 1.7])
+    @pytest.mark.parametrize("eps_over_beta", [1e-3, 0.2])
+    def test_blocks_sum_the_one_array_formula(self, beta, eps_over_beta):
+        # the kernels suite's calibration pairs, bit for bit: 25601 nodes (12.5
+        # blocks) at its epsilon, 4095 (a block and a short one) at 0.2 beta
+        ctx, eps = ThermalContext(beta=beta), eps_over_beta * beta
+        pairs = [
+            (TestFunction.bump(0.7 * beta, 0.4 * beta), TestFunction.bump(1.4 * beta, 0.4 * beta)),
+            (TestFunction.bump(0.5 * beta, 0.3 * beta), TestFunction.bump(0.9 * beta, 0.35 * beta)),
+            (TestFunction.bump(1.1 * beta, 0.35 * beta), TestFunction.bump(1.2 * beta, 0.45 * beta)),
+        ]
+        for f, g in pairs:
+            assert omega2_position(ctx, f, g, eps) == one_array_omega2_position(ctx, f, g, eps)
+
+    def test_peak_memory(self):
+        # 26k nodes: 2.0 MB with the kernel in one array, 1.2 MB in blocks
+        import tracemalloc
+
+        ctx, f, g = ThermalContext(beta=1.0), TestFunction.bump(0.7, 0.4), TestFunction.bump(1.4, 0.4)
+        omega2_position(ctx, f, g, 1e-3)  # f's and g's splines are built once
+        tracemalloc.start()
+        try:
+            omega2_position(ctx, f, g, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3e6
 
 
 class TestSymplecticForm:
