@@ -237,17 +237,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-class _SuiteChoices:
-    """The verify subcommand's choices: verify.SUITES, read at each parse
-    and each help text, plus "all"."""
-
-    def __contains__(self, name) -> bool:
-        return name == "all" or name in SUITES
-
-    def __iter__(self):
-        return iter((*SUITES, "all"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mfl",
@@ -292,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", parents=[common, writes], help="run a verification suite")
-    p.add_argument("suite", choices=_SuiteChoices())
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.set_defaults(func=cmd_verify)
     return ap
 
@@ -300,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """build_parser's parser, built once per process: parsing leaves it as
-    it was, and the suite choices are read live."""
+    it was.  Its verify choices are verify.SUITES as they stood then."""
     return build_parser()
 
 

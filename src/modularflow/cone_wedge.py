@@ -10,7 +10,6 @@ site; only the two primary regions are first-class here.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -25,6 +24,7 @@ from .files import atomic_write
 from .flow_maps import (
     RayDirection,
     ThermalContext,
+    _require_finite,
     gamma_flow_ray,
     modular_flow_ray,
     modular_remainder,
@@ -133,8 +133,7 @@ def remainder_terms(
     Returns (R0, R1) with modular_flow_2d(u, p) = (x0 - beta u + R0, x1 + R1);
     both terms are exponentially small deep inside the region.
     """
-    if not ctx.finite:
-        raise DomainViolation("remainder terms require finite beta")
+    _require_finite(ctx, "remainder_terms")
 
     def ray(sign, x):
         # remainder of the plus ray (sign 1); the minus ray's is -ray(-1, x)
@@ -207,8 +206,7 @@ def gamma_line_constant(ctx: ThermalContext, region: Region, p: SpacetimePoint) 
     Cone lines satisfy x0 = -(beta/2pi) log|sinh(2pi x1/beta)| + C away from
     the time axis; wedge lines satisfy x1 = -(beta/2pi) log(cosh(2pi x0/beta)) + C.
     """
-    if not ctx.finite:
-        raise DomainViolation("closed-form positive-generator flow lines require finite beta")
+    _require_finite(ctx, "gamma_line_constant")
     b = ctx.beta / TWO_PI
     if region is Region.FORWARD_CONE:
         s = math.sinh(p.x1 / b)
@@ -234,8 +232,7 @@ def time_calibration(
     coordinate time there); the wedge path bends, with
     tau = (beta/2pi) sin(2pi t_p/beta).
     """
-    if not ctx.finite:
-        raise DomainViolation("time calibration requires finite beta")
+    _require_finite(ctx, "time_calibration")
     b = ctx.beta / TWO_PI
     if region is Region.FORWARD_CONE:
         if direction == "tau_of_t" or direction == "tau_of_proper":
@@ -267,8 +264,7 @@ def causal_chart(ctx: ThermalContext, p: SpacetimePoint) -> tuple[float, float]:
     minus chart for x < 0; first derivatives match at 0, second derivatives
     jump by 4 pi / beta.
     """
-    if not ctx.finite:
-        raise DomainViolation("causal chart requires finite beta")
+    _require_finite(ctx, "causal_chart")
     return tuple(
         xi_chart(ctx, RayDirection.PLUS if x >= 0.0 else RayDirection.MINUS, x)
         for x in (p.xL, p.xR)
@@ -277,13 +273,21 @@ def causal_chart(ctx: ThermalContext, p: SpacetimePoint) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Deterministic sampling plan for one flow-pattern figure."""
+    """Deterministic sampling plan for one flow-pattern figure.
+
+    seeds may be any iterable of points; the spec reads it once, into a
+    tuple of its own, so a spec is immutable and hashable.
+    """
 
     n_lines: int = 12
     n_samples: int = 129
     param_span: float = 1.0  # modular figures: u in [-span, span]
     window: float | None = None  # half-width of the emitted window, default 3 beta
     seeds: tuple[SpacetimePoint, ...] | None = None
+
+    def __post_init__(self):
+        if self.seeds is not None:
+            object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
 def _default_window(ctx: ThermalContext, spec: FigureSpec) -> float:
@@ -300,21 +304,16 @@ def _default_window(ctx: ThermalContext, spec: FigureSpec) -> float:
 def _modular_figure_lines(ctx, region, spec):
     """Modular flow lines from seeds swept over u in [-span, span]."""
     w = _default_window(ctx, spec)
-    if spec.seeds is not None:
-        seeds = list(spec.seeds)
-    elif region is Region.FORWARD_CONE:
-        # seeds fan across the cone interior at fixed time
+    seeds = spec.seeds
+    if seeds is None:
+        # seeds fan across the region's interior at fixed x0 (cone) or x1 (wedge)
         fracs = np.linspace(-0.9, 0.9, spec.n_lines)
-        seeds = [SpacetimePoint(0.5 * w, 0.5 * w * f) for f in fracs]
-    else:
-        fracs = np.linspace(-0.9, 0.9, spec.n_lines)
-        seeds = [SpacetimePoint(0.5 * w * f, 0.5 * w) for f in fracs]
-    out = []
-    for s in seeds:
-        out.append((s, flow_line(ctx, region, "modular",
-                                 s, (-spec.param_span, spec.param_span),
-                                 spec.n_samples)))
-    return out
+        if region is Region.FORWARD_CONE:
+            seeds = [SpacetimePoint(0.5 * w, 0.5 * w * f) for f in fracs]
+        else:
+            seeds = [SpacetimePoint(0.5 * w * f, 0.5 * w) for f in fracs]
+    span = (-spec.param_span, spec.param_span)
+    return [(s, flow_line(ctx, region, "modular", s, span, spec.n_samples)) for s in seeds]
 
 
 def _gamma_figure_lines(ctx, region, spec):
@@ -325,15 +324,12 @@ def _gamma_figure_lines(ctx, region, spec):
     exact: shifting a seed in the invariance direction shifts its polyline
     pointwise.
     """
-    if not ctx.finite:
-        raise DomainViolation("closed-form positive-generator flow lines require finite beta")
+    _require_finite(ctx, "figure_lines(flow='gamma')")
     b = ctx.beta / TWO_PI
     w = _default_window(ctx, spec)
-    out = []
+    out, seeds = [], spec.seeds
     if region is Region.FORWARD_CONE:
-        if spec.seeds is not None:
-            seeds = list(spec.seeds)
-        else:
+        if seeds is None:
             cs = np.linspace(-0.75 * w, 0.75 * w, spec.n_lines)
             seeds = [SpacetimePoint(c, 0.35 * w) for c in cs]
         half = spec.n_samples // 2
@@ -350,9 +346,7 @@ def _gamma_figure_lines(ctx, region, spec):
             pts = np.column_stack([x0, x1])
             out.append((s, FlowLine(x1, pts)))
     else:
-        if spec.seeds is not None:
-            seeds = list(spec.seeds)
-        else:
+        if seeds is None:
             cs = np.linspace(-1.25 * w, 0.25 * w, spec.n_lines)
             seeds = [SpacetimePoint(0.0, c) for c in cs]
         x0 = np.linspace(-w, w, spec.n_samples)
@@ -373,58 +367,34 @@ def figure_lines(ctx: ThermalContext, region: Region, flow: str, spec: FigureSpe
     raise ValueError(f"flow must be 'modular' or 'gamma', got {flow!r}")
 
 
-class _FigureKey:
-    """figure_lines' arguments, equal when their reprs are.
-
-    == and hash make 0.0 and -0.0 one key, though the two print apart; float
-    repr tells every non-NaN float apart.  The seeds are read once, into a
-    tuple, whose repr shows every seed: an array's elides past 1000 of them
-    and a generator's shows only its id.
-    """
-
-    __slots__ = ("args", "key")
-
-    def __init__(self, ctx, region, flow, spec):
-        if spec.seeds is not None:
-            spec = dataclasses.replace(spec, seeds=tuple(spec.seeds))
-        self.args = (ctx, region, flow, spec)
-        self.key = (repr(ctx), region, flow, repr(spec))
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __eq__(self, other):
-        return self.key == other.key
-
-
 class _Figure:
-    """One figure's read-only lines and, from the first format that prints
-    them, the "%.17g" strings of each line's x0 and x1: csv and svg both
-    print these, and no other strings are kept."""
+    """One figure's read-only lines and the "%.17g" strings of each line's
+    x0 and x1, the only strings csv and svg both print."""
 
-    __slots__ = ("lines", "_xy")
+    __slots__ = ("lines", "xy")
 
-    def __init__(self, lines):
-        self.lines = lines
-        self._xy = None
-
-    def xy(self) -> list[tuple[list[str], list[str]]]:
-        """(x0 strings, x1 strings) of each line, formatted at the first call."""
-        if self._xy is None:
-            memo = {}
-            self._xy = [tuple(_strings(c, "%.17g", memo) for c in ln.points.T)
-                        for _, ln in self.lines]
-        return self._xy
+    def __init__(self, lines: tuple, xy: list[tuple[list[str], list[str]]]):
+        self.lines, self.xy = lines, xy
 
 
-@functools.lru_cache(maxsize=4)  # the four flow patterns
-def _emitted_figure(k: _FigureKey) -> _Figure:
-    """figure_lines(*k.args) as a _Figure of read-only lines; failures are not cached."""
-    lines = tuple(figure_lines(*k.args))
+def _figure(lines) -> _Figure:
+    """The lines, made read-only, and their x0 and x1 strings."""
+    lines, memo = tuple(lines), {}
     for _, ln in lines:
         ln.params.flags.writeable = False
         ln.points.flags.writeable = False
-    return _Figure(lines)
+    return _Figure(lines, [tuple(_strings(c, "%.17g", memo) for c in ln.points.T)
+                           for _, ln in lines])
+
+
+@functools.lru_cache(maxsize=4)  # the four flow patterns
+def _emitted_figure(key: str, ctx, region, flow, spec) -> _Figure:
+    """_figure(figure_lines(ctx, region, flow, spec)); failures are not cached.
+
+    key is repr((ctx, spec)): arguments equal but printed apart, such as 0.0
+    and -0.0, are then different figures.
+    """
+    return _figure(figure_lines(ctx, region, flow, spec))
 
 
 def _strings(col: np.ndarray, spec: str, memo: dict) -> list[str]:
@@ -446,7 +416,7 @@ def _fmt(x: float) -> str:
 
 
 def _render_csv(fig: _Figure) -> str:
-    xy = fig.xy()
+    xy = fig.xy
     # x0's and x1's strings serve a parameter column with their bits
     memo = {c.tobytes(): s for (_, ln), pair in zip(fig.lines, xy)
             for c, s in zip(ln.points.T, pair)}
@@ -494,7 +464,7 @@ def _render_svg(fig: _Figure, window: float, stroke_width: float) -> str:
         f'stroke="#888" stroke-width="{_fmt(stroke_width / 2)}"/>\n'
     )
     body = []
-    for s0, s1 in fig.xy():
+    for s0, s1 in fig.xy:
         # "%.17g" % -x is x's string with its sign toggled; nan prints unsigned
         pts = " ".join([f"{x},{y[1:]}" if y[0] == "-" else f"{x},{y}" if y == "nan"
                         else f"{x},-{y}" for x, y in zip(s1, s0)])
@@ -523,16 +493,18 @@ def emit_flow_figure(
     Output is written to a temporary file and renamed, so no partial file is
     left behind on error.
 
+    A spec owns its seeds: any iterable is read once, when the spec is made.
     One process emitting a figure in several formats computes its lines and
     formats their numbers once: the last four figures are kept, keyed on the
     reprs of ctx and spec, so a spec with -0.0 where another has 0.0 is
-    another figure.  Each keeps its lines, read-only, and, once csv or svg
-    has printed them, the "%.17g" strings of x0 and x1, which the other
-    prints too (svg's -x0 is x0's string with its sign toggled).  The other
-    columns and json's reprs are formatted at each emission, each distinct
-    column once.  figure_lines itself computes the lines on every call.
+    another figure.  Each keeps its lines, read-only, and the "%.17g"
+    strings of x0 and x1, made when the figure is computed, which csv and
+    svg both print (svg's -x0 is x0's string with its sign toggled).  The
+    other columns and json's reprs are formatted at each emission, each
+    distinct column once.  figure_lines itself computes the lines on every
+    call.
     """
-    fig = _emitted_figure(_FigureKey(ctx, region, flow, spec))
+    fig = _emitted_figure(repr((ctx, spec)), ctx, region, flow, spec)
     if fmt == "csv":
         text = _render_csv(fig)
     elif fmt == "json":

@@ -61,7 +61,8 @@ from .axb_group import TWO_PI
 from .errors import DomainViolation, QuadratureError, ResolutionError
 from .files import atomic_write
 from .flow_maps import (
-    RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray, modular_remainder,
+    RayDirection, ThermalContext, _require_finite, gamma_flow_ray, modular_flow_ray,
+    modular_remainder,
 )
 
 
@@ -513,8 +514,7 @@ def two_point_momentum(ctx: ThermalContext, spec: FieldSpec, p):
     The removable singularity at p = 0 evaluates to 1/beta for n = 0 and to
     0 for n >= 1; both tails are handled without overflow.
     """
-    if not ctx.finite:
-        raise DomainViolation("two-point density requires finite beta")
+    _require_finite(ctx, "two_point_momentum")
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p).astype(float)
@@ -598,8 +598,7 @@ def _position_kernel(
     """
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if not ctx.finite:
-        raise DomainViolation("position kernel requires finite beta")
+    _require_finite(ctx, "two_point_position")
     beta = ctx.beta
     b = math.pi * epsilon / beta
     out = np.empty((2,) + z.shape)

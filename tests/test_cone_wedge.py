@@ -739,9 +739,9 @@ class TestRenderers:
             # each format on a figure of its own, then all of them on one
             # figure, svg first and csv first
             for fmt in render:
-                assert render[fmt](cone_wedge._Figure(tuple(lines))) == want[fmt]
+                assert render[fmt](cone_wedge._figure(lines)) == want[fmt]
             for order in (["svg0", "json", "csv", "svg1"], ["csv", "svg1", "json", "svg0"]):
-                fig = cone_wedge._Figure(tuple(lines))
+                fig = cone_wedge._figure(lines)
                 for fmt in order:
                     assert render[fmt](fig) == want[fmt]
 
@@ -851,7 +851,7 @@ class TestEmittedLines:
         # the svg y coordinate is "%.17g" % -x0, made from x0's string
         assert "%.17g" % -x0 == y
         line = FlowLine(np.array([0.0]), np.array([[x0, 1.0]]))
-        fig = cone_wedge._Figure(((SpacetimePoint(1.0, 0.0), line),))
+        fig = cone_wedge._figure([(SpacetimePoint(1.0, 0.0), line)])
         assert f'points="1,{y}"' in cone_wedge._render_svg(fig, 1.0, 0.01)
 
     @pytest.mark.parametrize("region, field, a, b, fmt", [
@@ -876,16 +876,34 @@ class TestEmittedLines:
             text = self.emit(tmp_path / "f.csv", ctx, CONE, "modular", spec, "csv")
         assert text.splitlines()[2].startswith("0,-0,1.5,")
 
-    def test_list_of_seeds(self, tmp_path):
+    def test_spec_copies_a_list_of_seeds(self, tmp_path):
         ctx, seeds = ThermalContext(beta=1.0), [SpacetimePoint(1.0, 0.2)]
         spec = FigureSpec(n_samples=5, seeds=seeds)
         first = self.emit(tmp_path / "a.json", ctx, CONE, "modular", spec, "json")
-        assert self.emit(tmp_path / "b.json", ctx, CONE, "modular", spec, "json") == first
-        # the key is read at each call: a seed appended to the list is a new figure
+        # the spec holds a tuple of its own: a seed appended to the list is no new figure
         seeds.append(SpacetimePoint(1.0, -0.2))
-        got = self.emit(tmp_path / "c.json", ctx, CONE, "modular", spec, "json")
-        assert len(json.loads(got)["lines"]) == 2
-        assert got == self.cold_emit(tmp_path / "d.json", ctx, CONE, "modular", spec, "json")
+        assert spec.seeds == (SpacetimePoint(1.0, 0.2),)
+        assert self.emit(tmp_path / "b.json", ctx, CONE, "modular", spec, "json") == first
+        assert self.cold_emit(tmp_path / "c.json", ctx, CONE, "modular", spec, "json") == first
+        assert len(json.loads(first)["lines"]) == 1
+        assert len(figure_lines(ctx, CONE, "modular", spec)) == 1
+
+    @pytest.mark.parametrize("region, flow", [(CONE, "modular"), (WEDGE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")])
+    def test_generator_seeds_are_read_once(self, tmp_path, region, flow):
+        # a generator of seeds used to be read again by every emission: csv
+        # got its 3 lines, then json and figure_lines none
+        ctx = ThermalContext(beta=1.0)
+        points = [SpacetimePoint(1.0, 0.2 * k) for k in range(1, 4)]
+        if region is WEDGE:
+            points = [SpacetimePoint(p.x1, p.x0) for p in points]
+        spec = FigureSpec(n_samples=5, seeds=(p for p in points))
+        tuple_spec = FigureSpec(n_samples=5, seeds=tuple(points))
+        for fmt in ("csv", "json", "svg"):
+            got = self.emit(tmp_path / f"a.{fmt}", ctx, region, flow, spec, fmt)
+            assert got == self.cold_emit(tmp_path / f"b.{fmt}", ctx, region, flow, tuple_spec, fmt)
+        assert len(json.loads((tmp_path / "a.json").read_text())["lines"]) == 3
+        for _ in range(2):
+            assert [s for s, _ in figure_lines(ctx, region, flow, spec)] == points
 
     def test_seeds_past_an_arrays_repr(self, tmp_path):
         # repr elides an array of more than 1000 seeds; the key shows them all
@@ -902,7 +920,7 @@ class TestEmittedLines:
         ctx, spec = ThermalContext(beta=1.0), FigureSpec(n_lines=2, n_samples=5)
         for region, flow in [(CONE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")]:
             self.emit(tmp_path / "f.csv", ctx, region, flow, spec, "csv")
-            lines = cone_wedge._emitted_figure(cone_wedge._FigureKey(ctx, region, flow, spec)).lines
+            lines = cone_wedge._emitted_figure(repr((ctx, spec)), ctx, region, flow, spec).lines
             assert isinstance(lines, tuple)
             for _, ln in lines:
                 for a in (ln.params, ln.points):
