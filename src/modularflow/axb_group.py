@@ -16,7 +16,7 @@ from .errors import DomainViolation
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """Element (lambda, tau) of the affine group, lambda = e^{-2 pi u} > 0."""
 
@@ -37,7 +37,7 @@ class GroupElement:
         return GroupElement(1.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgroupParams:
     """Generator (a, b) of a one-parameter subgroup r -> (e^{ar}, (b/a)(e^{ar}-1))."""
 

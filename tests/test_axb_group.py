@@ -1,5 +1,6 @@
 """Group algebra tests; expected values come from a 2x2 matrix oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,3 +301,38 @@ def test_inverse_property(lam, tau):
     gid = compose(inverse(g), g)
     assert abs(gid.lam - 1.0) < 1e-13
     assert abs(gid.tau) < 1e-12
+
+
+class TestSlots:
+    """GroupElement and SubgroupParams are frozen dataclasses with slots."""
+
+    @pytest.mark.parametrize(
+        "cls, args, name", [(GroupElement, (2.0, 0.5), "lam"), (SubgroupParams, (1.0, -0.5), "a")]
+    )
+    def test_frozen_slotted_dataclass(self, cls, args, name):
+        obj = cls(*args)
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 3.0)
+        # a new attribute has no slot and is refused; on Python 3.11 the
+        # frozen __setattr__ raises TypeError there, from its super() call on
+        # the class as it was before the slots were added
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            obj.other = 3.0
+        assert obj == cls(*args) and obj != cls(args[0], 7.0)
+        assert hash(obj) == hash(cls(*args)) == hash(args)
+        assert dataclasses.astuple(obj) == args
+        moved = dataclasses.replace(obj, **{name: 4.0})
+        assert moved == cls(4.0, args[1]) and obj == cls(*args)
+        assert repr(obj) == f"{cls.__name__}({name}={args[0]!r}, {dataclasses.fields(cls)[1].name}={args[1]!r})"
+
+    def test_validation_unchanged(self):
+        for lam in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="scale factor must be positive"):
+                GroupElement(lam, 0.0)
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            dataclasses.replace(GroupElement(2.0, 0.5), lam=-2.0)
+        with pytest.raises(ValueError, match=r"\(0, 0\) generates only the identity"):
+            SubgroupParams(0.0, 0.0)
+        assert GroupElement.identity() == GroupElement(1.0, 0.0)
+        assert GroupElement(math.exp(-TWO_PI * 0.25), 0.0).u == pytest.approx(0.25, rel=1e-15)

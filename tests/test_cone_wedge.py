@@ -189,6 +189,22 @@ class TestGammaFlow2D:
                 assert WEDGE.contains(gamma_flow_2d(ctx, WEDGE, float(tau), p))
 
 
+    def test_a_point_of_arrays_maps_pointwise(self):
+        # verify's velocity-consistency maps its grid of points in one call
+        # per region and sign of tau: each image is the one-point call's
+        rng = np.random.default_rng(8)
+        for beta in (0.6, 1.0, 1.7):
+            ctx = ThermalContext(beta=beta)
+            a = rng.uniform(-1.4, 1.4, 40) * beta
+            c = np.abs(a) + rng.uniform(0.05, 1.4, 40) * beta
+            for region, x0, x1 in ((CONE, c, a), (WEDGE, a, c)):
+                for tau in (1e-4 * beta / TWO_PI, -1e-4 * beta / TWO_PI, 0.05 * beta):
+                    q = gamma_flow_2d(ctx, region, tau, SpacetimePoint(x0, x1))
+                    for i, (p0, p1) in enumerate(zip(x0.tolist(), x1.tolist())):
+                        want = gamma_flow_2d(ctx, region, tau, SpacetimePoint(p0, p1))
+                        assert (q.x0[i], q.x1[i]) == (want.x0, want.x1)
+
+
 class TestRemainders:
     def test_u_zero(self):
         ctx = ThermalContext(beta=1.0)

@@ -682,6 +682,20 @@ class TestSuites:
         assert not CaseResult("x", {}, 2.0, 1.0).passed
 
 
+def test_group_laws_batched_draws_are_the_scalar_stream():
+    # the group-laws suite draws its random samples as arrays: the stream of
+    # one scalar draw per parameter, in the order its loops used to take them
+    rng = np.random.default_rng(1234)
+    scalar = [[[rng.uniform(0.1, 10.0), rng.uniform(-4, 4)] for _ in range(3)] for _ in range(200)]
+    batched = np.random.default_rng(1234).uniform((0.1, -4.0), (10.0, 4.0), size=(200, 3, 2))
+    assert batched.tolist() == scalar
+    rng = np.random.default_rng(99)
+    scalar = [[rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-3, 3)]
+              for _ in range(100)]
+    batched = np.random.default_rng(99).uniform((-2, -2, -1, -3), (2, 2, 1, 3), size=(100, 4))
+    assert batched.tolist() == scalar
+
+
 def test_thm22_suites_run_the_shared_modular_remainder(monkeypatch):
     # the deviation rows take their parameter shift from
     # flow_maps.modular_remainder; at the chart scale b = beta/pi instead of

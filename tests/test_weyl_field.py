@@ -21,7 +21,9 @@ from scipy.interpolate import CubicSpline
 
 import modularflow
 from modularflow.errors import DomainViolation, QuadratureError, ResolutionError
-from modularflow.flow_maps import RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray
+from modularflow.flow_maps import (
+    RayDirection, ThermalContext, gamma_flow_ray, modular_flow_ray, modular_remainder,
+)
 from modularflow.weyl_field import (
     FieldSpec,
     StateNormalization,
@@ -114,6 +116,30 @@ class TestTestFunction:
         assert f(math.inf) == 0.0 and f(-math.inf) == 0.0
         got = f([-math.inf, 0.5, math.inf])
         assert got[0] == got[2] == 0.0 and got[1] == pytest.approx(math.exp(-1.0))
+        with pytest.raises(DomainViolation) as err:
+            f(np.array([0.5, 0.2, math.nan]))
+        assert str(err.value) == "x must be finite, got x=nan"
+        assert np.array_equal(f([math.inf, -math.inf]), [0.0, 0.0])
+        assert all(type(f(x)) is float for x in (0.5, np.float64(0.5), math.inf, -3.0))
+
+    def test_all_inside_path_equals_the_masked_evaluation(self):
+        # with every point in the window the spline runs on the points as
+        # given, with no mask; it is elementwise, so each value is the
+        # masked evaluation's bit for bit
+        rng = np.random.default_rng(11)
+        open_window = TestFunction(np.linspace(0.0, 1.0, 50) ** 2, 0.25, 0.1, (0.25, 5.15),
+                                   compact_support=False)
+        for f in (TestFunction.bump(0.5, 0.5), TestFunction.bump(1.3, 0.2, n=300).translate(0.7),
+                  open_window):
+            a, b = (f.x[0], f.x[-1]) if not f.compact_support else f.support
+            for pts in (rng.uniform(a, b, 1000), rng.uniform(a - 0.3, b + 0.3, 1000),
+                        np.array([a, b]), rng.uniform(a, b, (7, 9))):
+                inside = (pts >= a) & (pts <= b)
+                want = np.zeros_like(pts)
+                want[inside] = f._spline(pts[inside])
+                got = f(pts)
+                assert got.shape == pts.shape and np.array_equal(got, want)
+                assert [f(x) for x in pts.ravel()[:25].tolist()] == want.ravel()[:25].tolist()
 
     def test_translate_exact(self):
         f = TestFunction.bump(1.0, 0.3)
@@ -436,8 +462,8 @@ class TestTransformLayer:
 
     def test_deviation_grid_work_done_once(self, monkeypatch):
         # the density does not change along a thm22 grid, so repeated nodes
-        # do not compute it again; the tail checks of f and g run on every
-        # call with a given g
+        # do not compute it again; the tail checks of f and g run once, on
+        # the first call with a given g
         import modularflow.weyl_field as wf
 
         densities, tails = [], []
@@ -454,9 +480,9 @@ class TestTransformLayer:
         assert (len(densities), len(tails)) == (1, 2)
         for u, t in ((0.3, [1.0]), (-0.5, [2.0, 3.0]), (1.0, [0.5])):
             got = _deviation_exponents(ctx, N0, NORM, f, u, np.array(t), g)
-        assert (len(densities), len(tails)) == (1, 8)
+        assert (len(densities), len(tails)) == (1, 2)
         _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]))
-        assert (len(densities), len(tails)) == (1, 8)
+        assert (len(densities), len(tails)) == (1, 2)
         again = _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]), g)
         assert all(np.array_equal(a, b) for a, b in zip(again, first))
         again = _deviation_exponents(ctx, N0, NORM, f, 1.0, np.array([0.5]), g)
@@ -469,6 +495,42 @@ class TestTransformLayer:
         for _ in range(2):
             with pytest.raises(QuadratureError, match="symplectic form"):
                 _deviation_exponents(ctx, N0, NORM, narrow, 0.3, np.array([1.0]), g)
+
+    def test_narrow_g_raises_on_every_call(self):
+        # only passes are remembered: a too-narrow g raises twice in a row,
+        # and again after f passed with a wide g at the same context
+        ctx = ThermalContext(beta=1.0)
+        f = TestFunction.bump(0.5, 0.5).translate(0.02)
+        narrow = TestFunction.bump(-1.5, 0.02)
+        for wide_first in (False, True):
+            if wide_first:
+                _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]), TestFunction.bump(-1.5, 0.5))
+            for _ in range(2):
+                with pytest.raises(QuadratureError, match="symplectic form"):
+                    _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]), narrow)
+
+    def test_tail_check_once_per_function_grid_and_index(self, monkeypatch):
+        # a thm22 sweep, 21 u rows of 12 t, checks the passing f and g once
+        # each; another momentum grid or field index checks them again
+        import modularflow.weyl_field as wf
+        from modularflow.verify import matrix_element_bound
+
+        tails = []
+        tail_check = wf._tail_check
+        monkeypatch.setattr(wf, "_tail_check", lambda *a: tails.append(a) or tail_check(*a))
+        beta = 1.4321  # a beta no other test caches
+        ctx = ThermalContext(beta=beta)
+        f = TestFunction.bump(0.5 * beta, 0.5 * beta).translate(0.02 * beta)
+        g = TestFunction.bump(-1.5 * beta, 0.5 * beta)
+        ts = np.linspace(0.5 * beta, 6.0 * beta, 12)
+        for u in np.linspace(-1.0, 1.0, 21).tolist():
+            matrix_element_bound(ctx, N0, f, g, u, ts)
+        assert len(tails) == 2
+        _deviation_exponents(ThermalContext(beta, npts=4097), N0, NORM, f, 0.3, ts, g)
+        assert len(tails) == 4
+        _deviation_exponents(ctx, FieldSpec(1), NORM, f, 0.3, ts, g)
+        _deviation_exponents(ctx, FieldSpec(1), NORM, f, -0.3, ts, g)
+        assert len(tails) == 6
 
 def _scipy_modules(*argv):
     """The scipy modules loaded by `mfl argv`, or by importing the CLI when
@@ -713,9 +775,66 @@ def _spline_increment(f, k, d):
     return piece(target) - (piece(xk) if i <= k <= i + 1 else yk)
 
 
+def _reference_deviation_samples(ctx, f, u, t):
+    """_deviation_samples as formulated with one ray call per support edge
+    and boolean-index assignments, the reference its rows are pinned to."""
+    import modularflow.weyl_field as wf
+
+    beta = ctx.beta
+    a0, b0 = f.support
+    dx = f.dx
+    shift = t - beta * u
+    img_lo = modular_flow_ray(ctx, RayDirection.PLUS, u, a0 + t) - shift
+    img_hi = modular_flow_ray(ctx, RayDirection.PLUS, u, b0 + t) - shift
+    lo = math.floor((min(a0, img_lo.min()) - f.x0) / dx) - 10
+    hi = math.ceil((max(b0, img_hi.max()) - f.x0) / dx) + 11
+    k = np.arange(lo, lo - (lo - hi) // wf._DEVIATION_PAD * wf._DEVIATION_PAD)
+    a_grid = f.x0 + k * dx
+    delta = modular_remainder(beta, -u, a_grid + shift[:, None])
+    own = (k >= 0) & (k < len(f.samples))
+    neg = np.zeros(len(k))
+    neg[own] = -f.samples[k[own]]
+    target = a_grid + delta
+    out = ~((target >= a0) & (target <= b0))
+    delta[out] = 0.0
+    c0, c1, c2, y = f._spline.c
+    j = np.clip(k + (delta / dx).astype(np.intp), 0, len(y) - 1)
+    s = np.multiply(j - k, -dx, out=target)
+    s += delta
+    p = c0.take(j - (s < 0), mode="clip")
+    for ck in (c1, c2):
+        p *= s
+        p += ck.take(j)
+    p *= s
+    rows = y.take(j)
+    rows += neg
+    rows += p
+    np.copyto(rows, neg, where=out)
+    support = (np.minimum(a0, img_lo) + shift, np.maximum(b0, img_hi) + shift)
+    return rows, float(a_grid[0]), shift, support
+
+
 class TestDeviationRows:
     """_deviation_samples sums each entry f(x_k + delta) - f(x_k) as one
     Taylor increment of f's spline from a knot."""
+
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+    def test_rows_bit_for_bit_against_the_reference_formulation(self, beta):
+        # thm22's f, its 21 u and its row of 12 t; a t whose image lies
+        # outside supp f; and the rates suite's separations
+        ctx = ThermalContext(beta)
+        f = TestFunction.bump(0.5 * beta, 0.5 * beta).translate(0.02 * beta)
+        rows_t = (np.linspace(0.5 * beta, 6.0 * beta, 12), np.array([0.05 * beta]),
+                  np.array([3.0 * beta, 4.0 * beta]))
+        for u in np.linspace(-1.0, 1.0, 21).tolist():
+            for t in rows_t:
+                rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
+                want_rows, want_x0, want_shift, (want_lo, want_hi) = (
+                    _reference_deviation_samples(ctx, f, u, t)
+                )
+                assert np.array_equal(rows, want_rows, equal_nan=True), (u, t)
+                assert x0 == want_x0 and np.array_equal(shift, want_shift)
+                assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
     def test_rows_against_mpmath(self, monkeypatch):
         # shifts |delta|/dx from 1e-16 to 10 of both signs, and NaN, cycled
@@ -1202,6 +1321,34 @@ class TestWeylInner:
                 G[i, j] = weyl_inner(ctx, N0, NORM, fi, fj)
         evals = np.linalg.eigvalsh(G)
         assert evals.min() > -1e-8
+
+
+class TestPullBack:
+    """Both support edges go through one flow call."""
+
+    def test_support_edges_are_the_scalar_maps(self):
+        ctx = ThermalContext(1.3)
+        f = TestFunction.bump(1.2, 0.5)
+        for transform, flow, param in ((modular_transform, modular_flow_ray, -0.4),
+                                       (modular_transform, modular_flow_ray, 0.7),
+                                       (gamma_transform, gamma_flow_ray, 0.3)):
+            h = transform(ctx, param, f)
+            assert h.support == tuple(flow(ctx, RayDirection.PLUS, param, x) for x in f.support)
+            assert all(type(edge) is float for edge in h.support)
+
+    def test_failing_support_edge_keeps_the_scalar_maps_error(self):
+        # u < 0 with a support reaching left of the flow's floor near 0: the
+        # lower edge fails alone, or both do; either way the error is the
+        # scalar map's at the lower edge, with its exit parameter
+        ctx = ThermalContext(1.0)
+        for f in (TestFunction.bump(0.0, 0.05), TestFunction.bump(-0.5, 0.1)):
+            for u in (-0.3, -1.0):
+                with pytest.raises(DomainViolation) as want:
+                    modular_flow_ray(ctx, RayDirection.PLUS, u, f.support[0])
+                with pytest.raises(DomainViolation) as got:
+                    modular_transform(ctx, u, f)
+                assert str(got.value) == str(want.value)
+                assert got.value.exit_param == want.value.exit_param == u
 
 
 class TestModularTransform:
