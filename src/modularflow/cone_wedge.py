@@ -125,22 +125,23 @@ def gamma_flow_2d(
     return _flow_2d(ctx, region, gamma_flow_ray, tau, p)
 
 
-def remainder_terms(
-    ctx: ThermalContext, region: Region, u: float, p: SpacetimePoint
-) -> tuple[float, float]:
+def remainder_terms(ctx: ThermalContext, region: Region, u, p: SpacetimePoint):
     """Closed-form deviation of the modular flow from time translation by -beta u.
 
     Returns (R0, R1) with modular_flow_2d(u, p) = (x0 - beta u + R0, x1 + R1);
-    both terms are exponentially small deep inside the region.
+    both terms are exponentially small deep inside the region.  u is a float
+    or a 1-D array, as in modular_flow_2d: with an array R0 and R1 are
+    arrays over it, each entry bit for bit the call with that one u.
     """
     _require_finite(ctx, "remainder_terms")
+    u = np.asarray(u, dtype=float)
 
     def ray(sign, x):
         # remainder of the plus ray (sign 1); the minus ray's is -ray(-1, x)
-        r = float(modular_remainder(ctx.beta, sign * u, sign * x))
-        if not math.isfinite(r):
+        r = modular_remainder(ctx.beta, sign * u, sign * x)
+        if not np.isfinite(r).all():
             raise DomainViolation(f"remainder undefined at x={x}: modular flow domain violated")
-        return r
+        return float(r) if r.ndim == 0 else r
 
     rR = ray(1.0, p.xR)
     if region is Region.FORWARD_CONE:
@@ -200,22 +201,43 @@ def flow_line(
     return FlowLine(params, np.column_stack([q.x0, q.x1]))
 
 
+# past |y| = 700 sinh y and cosh y near the float maximum (they overflow
+# from 710); there log|sinh y| = |y| - ln 2 + log(-expm1(-2|y|)) and
+# log cosh y = |y| - ln 2 + log1p(e^{-2|y|}), whose last terms are 0 in
+# floats (e^{-1400} underflows), so both logs are |y| - ln 2
+_LOG_FAR = 700.0
+_LN2 = math.log(2.0)
+
+
+def _log_abs(fn, y: np.ndarray) -> np.ndarray:
+    """log|fn(y)| for fn np.sinh or np.cosh: numpy's own up to |y| = _LOG_FAR."""
+    out = np.abs(y)
+    near = out <= _LOG_FAR
+    out -= _LN2
+    out[near] = np.log(np.abs(fn(y[near])))
+    return out
+
+
 def gamma_line_constant(ctx: ThermalContext, region: Region, p: SpacetimePoint) -> float:
     """Integration constant of the closed-form positive-generator flow line.
 
     Cone lines satisfy x0 = -(beta/2pi) log|sinh(2pi x1/beta)| + C away from
     the time axis; wedge lines satisfy x1 = -(beta/2pi) log(cosh(2pi x0/beta)) + C.
+    Past |2pi x/beta| = 700 both logs are |2pi x/beta| - ln 2 (see _LOG_FAR).
     """
     _require_finite(ctx, "gamma_line_constant")
     b = ctx.beta / TWO_PI
-    if region is Region.FORWARD_CONE:
-        s = math.sinh(p.x1 / b)
-        if s == 0.0:
-            raise DomainViolation(
-                "cone flow line through the time axis has no finite constant"
-            )
-        return p.x0 + b * math.log(abs(s))
-    return p.x1 + b * math.log(math.cosh(p.x0 / b))
+    cone = region is Region.FORWARD_CONE
+    y = (p.x1 if cone else p.x0) / b
+    if abs(y) > _LOG_FAR:
+        log_f = abs(y) - _LN2
+    elif not cone:
+        log_f = math.log(math.cosh(y))
+    elif y == 0.0:
+        raise DomainViolation("cone flow line through the time axis has no finite constant")
+    else:
+        log_f = math.log(abs(math.sinh(y)))
+    return (p.x0 if cone else p.x1) + b * log_f
 
 
 def time_calibration(
@@ -322,7 +344,9 @@ def _gamma_figure_lines(ctx, region, spec):
     Lines are emitted on a coordinate grid shared by the whole family (x1
     for the cone, x0 for the wedge) so the pattern's translation symmetry is
     exact: shifting a seed in the invariance direction shifts its polyline
-    pointwise.
+    pointwise.  The log term on that grid is formed once per figure (per
+    side of the time axis for the cone), and each line subtracts it from
+    its constant.
     """
     _require_finite(ctx, "figure_lines(flow='gamma')")
     b = ctx.beta / TWO_PI
@@ -334,15 +358,15 @@ def _gamma_figure_lines(ctx, region, spec):
             seeds = [SpacetimePoint(c, 0.35 * w) for c in cs]
         half = spec.n_samples // 2
         grid = np.geomspace(0.02 * w, w, half)  # |x1| samples, dense near axis
+        sides = [(x1, b * _log_abs(np.sinh, x1 / b)) for x1 in (grid, -grid[::-1])]
         for s in seeds:
             if s.x1 == 0.0:
                 x0 = np.linspace(-w, w, spec.n_samples) + s.x0
                 pts = np.column_stack([x0, np.zeros_like(x0)])
                 out.append((s, FlowLine(x0 - s.x0, pts)))
                 continue
-            C = gamma_line_constant(ctx, region, s)
-            x1 = grid if s.x1 > 0 else -grid[::-1]
-            x0 = C - b * np.log(np.abs(np.sinh(x1 / b)))
+            x1, log_term = sides[0] if s.x1 > 0 else sides[1]
+            x0 = gamma_line_constant(ctx, region, s) - log_term
             pts = np.column_stack([x0, x1])
             out.append((s, FlowLine(x1, pts)))
     else:
@@ -350,9 +374,9 @@ def _gamma_figure_lines(ctx, region, spec):
             cs = np.linspace(-1.25 * w, 0.25 * w, spec.n_lines)
             seeds = [SpacetimePoint(0.0, c) for c in cs]
         x0 = np.linspace(-w, w, spec.n_samples)
+        log_term = b * _log_abs(np.cosh, x0 / b)
         for s in seeds:
-            C = gamma_line_constant(ctx, region, s)
-            x1 = C - b * np.log(np.cosh(x0 / b))
+            x1 = gamma_line_constant(ctx, region, s) - log_term
             pts = np.column_stack([x0, x1])
             out.append((s, FlowLine(x0, pts)))
     return out

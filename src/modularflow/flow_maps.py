@@ -22,6 +22,7 @@ x -> e^{-2pi u} x and x -> x + tau.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +55,10 @@ class ThermalContext:
             )
         if not self.pmax > 0.0:
             raise ValueError(f"pmax must be positive, got {self.pmax}")
+        if self.pmax == math.inf:
+            raise ValueError(f"pmax must be finite, got {self.pmax}")
+        if not isinstance(self.npts, numbers.Integral):
+            raise ValueError(f"npts must be an integer, got {self.npts!r}")
         if self.npts < 16:
             raise ValueError(f"npts must be at least 16, got {self.npts}")
 

@@ -561,12 +561,11 @@ def _suite_flows(beta: float) -> list[CaseResult]:
     cases.append(_case("gamma-translation-covariance", {"beta": beta}, worst, 1e-10))
 
     worst = 0.0
+    u = np.array([-0.1, 0.3, 1.0])
+    scale = np.array([math.exp(-TWO_PI * v) for v in u.tolist()])
     for x in (0.5, -0.25, 3.0):
-        ctx_v = ThermalContext(beta=1e6 * abs(x))
-        for u in (-0.1, 0.3, 1.0):
-            exact = math.exp(-TWO_PI * u) * x
-            got = modular_flow_ray(ctx_v, RayDirection.PLUS, u, x)
-            worst = _worst(worst, abs(got - exact) / abs(x))
+        got = modular_flow_ray(ThermalContext(beta=1e6 * abs(x)), RayDirection.PLUS, u, x)
+        worst = _worst(worst, *(np.abs(got - scale * x) / abs(x)).tolist())
     cases.append(_case("vacuum-limit", {"beta_over_x": 1e6}, worst, 1e-5))
 
     tau_full = beta / TWO_PI
@@ -602,55 +601,50 @@ def _suite_geometry(beta: float) -> list[CaseResult]:
         ],
     }
 
+    # one flow call per region and point over each case's u row; numpy's
+    # arithmetic is elementwise IEEE, so every entry is the scalar call's
     worst = 0.0
+    u = np.array([-0.7, 0.2, 1.1])
     for region, plist in pts.items():
         for p in plist:
-            for u in (-0.7, 0.2, 1.1):
-                r0, r1 = cone_wedge.remainder_terms(ctx, region, u, p)
-                q = cone_wedge.modular_flow_2d(ctx, region, u, p)
-                worst = _worst(
-                    worst,
-                    abs(q.x0 - (p.x0 - beta * u + r0)),
-                    abs(q.x1 - (p.x1 + r1)),
-                )
+            r0, r1 = cone_wedge.remainder_terms(ctx, region, u, p)
+            q = cone_wedge.modular_flow_2d(ctx, region, u, p)
+            worst = _worst(worst, *np.abs(q.x0 - (p.x0 - beta * u + r0)).tolist(),
+                           *np.abs(q.x1 - (p.x1 + r1)).tolist())
     cases.append(_case("remainder-reconstruction", {"beta": beta}, worst, 1e-12))
 
-    worst = 0.0
     deep = SpacetimePoint.from_lightcone(9.0 * beta, 12.0 * beta)
-    for u in (-1.0, 0.5, 1.0):
-        q = cone_wedge.modular_flow_2d(ctx, cone, u, deep)
-        worst = _worst(
-            worst, abs(q.x0 - (deep.x0 - beta * u)) / beta, abs(q.x1 - deep.x1) / beta
-        )
+    u = np.array([-1.0, 0.5, 1.0])
+    q = cone_wedge.modular_flow_2d(ctx, cone, u, deep)
+    worst = _worst(0.0, *(np.abs(q.x0 - (deep.x0 - beta * u)) / beta).tolist(),
+                   *(np.abs(q.x1 - deep.x1) / beta).tolist())
     cases.append(_case("deep-interior-translation", {"depth": "8 beta"}, worst, 1e-6))
 
     worst = 0.0
-    for u in (-0.1, 0.1, 1.5):
-        lam = math.exp(-TWO_PI * u)
-        for p in (
-            SpacetimePoint(1e-3 * beta, 2e-4 * beta),
-            SpacetimePoint(5e-4 * beta, -3e-4 * beta),
-        ):
-            q = cone_wedge.modular_flow_2d(ctx, cone, u, p)
-            scale = max(abs(p.x0), abs(p.x1))
-            worst = _worst(
-                worst, abs(q.x0 - lam * p.x0) / scale, abs(q.x1 - lam * p.x1) / scale
-            )
+    u = np.array([-0.1, 0.1, 1.5])
+    lam = np.array([math.exp(-TWO_PI * v) for v in u.tolist()])
+    for p in (
+        SpacetimePoint(1e-3 * beta, 2e-4 * beta),
+        SpacetimePoint(5e-4 * beta, -3e-4 * beta),
+    ):
+        q = cone_wedge.modular_flow_2d(ctx, cone, u, p)
+        scale = max(abs(p.x0), abs(p.x1))
+        worst = _worst(worst, *(np.abs(q.x0 - lam * p.x0) / scale).tolist(),
+                       *(np.abs(q.x1 - lam * p.x1) / scale).tolist())
     cases.append(_case("near-apex-dilation", {"x_over_beta": 1e-3}, worst, 1e-2))
 
     worst = 0.0
-    for u in (-0.1, 0.1):
-        for p in (
-            SpacetimePoint(2e-4 * beta, 8e-4 * beta),
-            SpacetimePoint(-3e-4 * beta, 6e-4 * beta),
-        ):
-            q = cone_wedge.modular_flow_2d(ctx, wedge, u, p)
-            scale = max(abs(p.xR), abs(p.xL))
-            worst = _worst(
-                worst,
-                abs(q.xR - math.exp(-TWO_PI * u) * p.xR) / scale,
-                abs(q.xL - math.exp(TWO_PI * u) * p.xL) / scale,
-            )
+    u = np.array([-0.1, 0.1])
+    shrink = np.array([math.exp(-TWO_PI * v) for v in u.tolist()])
+    grow = np.array([math.exp(TWO_PI * v) for v in u.tolist()])
+    for p in (
+        SpacetimePoint(2e-4 * beta, 8e-4 * beta),
+        SpacetimePoint(-3e-4 * beta, 6e-4 * beta),
+    ):
+        q = cone_wedge.modular_flow_2d(ctx, wedge, u, p)
+        scale = max(abs(p.xR), abs(p.xL))
+        worst = _worst(worst, *(np.abs(q.xR - shrink * p.xR) / scale).tolist(),
+                       *(np.abs(q.xL - grow * p.xL) / scale).tolist())
     cases.append(_case("near-edge-boost", {"x_over_beta": 1e-3}, worst, 1e-2))
 
     worst = 0.0

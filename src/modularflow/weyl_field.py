@@ -137,12 +137,8 @@ class TestFunction:
         if not self.compact_support:
             a, b = self.x[0], self.x[-1]
         inside = (pts >= a) & (pts <= b)
-        if inside.all():  # the spline is elementwise: no mask to apply
-            out = self._spline(pts)
-        else:
-            out = np.zeros_like(pts)
-            if inside.any():
-                out[inside] = self._spline(pts[inside])
+        out = np.zeros_like(pts)
+        out[inside] = self._spline(pts[inside])
         return float(out[0]) if scalar else out
 
     @staticmethod
@@ -587,6 +583,11 @@ def _sinh_cosh(z: np.ndarray):
     return sinh_z, cosh_z, ~near
 
 
+def _require_epsilon(epsilon: float):
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def _position_kernel(
     ctx: ThermalContext, epsilon: float, z: np.ndarray, sinh_z, cosh_z, far
 ) -> np.ndarray:
@@ -599,24 +600,36 @@ def _position_kernel(
     r = conj(s)/|s|^2, and no complex number is formed.  |s|^4 is never
     formed: it overflows from |z| ~ 177.  Where |z| >= _FAR the asymptote
     sinh(z + ib)^2 ~ e^{2|z|} e^{2ib sgn z}/4 takes over.
+
+    Both 1/(beta |s|^2) and the kernel's magnitude peak at z = 0, at
+    1/(beta sin^2 b) and 1/(beta sin b)^2; where either leaves the float
+    range, as the kernel forms them, it raises DomainViolation.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    _require_epsilon(epsilon)
     _require_finite(ctx, "two_point_position")
     beta = ctx.beta
     b = math.pi * epsilon / beta
+    sin_b = math.sin(b)
+    sin2 = sin_b**2
+    # -Im r at z = 0, formed as below; inf or NaN where 1/(beta sin^2 b) overflows
+    r0 = (1.0 / beta / sin2 if sin2 else math.inf) * sin_b
+    if not r0 * r0 < math.inf:
+        raise DomainViolation(
+            f"position kernel at epsilon={epsilon}, beta={beta}: 1/(beta sin^2 b) or its "
+            "magnitude 1/(beta sin b)^2, b = pi epsilon/beta, leaves the float range"
+        )
     out = np.empty((2,) + z.shape)
     re, im = out
     # 1/(beta |s|^2), left at sin^2 b where |z| >= _FAR (sinh z is 0 there)
     q = np.multiply(sinh_z, sinh_z, out=re)
-    q += math.sin(b) ** 2
+    q += sin2
     np.divide(1.0 / beta, q, out=q, where=True if far is None else ~far)
     # r = conj(s)/(beta |s|^2), so that r^2 carries the 1/beta^2
     r_re = sinh_z * q
     r_re *= math.cos(b)
     r_im = q
     r_im *= cosh_z
-    r_im *= -math.sin(b)
+    r_im *= -sin_b
     # r^2 = Re r^2 - Im r^2 + 2i Re r Im r
     np.multiply(r_re, r_im, out=im)
     im *= 2.0
@@ -640,7 +653,9 @@ def two_point_position(ctx: ThermalContext, xi, epsilon: float):
     scalar = xi.ndim == 0
     xi = np.atleast_1d(xi)
     _finite("xi", xi)
-    z = math.pi * xi / ctx.beta
+    # pi xi overflows only where the kernel is 0: |z| past _FAR, or 1/beta^2 underflowing
+    with np.errstate(over="ignore"):
+        z = math.pi * xi / ctx.beta
     out = np.empty(z.shape, dtype=complex)
     out.real, out.imag = _position_kernel(ctx, epsilon, z, *_sinh_cosh(z))
     return complex(out[0]) if scalar else out
@@ -845,10 +860,8 @@ def _deviation_exponents(
     functions).  dz pairs d only, so nothing cancels at the e^{-2pi t/beta}
     scale; those pairings are not tail-checked.  g = None means g = h2 (e = 0,
     z2 = 0); a given g and f get symplectic_K's tail check on their own
-    transforms, raising QuadratureError when too narrow for the cutoff.  The
-    check runs once per function, momentum grid and field index: a pass is
-    kept in the function's __dict__, like its transform in _transforms, and
-    a failing function is checked, and raises, on every call.
+    transforms on every call, raising QuadratureError when too narrow for
+    the cutoff.
 
     The t values form one row: their deviations, zero-padded to a common
     range of f's lattice, go through one 2-D chirp-z call, and each pairing
@@ -864,12 +877,8 @@ def _deviation_exponents(
     rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
     if g is not None:
         tg = _transforms(ctx, g)
-        key = (ctx.pmax, ctx.npts, spec.n)  # wgt's grid and index
-        for h, th in ((f, tf), (g, tg)):  # symplectic_K's check on each own transform
-            passed = h.__dict__.setdefault("_tail_passed", set())
-            if key not in passed:
-                _tail_check(wgt[2] * (th.real**2 + th.imag**2), "symplectic form")
-                passed.add(key)
+        for th in (tf, tg):  # symplectic_K's check on each own transform
+            _tail_check(wgt[2] * (th.real**2 + th.imag**2), "symplectic form")
         lo, hi = np.minimum(lo, g.support[0]), np.maximum(hi, g.support[1])
     span = hi - lo
     p = momentum_grid(ctx)
@@ -976,15 +985,22 @@ def _derivative_once_fd4(vals: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _derivative_values(vals: np.ndarray, dx: float, n: int) -> np.ndarray:
+    """n-th derivative samples; one that leaves the float range raises
+    ResolutionError."""
     m = 2 * len(vals)
     spec = np.fft.rfft(vals, m)
-    if _spectral_ok(spec):
-        freq = np.fft.rfftfreq(m, dx) * TWO_PI
-        out = np.fft.irfft(spec * (1j * freq) ** n, m)[: len(vals)]
-    else:
-        out = np.asarray(vals, dtype=float)
-        for _ in range(n):
-            out = _derivative_once_fd4(out, dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _spectral_ok(spec):
+            freq = np.fft.rfftfreq(m, dx) * TWO_PI
+            out = np.fft.irfft(spec * (1j * freq) ** n, m)[: len(vals)]
+        else:
+            out = np.asarray(vals, dtype=float)
+            for _ in range(n):
+                out = _derivative_once_fd4(out, dx)
+    if not np.isfinite(out).all():
+        raise ResolutionError(
+            f"derivative of order {n} overflows the float range: unresolved on this grid"
+        )
     return out
 
 
@@ -1111,6 +1127,7 @@ def omega2_position(
     conjugate of the kernel as written (+i eps): that boundary value matches
     the momentum-space pairing.
     """
+    _require_epsilon(epsilon)
     # both functions sampled with one exact common step, so the correlation
     # lattice lines up
     dx = min(f.dx, g.dx)
@@ -1172,6 +1189,7 @@ def calibrate_fourier_pair(
     """
     if not pairs:
         raise ValueError("at least one pair is needed")
+    _require_epsilon(epsilon)
     if epsilon >= ctx.beta:
         raise ValueError("damping scale must stay below beta")
     dens = _fold(ctx, lambda p: two_point_momentum(ctx, FieldSpec(0), p) * np.exp(-epsilon * p))

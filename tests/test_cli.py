@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from modularflow import cli
-from modularflow.cli import EXIT_DOMAIN, EXIT_OK, EXIT_QUADRATURE, RunConfig, main
+from modularflow.cli import (
+    EXIT_DOMAIN, EXIT_OK, EXIT_QUADRATURE, EXIT_RESOLUTION, RunConfig, main,
+)
 from modularflow.errors import QuadratureError
 from modularflow.cone_wedge import Region, SpacetimePoint, modular_flow_2d
 from modularflow.flow_maps import ThermalContext
@@ -345,6 +347,19 @@ class TestFigureCommand:
             doc = json.loads(out.read_text())
             assert (doc["region"], doc["flow"]) == (region, flow)
 
+    @pytest.mark.parametrize("which", [3, 4])
+    def test_positive_generator_figures_on_a_wide_grid(self, tmp_path, capsys, which):
+        # a +-400 grid: figure 3 exited 1 on an OverflowError, figure 4 wrote -inf
+        cfgfile = tmp_path / "conf.json"
+        cfgfile.write_text(json.dumps({"grid": {"xmin": -400, "xmax": 400}}))
+        for fmt in ("csv", "json", "svg"):
+            out = tmp_path / f"f{which}.{fmt}"
+            code, _, err = run(capsys, "figure", "--config", str(cfgfile), "--which",
+                               str(which), "--format", fmt, "-o", str(out))
+            assert (code, err) == (EXIT_OK, "")
+            text = out.read_text()
+            assert "inf" not in text.lower() and "nan" not in text.lower()
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(capsys, "figure", "--which", "2", "-o", str(a))[0] == EXIT_OK
@@ -493,6 +508,17 @@ class TestTransformCommand:
         code, _, err = run(capsys, "transform", str(src), "--u", "0.2", "--n", "3")
         assert code == 4
 
+    def test_overflowing_derivative_exit_4(self, tmp_path, capsys):
+        # the 150th derivative leaves the float range: it exited 2 on
+        # "samples must be finite"
+        src = tmp_path / "in.json"
+        TestFunction.bump(1.5, 0.5).save(str(src))
+        code, _, err = run(capsys, "transform", str(src), "--u", "0.2", "--n", "150",
+                           "-o", str(tmp_path / "out.json"))
+        assert code == EXIT_RESOLUTION
+        assert "overflows the float range" in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_non_finite_sample_exit_2(self, tmp_path, capsys):
         doc = TestFunction.bump(1.5, 0.5).to_dict()
         doc["samples"][100] = math.nan
@@ -553,6 +579,20 @@ class TestKernelCommand:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert "finite" in err
+
+
+    def test_kernel_beyond_the_float_range_exit_2(self, capsys):
+        # it printed nan,nan and exited 0
+        code, out, err = run(capsys, "kernel", "--xi", "0", "--epsilon", "1e-300")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "leaves the float range" in err
+
+    def test_separation_past_the_float_range_over_pi(self, capsys):
+        # pi xi overflows: the kernel is 0 there, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "kernel", "--xi", "1e308")
+        assert (code, out) == (EXIT_OK, "0,-0\n")
 
 
 class TestVerifyCommand:

@@ -221,6 +221,37 @@ class TestRemainders:
                     assert abs(q.x0 - (p.x0 - ctx.beta * u + r0)) < 1e-12
                     assert abs(q.x1 - (p.x1 + r1)) < 1e-12
 
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+    def test_u_row_equals_the_scalar_calls(self, beta):
+        # each entry of a u row is the float of the one-u call, bit for bit,
+        # past 2 pi |u| = 709 and at u = 0 too
+        ctx = ThermalContext(beta)
+        us = np.array([-120.0, -0.7, 0.0, 0.2, 1.1, 120.0])
+        for region, pts in ((CONE, cone_points(beta)), (WEDGE, wedge_points(beta))):
+            for p in pts:
+                rows = np.stack(remainder_terms(ctx, region, us, p))
+                want = [remainder_terms(ctx, region, u, p) for u in us.tolist()]
+                assert all(type(r) is float for pair in want for r in pair)
+                assert rows.shape == (2, len(us))
+                assert np.array_equal(rows.view(np.int64), np.array(want).T.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "region, xL, ok, bad", [(CONE, -0.1, 0.2, -0.7), (WEDGE, 0.1, -0.2, 0.7)]
+    )
+    def test_u_row_with_a_failing_u_raises(self, region, xL, ok, bad):
+        # xL outside the region: the flow of xL is undefined for u below
+        # -0.12 (cone, plus ray) or above 0.12 (wedge, minus ray)
+        ctx = ThermalContext(beta=1.0)
+        p = SpacetimePoint.from_lightcone(xL, 1.0)
+        remainder_terms(ctx, region, ok, p)
+        with pytest.raises(DomainViolation) as scalar:
+            remainder_terms(ctx, region, bad, p)
+        with pytest.raises(DomainViolation) as row:
+            remainder_terms(ctx, region, np.array([ok, bad, 0.0]), p)
+        assert str(row.value) == str(scalar.value) == (
+            f"remainder undefined at x={p.xL}: modular flow domain violated"
+        )
+
     def test_deep_interior_small(self):
         beta = 1.0
         ctx = ThermalContext(beta=beta)
@@ -618,6 +649,41 @@ class TestFigures:
         text = path.read_text()
         assert text.count("<polyline") == 12
         assert 'viewBox="-3 -3 6 6"' in text
+
+    @pytest.mark.parametrize("window", [120.0, 400.0])
+    @pytest.mark.parametrize("region", [CONE, WEDGE])
+    def test_gamma_figures_past_sinh_cosh_overflow(self, tmp_path, region, window):
+        # 2 pi x/beta reaches 754 and 2513: figure 3's and 4's points read
+        # -inf, and at 400 gamma_line_constant's math.sinh overflowed
+        ctx, spec = ThermalContext(beta=1.0), FigureSpec(window=window)
+        lines = figure_lines(ctx, region, "gamma", spec)
+        for seed, ln in lines:
+            assert np.all(np.isfinite(ln.points))
+            c = gamma_line_constant(ctx, region, seed)
+            for p in ln.points.tolist():
+                assert abs(gamma_line_constant(ctx, region, SpacetimePoint(*p)) - c) < 1e-8
+        for fmt in ("csv", "json", "svg"):
+            path = tmp_path / f"big.{fmt}"
+            emit_flow_figure(ctx, region, "gamma", str(path), fmt=fmt, spec=spec)
+            text = path.read_text()
+            assert not re.search("inf|nan", text, re.IGNORECASE)
+        doc = json.loads((tmp_path / "big.json").read_text())
+        assert len(doc["lines"]) == len(lines)
+
+    def test_far_log_forms_continue_the_near_ones(self):
+        # both sides of |2 pi x/beta| = 700 agree to rounding, and a point
+        # below it keeps math's value bit for bit
+        ctx, b = ThermalContext(beta=1.0), 1.0 / TWO_PI
+        for y in (699.0, 700.0, 700.0 + 1e-9, 701.0, 709.0):
+            for x in (y * b, -y * b):
+                cone = gamma_line_constant(ctx, CONE, SpacetimePoint(0.0, x))
+                wedge = gamma_line_constant(ctx, WEDGE, SpacetimePoint(x, 0.0))
+                want_cone = b * math.log(abs(math.sinh(x / b)))
+                want_wedge = b * math.log(math.cosh(x / b))
+                assert cone == pytest.approx(want_cone, rel=1e-15)
+                assert wedge == pytest.approx(want_wedge, rel=1e-15)
+                if y <= 700.0:
+                    assert (cone, wedge) == (want_cone, want_wedge)
 
     def test_cone_gamma_translation_invariance(self):
         # seeds differing by (delta, 0) give pointwise-shifted polylines

@@ -57,6 +57,16 @@ class TestContext:
         with pytest.raises(ValueError):
             ThermalContext(npts=8)
 
+    def test_pmax_finite_and_npts_integer(self):
+        # pmax = inf made omega2 say "p must be finite, got p=nan", and a
+        # float npts failed later with a TypeError in the grid
+        with pytest.raises(ValueError, match="pmax must be finite, got inf"):
+            ThermalContext(pmax=math.inf)
+        for npts in (100.5, 8192.0, math.nan):
+            with pytest.raises(ValueError, match="npts must be an integer"):
+                ThermalContext(npts=npts)
+        assert ThermalContext(npts=np.int64(1024)).npts == 1024
+
     def test_infinite_beta_allowed(self):
         ctx = ThermalContext(beta=math.inf)
         assert not ctx.finite

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -123,9 +124,9 @@ class TestTestFunction:
         assert all(type(f(x)) is float for x in (0.5, np.float64(0.5), math.inf, -3.0))
 
     def test_all_inside_path_equals_the_masked_evaluation(self):
-        # with every point in the window the spline runs on the points as
-        # given, with no mask; it is elementwise, so each value is the
-        # masked evaluation's bit for bit
+        # points inside the window, outside it and at its edges, in 1-D and
+        # 2-D arrays: the masked spline evaluation, shape and all, and the
+        # scalar calls give the same values
         rng = np.random.default_rng(11)
         open_window = TestFunction(np.linspace(0.0, 1.0, 50) ** 2, 0.25, 0.1, (0.25, 5.15),
                                    compact_support=False)
@@ -462,8 +463,8 @@ class TestTransformLayer:
 
     def test_deviation_grid_work_done_once(self, monkeypatch):
         # the density does not change along a thm22 grid, so repeated nodes
-        # do not compute it again; the tail checks of f and g run once, on
-        # the first call with a given g
+        # do not compute it again; the tail checks of f and g run on every
+        # call with a given g
         import modularflow.weyl_field as wf
 
         densities, tails = [], []
@@ -480,9 +481,9 @@ class TestTransformLayer:
         assert (len(densities), len(tails)) == (1, 2)
         for u, t in ((0.3, [1.0]), (-0.5, [2.0, 3.0]), (1.0, [0.5])):
             got = _deviation_exponents(ctx, N0, NORM, f, u, np.array(t), g)
-        assert (len(densities), len(tails)) == (1, 2)
+        assert (len(densities), len(tails)) == (1, 8)
         _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]))
-        assert (len(densities), len(tails)) == (1, 2)
+        assert (len(densities), len(tails)) == (1, 8)
         again = _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]), g)
         assert all(np.array_equal(a, b) for a, b in zip(again, first))
         again = _deviation_exponents(ctx, N0, NORM, f, 1.0, np.array([0.5]), g)
@@ -497,8 +498,8 @@ class TestTransformLayer:
                 _deviation_exponents(ctx, N0, NORM, narrow, 0.3, np.array([1.0]), g)
 
     def test_narrow_g_raises_on_every_call(self):
-        # only passes are remembered: a too-narrow g raises twice in a row,
-        # and again after f passed with a wide g at the same context
+        # a too-narrow g raises twice in a row, and again after f passed
+        # with a wide g at the same context
         ctx = ThermalContext(beta=1.0)
         f = TestFunction.bump(0.5, 0.5).translate(0.02)
         narrow = TestFunction.bump(-1.5, 0.02)
@@ -509,28 +510,6 @@ class TestTransformLayer:
                 with pytest.raises(QuadratureError, match="symplectic form"):
                     _deviation_exponents(ctx, N0, NORM, f, 0.3, np.array([1.0]), narrow)
 
-    def test_tail_check_once_per_function_grid_and_index(self, monkeypatch):
-        # a thm22 sweep, 21 u rows of 12 t, checks the passing f and g once
-        # each; another momentum grid or field index checks them again
-        import modularflow.weyl_field as wf
-        from modularflow.verify import matrix_element_bound
-
-        tails = []
-        tail_check = wf._tail_check
-        monkeypatch.setattr(wf, "_tail_check", lambda *a: tails.append(a) or tail_check(*a))
-        beta = 1.4321  # a beta no other test caches
-        ctx = ThermalContext(beta=beta)
-        f = TestFunction.bump(0.5 * beta, 0.5 * beta).translate(0.02 * beta)
-        g = TestFunction.bump(-1.5 * beta, 0.5 * beta)
-        ts = np.linspace(0.5 * beta, 6.0 * beta, 12)
-        for u in np.linspace(-1.0, 1.0, 21).tolist():
-            matrix_element_bound(ctx, N0, f, g, u, ts)
-        assert len(tails) == 2
-        _deviation_exponents(ThermalContext(beta, npts=4097), N0, NORM, f, 0.3, ts, g)
-        assert len(tails) == 4
-        _deviation_exponents(ctx, FieldSpec(1), NORM, f, 0.3, ts, g)
-        _deviation_exponents(ctx, FieldSpec(1), NORM, f, -0.3, ts, g)
-        assert len(tails) == 6
 
 def _scipy_modules(*argv):
     """The scipy modules loaded by `mfl argv`, or by importing the CLI when
@@ -994,6 +973,25 @@ class TestTwoPointPosition:
         with pytest.raises(DomainViolation, match="xi must be finite"):
             two_point_position(ThermalContext(), xi, 1e-4)
 
+    # 1/(beta sin b)^2 overflows at beta <= 1; at beta = 4 the intermediate
+    # 1/(beta sin^2 b), and at beta = 1e100 sin^2 b underflows to 0
+    @pytest.mark.parametrize("beta, eps", [(0.3, 1e-155), (1.0, 1e-155), (1.0, 1e-300),
+                                           (1.0, 5e-324), (4.0, 4e-155), (1e100, 1e-110)])
+    def test_kernel_beyond_the_float_range_raises(self, beta, eps):
+        # at beta = 1 and eps = 1e-155 the kernel read nan+nanj: it raises at
+        # every xi now
+        with pytest.raises(DomainViolation, match="leaves the float range"):
+            two_point_position(ThermalContext(beta=beta), [0.0, beta], eps)
+
+    def test_kernel_just_inside_the_float_range(self):
+        got = two_point_position(ThermalContext(), 0.0, 2.4e-155)
+        assert math.isfinite(got.real) and got.real < -1e308 / 2 and got.imag == 0.0
+
+    def test_separation_past_the_float_range_over_pi(self):
+        # pi xi overflows to inf without a warning: the asymptote's 0 there
+        got = two_point_position(ThermalContext(), [1e308, -1e308], 1e-4)
+        assert np.array_equal(got.real, [0.0, 0.0]) and np.all(np.isfinite(got))
+
 
 def one_array_omega2_position(ctx, f, g, epsilon):
     """omega2_position with its kernel and products over the whole
@@ -1019,6 +1017,15 @@ def one_array_omega2_position(ctx, f, g, epsilon):
 
 
 class TestOmega2Position:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        # 0 raised OverflowError and -1 numpy's "Number of samples, -31"
+        ctx, f = ThermalContext(), TestFunction.bump(0.7, 0.4)
+        for call in (lambda: omega2_position(ctx, f, f, eps),
+                     lambda: calibrate_fourier_pair(ctx, [(f, f)], eps)):
+            with pytest.raises(ValueError, match=f"epsilon must be positive and finite, got {eps}"):
+                call()
+
     @pytest.mark.parametrize("beta", [0.6, 1.0, 1.37, 1.7])
     @pytest.mark.parametrize("eps_over_beta", [1e-3, 0.2])
     def test_blocks_sum_the_one_array_formula(self, beta, eps_over_beta):
@@ -1517,6 +1524,17 @@ class TestHigherTransform:
         f = TestFunction.bump(1.0, 0.4, n=48)
         with pytest.raises(ResolutionError):
             higher_transform(ctx, 3, "modular", 0.2, f)
+
+    def test_overflowing_derivative_is_unresolved(self):
+        # (i p)^150 overflows: the samples used to fail TestFunction's
+        # "samples must be finite" ValueError, after numpy warnings
+        f = TestFunction.bump(1.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: nth_derivative(f, 150),
+                         lambda: higher_transform(ThermalContext(), 150, "modular", 0.2, f)):
+                with pytest.raises(ResolutionError, match="order 150 overflows the float range"):
+                    call()
 
 
     @pytest.mark.parametrize("n", [-1, 1.5])
