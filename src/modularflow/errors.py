@@ -19,4 +19,5 @@ class QuadratureError(RuntimeError):
 
 
 class ResolutionError(RuntimeError):
-    """A grid is too coarse to estimate the requested derivative reliably."""
+    """A grid cannot resolve the requested quantity: too coarse for a
+    derivative, or too many nodes for a position regulator."""

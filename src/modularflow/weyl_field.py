@@ -25,13 +25,16 @@ symmetric grid, each through _pair, which refuses supports too far apart
 for it and reads transforms on p >= 0 only (ft(-p) = conj ft(p) for real
 f), each kernel folded into the Simpson weights there.  Transforms are
 evaluated by the chirp-z algorithm on numpy's FFT, so results are
-deterministic and bit-stable across runs.  The chirp-z routine keeps its
+deterministic and bit-stable across runs.  Its FFTs run at the smallest length
+2^a o >= n + m - 1 with o a 7-smooth odd number up to 64 (_next_fast_len),
+lengths measured fast on numpy's pocketfft.  The chirp-z routine keeps its
 chirp and kernel spectrum in a small plan cache keyed on (n, m, log w), and a
 TestFunction keeps its transform per momentum grid, so a function paired
 many times on one grid is transformed once.  A deviation function derived
 from f is sampled on f's own lattice, one increment of f's spline per entry,
 so it shares f's step and chirp-z ratio w, and the deviations at one flow
-parameter u and a row of separations t go through one 2-D chirp-z call.
+parameter u and a row of separations t go through one 2-D chirp-z call (none
+at u = 0, where the deviation is 0).
 
 The module-level caches are sized to one beta's working set, since every
 caller works at one context at a time: the momentum grid, the folded density
@@ -353,32 +356,36 @@ def momentum_grid(ctx: ThermalContext) -> np.ndarray:
     return _grid_cached(ctx.pmax, ctx.npts)
 
 
+# The odd parts of the FFT lengths: 3^b 5^c 7^d up to 64.  On numpy's
+# pocketfft a complex FFT and its inverse at the smallest such length ran 1-3%
+# above the fastest of the lengths tried for a target, the smallest 11-smooth
+# length 6-8% above (means over two draws of 120 targets, log-uniform from
+# 1000 to 70000; odd parts up to 128 or 256 measured the same within noise).
+# A length stays below 10/9 of its target (9 2^k + 1 takes 10 2^k).
+_ODD_PARTS = (1, 3, 5, 7, 9, 15, 21, 25, 27, 35, 45, 49, 63)
+
+
 def _next_fast_len(target: int) -> int:
-    """Smallest 11-smooth n >= target, a fast length for pocketfft's complex
-    transforms; a target below 1 is returned as it is, for the FFT to
-    reject."""
-    n = target
-    while n > 0:
-        r = n
-        for q in (2, 3, 5, 7, 11):
-            while r % q == 0:
-                r //= q
-        if r == 1:
-            break
-        n += 1
-    return n
+    """Smallest n >= target of the form 2^a o, o in _ODD_PARTS (a 7-smooth
+    odd part up to 64), a fast length for pocketfft's complex transforms; a
+    target below 1 is returned as it is, for the FFT to reject."""
+    if target < 1:
+        return target
+    # o 2^a >= target for the smallest power 2^a >= ceil(target/o)
+    return min(o << (-(-target // o) - 1).bit_length() for o in _ODD_PARTS)
 
 
 # A transform is cached on its function, so a plan is reused only by the
 # Thm 2.2 and rates rows on one lattice and by functions that share a
-# lattice step.  At a fresh beta a verify pass builds 35 plans and a field
+# lattice step.  At a fresh beta a verify pass builds 34 plans and a field
 # query 7 whatever the size; four keep the Thm 2.2 rows' three for a rerun
 # at the same beta, and older plans are never read again.
 @lru_cache(maxsize=4)
 def _czt_plan(n: int, m: int, log_w: complex):
     """Bluestein plan (wk2[:n], Fwk2, wk2[:m], nfft) for n samples and m
     nodes: the chirp wk2 = w^{k^2/2} = exp(k^2/2 log w), and Fwk2 the FFT
-    of its reciprocal over lags -(n-1) .. m-1, on an 11-smooth length nfft.
+    of its reciprocal over lags -(n-1) .. m-1, on the FFT length nfft =
+    _next_fast_len(n + m - 1).
     """
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     wk2 = np.exp(k**2 / 2.0 * log_w)
@@ -399,7 +406,8 @@ def czt(x: np.ndarray, m: int, *, log_w: complex, out=None) -> np.ndarray:
     The chirp and kernel spectrum come from a plan cached on (n, m, log w),
     n the length of x's last axis, and every row of a 2-D x shares it.  The
     transform is formed in one complex buffer of the FFT length nfft =
-    _next_fast_len(n + m - 1) and returned as a view into it; out, when
+    _next_fast_len(n + m - 1), the smallest 2^a o >= n + m - 1 with o a
+    7-smooth odd number up to 64, and returned as a view into it; out, when
     given, is that buffer, of shape x.shape[:-1] + (nfft,).
     """
     n = x.shape[-1]
@@ -602,13 +610,20 @@ def _position_kernel(
     sinh(z + ib)^2 ~ e^{2|z|} e^{2ib sgn z}/4 takes over.
 
     Both 1/(beta |s|^2) and the kernel's magnitude peak at z = 0, at
-    1/(beta sin^2 b) and 1/(beta sin b)^2; where either leaves the float
-    range, as the kernel forms them, it raises DomainViolation.
+    1/(beta sin^2 b) and 1/(beta sin b)^2; where either, or b itself, leaves
+    the float range, as the kernel forms them, it raises DomainViolation.
     """
     _require_epsilon(epsilon)
     _require_finite(ctx, "two_point_position")
     beta = ctx.beta
     b = math.pi * epsilon / beta
+    if b == math.inf:  # pi epsilon may overflow where b does not
+        b = math.pi * (epsilon / beta)
+    if b == math.inf:
+        raise DomainViolation(
+            f"position kernel at epsilon={epsilon}, beta={beta}: b = pi epsilon/beta "
+            "leaves the float range"
+        )
     sin_b = math.sin(b)
     sin2 = sin_b**2
     # -Im r at z = 0, formed as below; inf or NaN where 1/(beta sin^2 b) overflows
@@ -680,6 +695,20 @@ def _tail_check(size: np.ndarray, what: str):
         )
 
 
+def _alias_guard(ctx: ThermalContext, span, what: str | None):
+    """Raise QuadratureError when span, a float or an array, tops the grid's
+    alias-free separation (see _pair)."""
+    p = momentum_grid(ctx)
+    dp = p[1] - p[0]
+    limit = math.pi / dp - 6.0 * ctx.beta
+    widest = float(np.max(span))
+    if widest > limit:
+        raise QuadratureError(
+            f"{what or 'momentum pairing'}: supports {widest:.6g} apart, above the "
+            f"grid's alias-free separation {limit:.6g}; increase npts"
+        )
+
+
 def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None, work=None):
     """Momentum pairing int k(p) conj(at(p)) bt(p) dp, the one Simpson sum
     over the momentum grid.
@@ -698,15 +727,7 @@ def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None, work
     work, when given, is a real array of shape (2,) + the stack's shape that
     takes the products in place of two new ones.
     """
-    p = momentum_grid(ctx)
-    dp = p[1] - p[0]
-    limit = math.pi / dp - 6.0 * ctx.beta
-    widest = float(np.max(span))
-    if widest > limit:
-        raise QuadratureError(
-            f"{what or 'momentum pairing'}: supports {widest:.6g} apart, above the "
-            f"grid's alias-free separation {limit:.6g}; increase npts"
-        )
+    _alias_guard(ctx, span, what)
     even, odd, size = kernel
     # a part that is 0 by construction is not formed: a kernel row of zeros
     # (K's even row; the tail check still reads |z|), and Im conj(a) a = 0
@@ -782,12 +803,31 @@ def weyl_inner(
 _DEVIATION_PAD = 64
 
 
+def _deviation_hull(ctx, f: TestFunction, u: float, t: np.ndarray):
+    """(shift, lo, hi) for each entry of the 1-D array t: shift = t - beta u
+    and [lo, hi] the hull of the deviation's two supports in base
+    coordinates, supp f for the translate and the flow image of supp f + t
+    pulled back by the shift for the modular image (defined for all u since
+    supp f lies in the positive half-line).  Both edges go through one
+    ray-map call, and none at u = 0, where the flow maps every point to
+    itself; a non-finite t raises DomainViolation."""
+    _finite("t", t)
+    a0, b0 = f.support
+    shift = t - ctx.beta * u
+    edges = np.stack((a0 + t, b0 + t))
+    if u != 0.0:
+        edges = modular_flow_ray(ctx, RayDirection.PLUS, u, edges)
+    img_lo, img_hi = edges - shift
+    return shift, np.minimum(a0, img_lo), np.maximum(b0, img_hi)
+
+
 def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     """delta_u(f(. - t)) - f(. - (t - beta u)) over f's own coordinates, one
     row per entry of the 1-D array t.
 
     Returns (rows, x0, shift, (lo, hi)): row r is the deviation at t[r],
-    supported in [lo[r], hi[r]], translated back by shift[r] = t[r] - beta u
+    supported in [lo[r], hi[r]] (_deviation_hull's, moved by the shift),
+    translated back by shift[r] = t[r] - beta u
     and sampled on f's lattice x0 + k f.dx, so the translate is f's own
     samples and every row shares f's chirp-z step.  The rows span the union
     of the nodes' index ranges, rounded up to whole _DEVIATION_PAD blocks;
@@ -802,23 +842,16 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     it keeps full relative accuracy down to shifts ~ 1e-300.  A target
     outside supp f, or a NaN delta, leaves -y_k.
     """
-    beta = ctx.beta
     a0, b0 = f.support
     dx = f.dx
-    shift = t - beta * u
-    # the grid must cover both supports: the translate sits on [a0, b0] in
-    # base coordinates, the modular image on the flow image of [a0+t, b0+t]
-    # pulled back by the shift (defined for all u since a0 + t > 0); both
-    # edges go through one ray-map call
-    edges = np.stack((a0 + t, b0 + t))
-    img_lo, img_hi = modular_flow_ray(ctx, RayDirection.PLUS, u, edges) - shift
-    lo = math.floor((min(a0, img_lo.min()) - f.x0) / dx) - 10
-    hi = math.ceil((max(b0, img_hi.max()) - f.x0) / dx) + 11
+    shift, hull_lo, hull_hi = _deviation_hull(ctx, f, u, t)
+    lo = math.floor((hull_lo.min() - f.x0) / dx) - 10
+    hi = math.ceil((hull_hi.max() - f.x0) / dx) + 11
     # whole blocks, so rows of nearby ranges share one chirp-z plan
     k = np.arange(lo, lo - (lo - hi) // _DEVIATION_PAD * _DEVIATION_PAD)
     a_grid = f.x0 + k * dx
     # NaN where L(u, y) is undefined: those entries keep only the translate
-    delta = modular_remainder(beta, -u, a_grid + shift[:, None])
+    delta = modular_remainder(ctx.beta, -u, a_grid + shift[:, None])
     neg = np.zeros(len(k))  # -y_k, 0 off f's lattice
     first, last = max(lo, 0), min(lo + len(k), len(f.samples))
     if first < last:
@@ -842,8 +875,7 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     rows += neg
     rows += p
     np.copyto(rows, neg, where=out)
-    support = (np.minimum(a0, img_lo) + shift, np.maximum(b0, img_hi) + shift)
-    return rows, float(a_grid[0]), shift, support
+    return rows, float(a_grid[0]), shift, (hull_lo + shift, hull_hi + shift)
 
 
 def _deviation_exponents(
@@ -868,13 +900,19 @@ def _deviation_exponents(
     is one _pair call on the row stack, with each row's span against g (its
     own for g = None), so a row spanning too far for the grid raises
     QuadratureError.  A row of a dozen nodes keeps the stacks near the cache
-    size; padding moves last bits only.
+    size; padding moves last bits only.  At u = 0 the modular image is h2
+    itself, so d = 0 and dz = 0: no deviation is sampled or transformed,
+    while z2, the tail checks and the span's alias guard run as at any u.
     """
     if f.support[0] <= 0.0:
         raise DomainViolation("supp f must lie in the positive half-line")
     dens, wgt = _density(ctx, spec), _field_weight(ctx, spec)
     tf = _transforms(ctx, f)
-    rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
+    if u == 0.0:
+        shift, lo, hi = _deviation_hull(ctx, f, u, t)
+        lo, hi = lo + shift, hi + shift
+    else:
+        rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
     if g is not None:
         tg = _transforms(ctx, g)
         for th in (tf, tg):  # symplectic_K's check on each own transform
@@ -882,7 +920,17 @@ def _deviation_exponents(
         lo, hi = np.minimum(lo, g.support[0]), np.maximum(hi, g.support[1])
     span = hi - lo
     p = momentum_grid(ctx)
-    (n_rows, n), m = rows.shape, len(tf)
+    m = len(tf)
+    if u == 0.0:
+        dz = np.zeros(len(t), dtype=complex)
+        if g is None:  # z2 = 0 too: no pairing is left to guard the span
+            _alias_guard(ctx, span, None)
+            return np.zeros(len(t)), dz
+        te = _phases(p[1] - p[0], shift, m)
+        te *= tf
+        te -= tg  # e = h2 - g
+        return -norm.c * _pair(ctx, span, dens, te, te).real, dz
+    n_rows, n = rows.shape
     # the row pipeline runs in one buffer per call, freed on return: the
     # chirp-z transform's (td is a view into it), the shift phases (h2's
     # transform, then e's) and the pairings' two real products
@@ -1111,6 +1159,10 @@ def localization_defect(
 # nodes per block of omega2_position's kernel: its temporaries are then 16
 # or 32 KB, below glibc's 128 KB mmap threshold, so they come from the heap
 _POSITION_BLOCK = 2048
+# most nodes omega2_position's grid may take, even: 40 times the kernels
+# suite's 25601, and at 32 bytes a node (grid, weights and complex terms) a
+# call's arrays stay near 34 MB
+_POSITION_NODES = 1 << 20
 
 
 def omega2_position(
@@ -1125,27 +1177,35 @@ def omega2_position(
     F(s) = int f(x) g(x + s) dx on a grid fine enough to resolve epsilon.
     The kernel is taken on the lower side of the real axis, the complex
     conjugate of the kernel as written (+i eps): that boundary value matches
-    the momentum-space pairing.
+    the momentum-space pairing.  An epsilon whose grid would take more than
+    _POSITION_NODES nodes raises ResolutionError before any is allocated.
     """
     _require_epsilon(epsilon)
     # both functions sampled with one exact common step, so the correlation
     # lattice lines up
     dx = min(f.dx, g.dx)
 
-    def on_step(fn: TestFunction):
+    def nodes(fn: TestFunction) -> int:  # on fn's support at step dx
         a, b = fn.support
-        count = int(math.ceil((b - a) / dx - 1e-12)) + 1
-        return a, fn(a + dx * np.arange(count))
+        return int(math.ceil((b - a) / dx - 1e-12)) + 1
 
-    af, vf = on_step(f)
-    ag, vg = on_step(g)
-    corr = np.correlate(vg, vf, mode="full") * dx
-    # F on the correlation lattice s0 + k dx, k < len(corr)
-    s0 = ag - (af + (len(vf) - 1) * dx)
-    s1 = s0 + (len(corr) - 1) * dx
-    F = _spline(s0, dx, corr)
+    nf, ng = nodes(f), nodes(g)
+    # F on the correlation lattice s0 + k dx, k < nf + ng - 1
+    s0 = g.support[0] - (f.support[0] + (nf - 1) * dx)
+    s1 = s0 + (nf + ng - 2) * dx
     h = min(dx, epsilon / 16.0)
-    n = int(math.ceil((s1 - s0) / h)) | 1
+    need = (s1 - s0) / h if h > 0.0 else math.inf  # epsilon/16 may underflow
+    # ceil(need) | 1 nodes, above the even cap exactly where need > cap - 1
+    if need > _POSITION_NODES - 1:
+        raise ResolutionError(
+            f"position smear at epsilon={epsilon} needs about {need:.3g} grid nodes, "
+            f"above the cap of {_POSITION_NODES}; increase epsilon"
+        )
+    vf = f(f.support[0] + dx * np.arange(nf))
+    vg = g(g.support[0] + dx * np.arange(ng))
+    corr = np.correlate(vg, vf, mode="full") * dx
+    F = _spline(s0, dx, corr)
+    n = int(math.ceil(need)) | 1
     sf = np.linspace(s0, s1, n)
     w = _simpson_weights(n, sf[1] - sf[0])
     # w F(s) conj(k) formed block by block into one array, so a call's peak

@@ -587,6 +587,12 @@ class TestKernelCommand:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert "leaves the float range" in err
 
+    def test_regulator_over_beta_beyond_the_float_range_exit_2(self, capsys):
+        # it printed "invalid input: math domain error"
+        code, out, err = run(capsys, "kernel", "--xi", "0", "--beta", "1e-300", "--epsilon", "1e10")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert "epsilon=10000000000.0, beta=1e-300: b = pi epsilon/beta leaves the float range" in err
+
     def test_separation_past_the_float_range_over_pi(self, capsys):
         # pi xi overflows: the kernel is 0 there, with no overflow warning
         with warnings.catch_warnings():

@@ -9,6 +9,7 @@ semidefiniteness of Gaussian overlaps.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicSpline
 
@@ -717,13 +717,30 @@ class TestOwnedNumerics:
             want = cumulative_simpson(y, dx=dx, initial=0.0)
             assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_next_fast_len_is_scipys(self):
-        # the smallest 11-smooth length, scipy's rule for complex input
-        assert [_next_fast_len(n) for n in range(1, 70001)] == [
-            next_fast_len(n) for n in range(1, 70001)
-        ]
+    def test_next_fast_len_rule(self):
+        # the smallest 2^a o >= n with o a 7-smooth odd number up to 64,
+        # against every such length up to 80000
+        def odd_part(k):
+            while k % 2 == 0:
+                k //= 2
+            return k
+
+        def smooth(o):
+            for q in (3, 5, 7):
+                while o % q == 0:
+                    o //= q
+            return o == 1
+
+        fast = [k for k in range(1, 80001) if odd_part(k) <= 64 and smooth(odd_part(k))]
+        targets = np.arange(1, 70001)
+        got = np.array([_next_fast_len(n) for n in targets.tolist()])
+        assert np.array_equal(got, np.array(fast)[np.searchsorted(fast, targets)])
+        assert np.all(9 * got < 10 * targets)
+        # a single transform's 2048 + 4097 - 1, a Thm 2.2 row's 2112 + 4097 - 1
+        # (6237 by the 11-smooth rule) and npts = 65536's 2048 + 32769 - 1
+        assert [_next_fast_len(n) for n in (6144, 6208, 34816)] == [6144, 6272, 35840]
         # no samples: the FFT rejects the length, as scipy.signal.czt does
-        assert _next_fast_len(0) == next_fast_len(0) == 0
+        assert _next_fast_len(0) == 0
         with pytest.raises(ValueError):
             czt(np.zeros(0), 1, log_w=-0.1j)
 
@@ -864,6 +881,151 @@ class TestDeviationRows:
             assert not rows.any()
 
 
+def _reference_deviation_exponents(ctx, spec, norm, f, u, t, g=None):
+    """_deviation_exponents as formulated before the u = 0 row skipped its
+    deviation: every u samples, transforms and pairs the rows."""
+    import modularflow.weyl_field as wf
+
+    if f.support[0] <= 0.0:
+        raise DomainViolation("supp f must lie in the positive half-line")
+    dens, wgt = _density(ctx, spec), _field_weight(ctx, spec)
+    tf = _transforms(ctx, f)
+    rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
+    if g is not None:
+        tg = _transforms(ctx, g)
+        for th in (tf, tg):
+            wf._tail_check(wgt[2] * (th.real**2 + th.imag**2), "symplectic form")
+        lo, hi = np.minimum(lo, g.support[0]), np.maximum(hi, g.support[1])
+    span = hi - lo
+    p = momentum_grid(ctx)
+    (n_rows, n), m = rows.shape, len(tf)
+    i = n_rows * wf._next_fast_len(n + m - 1)
+    j = i + n_rows * wf._FINE * -(-m // wf._FINE)
+    buf = np.empty(j + n_rows * m, dtype=complex)
+    fft_buf, ph_buf, work = buf[:i], buf[i:j], buf[j:]
+    td = wf._lattice_fourier(rows, x0, f.dx, p, out=fft_buf.reshape(n_rows, -1))
+    th2 = _phases(p[1] - p[0], shift, m, out=ph_buf)
+    td *= th2
+    th2 *= tf
+    work = work.view(float).reshape(2, n_rows, m)
+    k = _pair(ctx, span, wgt, th2 if g is None else tg, td, work=work)
+    if g is None:
+        z2, te = np.zeros(len(t)), td
+    else:
+        te = th2
+        te -= tg
+        z2 = -norm.c * _pair(ctx, span, dens, te, te, work=work).real
+        te *= 2.0
+        te += td
+    o = _pair(ctx, span, (dens[0], np.zeros(m), dens[2]), td, te, work=work).real
+    return z2, -norm.c * o + 1j * (k.imag / 2.0)
+
+
+def _eleven_smooth_len(target):
+    """The FFT length rule before the 7-smooth one: the smallest 11-smooth
+    n >= target."""
+    n = target
+    while n > 0:
+        r = n
+        for q in (2, 3, 5, 7, 11):
+            while r % q == 0:
+                r //= q
+        if r == 1:
+            break
+        n += 1
+    return n
+
+
+class TestIdentityRow:
+    """At u = 0 the modular image of f(. - t) is f(. - t) itself, so the
+    deviation d and dz are 0: _deviation_exponents forms no deviation, but
+    z2 and every check stay as at any u."""
+
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+    def test_exponents_without_a_transform(self, beta, monkeypatch):
+        # thm22's f and g, its row of 12 t, and single t
+        import modularflow.weyl_field as wf
+
+        ctx = ThermalContext(beta)
+        f = TestFunction.bump(0.5 * beta, 0.5 * beta).translate(0.02 * beta)
+        g = TestFunction.bump(-1.5 * beta, 0.5 * beta)
+        for h in (f, g):
+            _transforms(ctx, h)  # the own transforms, built before the spy
+        calls = []
+        plain_czt = wf.czt
+        monkeypatch.setattr(wf, "czt", lambda *a, **k: calls.append(a) or plain_czt(*a, **k))
+        rows_t = (np.linspace(0.5 * beta, 6.0 * beta, 12), np.array([0.05 * beta]),
+                  np.array([3.0 * beta, 4.0 * beta]))
+        for u in (0.0, -0.0):
+            for t in rows_t:
+                for gg in (g, None):
+                    z2, dz = _deviation_exponents(ctx, N0, NORM, f, u, t, gg)
+                    assert calls == []
+                    want_z2, want_dz = _reference_deviation_exponents(ctx, N0, NORM, f, u, t, gg)
+                    calls.clear()
+                    assert np.array_equal(z2, want_z2)
+                    assert dz.shape == want_dz.shape == t.shape
+                    assert np.all(dz == 0.0) and np.all(want_dz == 0.0)
+
+    def test_checks_still_raise(self):
+        # a too-narrow f or g fails its own tail check, a g 60 beta away tops
+        # the alias-free separation (58.3 at the default grid), and with
+        # g = None a support 3 wide tops it on a grid of 1025 nodes (2.04);
+        # the reference formulation raises the same
+        ctx, t = ThermalContext(1.0), np.array([1.0])
+        f = TestFunction.bump(0.5, 0.5).translate(0.02)
+        g = TestFunction.bump(-1.5, 0.5)
+        cases = [
+            (ctx, TestFunction.bump(0.5, 0.02), g, QuadratureError, "symplectic form"),
+            (ctx, f, TestFunction.bump(-1.5, 0.02), QuadratureError, "symplectic form"),
+            (ctx, f, TestFunction.bump(-60.0, 0.5), QuadratureError, "alias-free"),
+            (ThermalContext(1.0, npts=1025), TestFunction.bump(3.0, 1.5), None,
+             QuadratureError, "alias-free"),
+            (ctx, TestFunction.bump(0.3, 0.5), g, DomainViolation, "positive half-line"),
+        ]
+        for c, ff, gg, error, text in cases:
+            for exponents in (_deviation_exponents, _reference_deviation_exponents):
+                with pytest.raises(error, match=text):
+                    exponents(c, N0, NORM, ff, 0.0, t, gg)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_separation_raises(self, t):
+        # at u != 0 the ray call on the support edges raised; u = 0 makes none
+        ctx, f = ThermalContext(1.0), TestFunction.bump(0.5, 0.5).translate(0.02)
+        for u in (0.0, 0.3):
+            with pytest.raises(DomainViolation, match="t must be finite"):
+                _deviation_exponents(ctx, N0, NORM, f, u, np.array([1.0, t]))
+
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+    def test_thm22_rows_agree_with_the_eleven_smooth_lengths(self, beta, monkeypatch):
+        # every thm22 node's lhs e^{z2} |expm1(dz)|, run at the 7-smooth and at
+        # the 11-smooth FFT lengths; fresh functions, so no transform is reused
+        import modularflow.weyl_field as wf
+
+        def lhs_grid():
+            ctx = ThermalContext(beta)
+            f = TestFunction.bump(0.5 * beta, 0.5 * beta).translate(0.02 * beta)
+            g = TestFunction.bump(-1.5 * beta, 0.5 * beta)
+            ts = np.linspace(0.5 * beta, 6.0 * beta, 12)
+            out = []
+            for u in np.linspace(-1.0, 1.0, 21).tolist():
+                z2, dz = _deviation_exponents(ctx, N0, NORM, f, u, ts, g)
+                out.append(np.exp(z2) * np.abs(np.expm1(dz)))
+            return np.array(out)
+
+        new = lhs_grid()
+        lengths = []
+        monkeypatch.setattr(wf, "_next_fast_len", lambda n: lengths.append(_eleven_smooth_len(n)) or lengths[-1])
+        _czt_plan.cache_clear()  # a plan holds its FFT length
+        try:
+            old = lhs_grid()
+        finally:
+            _czt_plan.cache_clear()
+        assert 6237 in lengths
+        assert np.all(new[10] == 0.0) and np.all(old[10] == 0.0)  # u = 0
+        assert np.all(np.abs(new - old) <= 1e-8 * np.abs(old))
+
+
 class TestTwoPointMomentum:
     def test_zero_limit_n0(self):
         ctx = ThermalContext(beta=2.5)
@@ -987,6 +1149,18 @@ class TestTwoPointPosition:
         got = two_point_position(ThermalContext(), 0.0, 2.4e-155)
         assert math.isfinite(got.real) and got.real < -1e308 / 2 and got.imag == 0.0
 
+    def test_regulator_over_beta_beyond_the_float_range_raises(self):
+        # b = pi eps/beta overflowed to inf and math.sin raised "math domain error"
+        for beta, eps in ((1e-300, 1e10), (1.0, 1e308), (0.5, 1e308)):
+            with pytest.raises(DomainViolation, match=re.escape(f"epsilon={eps}, beta={beta}: b = pi")):
+                two_point_position(ThermalContext(beta=beta), 0.0, eps)
+
+    @pytest.mark.parametrize("beta, eps", [(1.0, 5.6e307), (1e10, 1e308)])
+    def test_regulator_over_beta_just_inside_the_float_range(self, beta, eps):
+        # pi eps/beta = 1.76e308; and 3.1e298, where pi eps alone overflows
+        got = two_point_position(ThermalContext(beta=beta), [0.0, 0.5 * beta], eps)
+        assert np.all(np.isfinite(got.real)) and np.all(np.isfinite(got.imag))
+
     def test_separation_past_the_float_range_over_pi(self):
         # pi xi overflows to inf without a warning: the asymptote's 0 there
         got = two_point_position(ThermalContext(), [1e308, -1e308], 1e-4)
@@ -1039,6 +1213,35 @@ class TestOmega2Position:
         ]
         for f, g in pairs:
             assert omega2_position(ctx, f, g, eps) == one_array_omega2_position(ctx, f, g, eps)
+
+    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    def test_grid_beyond_the_node_cap_raises(self, eps):
+        # 1e-300 raised numpy's "Maximum allowed size exceeded", and at 5e-324
+        # the step eps/16 underflows to 0; both raise before any allocation
+        import tracemalloc
+
+        ctx, f = ThermalContext(beta=1.0), TestFunction.bump(0.7, 0.4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResolutionError, match=re.escape(f"epsilon={eps} needs about")):
+                omega2_position(ctx, f, f, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+    def test_node_cap_edge(self, monkeypatch):
+        # this pair takes 25613 nodes at epsilon 1e-3: the even cap above
+        # admits it, the one below refuses it
+        import modularflow.weyl_field as wf
+
+        ctx, f, g = ThermalContext(beta=1.0), TestFunction.bump(0.7, 0.4), TestFunction.bump(1.4, 0.4)
+        want = omega2_position(ctx, f, g, 1e-3)
+        monkeypatch.setattr(wf, "_POSITION_NODES", 25614)
+        assert omega2_position(ctx, f, g, 1e-3) == want
+        monkeypatch.setattr(wf, "_POSITION_NODES", 25612)
+        with pytest.raises(ResolutionError, match="above the cap of 25612"):
+            omega2_position(ctx, f, g, 1e-3)
 
     def test_peak_memory(self):
         # 26k nodes: 2.0 MB with the kernel in one array, 1.2 MB in blocks
