@@ -185,14 +185,7 @@ def cmd_transform(args) -> int:
     cfg = _load_config(args)
     ctx = cfg.context()
     f = TestFunction.load(args.input)
-    which = "modular" if args.u is not None else "gamma"
-    if args.u is not None and args.tau is not None:
-        print("give exactly one of --u / --tau", file=sys.stderr)
-        return EXIT_DOMAIN
-    if args.u is None and args.tau is None:
-        print("give one of --u / --tau", file=sys.stderr)
-        return EXIT_DOMAIN
-    param = args.u if which == "modular" else args.tau
+    which, param = ("modular", args.u) if args.u is not None else ("gamma", args.tau)
     g = higher_transform(ctx, args.n, which, param, f)
     out = cfg.output or (os.path.splitext(args.input)[0] + ".out.json")
     g.save(out)
@@ -204,9 +197,6 @@ def cmd_kernel(args) -> int:
     cfg = _load_config(args)
     ctx = cfg.context()
     spec = FieldSpec(args.n)
-    if (args.p is None) == (args.xi is None):
-        print("give exactly one of --p / --xi", file=sys.stderr)
-        return EXIT_DOMAIN
     if args.p is not None:
         if args.epsilon is not None:
             print("--epsilon regulates the position kernel (--xi) only", file=sys.stderr)
@@ -269,14 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", help="TestFunction JSON file")
     p.add_argument("--n", type=int, default=0, help="field scaling index")
-    p.add_argument("--u", type=float)
-    p.add_argument("--tau", type=float)
+    param = p.add_mutually_exclusive_group(required=True)
+    param.add_argument("--u", type=float)
+    param.add_argument("--tau", type=float)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("kernel", parents=[common], help="print two-point kernels")
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--p", type=float, help="momentum argument")
-    p.add_argument("--xi", type=float, help="position argument")
+    arg = p.add_mutually_exclusive_group(required=True)
+    arg.add_argument("--p", type=float, help="momentum argument")
+    arg.add_argument("--xi", type=float, help="position argument")
     p.add_argument("--epsilon", type=float, help="position-kernel regulator")
     p.set_defaults(func=cmd_kernel)
 

@@ -54,7 +54,6 @@ from .weyl_field import (
     _finite,
     _position_kernel,
     _simpson_weights,
-    _sinh_cosh,
 )
 
 
@@ -281,10 +280,12 @@ def _kms_inner_sums(ctx: ThermalContext, u_grid, x, y, wy, epsilons):
     weight vector per u and side, and each sum over y is a row of a
     matrix-vector product with it.  No complex grid is formed: the direct
     form's grids come from _position_kernel, the continued form's from
-    _continued_parts.  L, dL, the weights and the grids that do not depend
-    on the regulator are computed once per u.  The products are np.vecdot,
-    one dot product per row, so a row's sum does not depend on the BLAS
-    thread count; a BLAS matrix-vector product's summation order does.
+    _continued_parts.  L, dL, the weights, the kernel argument z and the
+    continued form's grids that do not depend on the regulator are computed
+    once per u; _position_kernel forms sinh z and cosh z on each call.  The
+    products are np.vecdot, one dot product per row, so a row's sum does not
+    depend on the BLAS thread count; a BLAS matrix-vector product's
+    summation order does.
     """
     beta = ctx.beta
     ey = np.exp(TWO_PI * y / beta)
@@ -313,10 +314,9 @@ def _kms_inner_sums(ctx: ThermalContext, u_grid, x, y, wy, epsilons):
         _finite("xi", x[[0, -1], None] - L)
         w_direct = _modular_jacobian(u, ey) * wy
         z = cx[:, None] - math.pi * L / beta
-        sinh_z, cosh_z, far = _sinh_cosh(z)
         for k, eps in enumerate(epsilons):
             # the kernel first: it refuses a bad regulator or beta
-            kernel = _position_kernel(ctx, eps, z, sinh_z, cosh_z, far)
+            kernel = _position_kernel(ctx, eps, z)
             np.vecdot(kernel, w_direct, out=direct_sums[:, k, i])
             np.vecdot(_continued_parts(b, b2, eps), w_cont, out=continued_sums[:, k, i])
     e = np.asarray(epsilons, dtype=float)[:, None, None]

@@ -16,7 +16,9 @@ temperature beta is the Gaussian
 Momentum space is the ground truth for all bilinear forms; the regularized
 position kernel is provided as a cross-check only, related to the momentum
 pairing by the derived constant _FOURIER_PAIR_CONSTANT = -1/4 (see
-calibrate_fourier_pair).
+calibrate_fourier_pair).  _position_kernel is its one evaluation, from the
+real argument z alone, and omega2_position evaluates it, and the
+correlation spline, once over the whole of its node array.
 
 Every integral, in momentum or position space, is one composite Simpson
 rule on a uniform grid with an odd node count: a dot product with the
@@ -34,7 +36,8 @@ many times on one grid is transformed once.  A deviation function derived
 from f is sampled on f's own lattice, one increment of f's spline per entry,
 so it shares f's step and chirp-z ratio w, and the deviations at one flow
 parameter u and a row of separations t go through one 2-D chirp-z call (none
-at u = 0, where the deviation is 0).
+at u = 0, where the deviation is 0), in a buffer whose FFT length is read
+from that call's plan, so _czt_plan is the one reader of the length rule.
 
 The module-level caches are sized to one beta's working set, since every
 caller works at one context at a time: the momentum grid, the folded density
@@ -579,35 +582,22 @@ def _field_weight(ctx: ThermalContext, spec: FieldSpec) -> np.ndarray:
 _FAR = 350.0
 
 
-def _sinh_cosh(z: np.ndarray):
-    """Real sinh z and cosh z for the position kernel, 0 where |z| >= _FAR,
-    and that mask, None when no |z| reaches _FAR."""
-    if -_FAR < z.min() and z.max() < _FAR:
-        return np.sinh(z), np.cosh(z), None
-    near = np.abs(z) < _FAR
-    sinh_z, cosh_z = np.zeros((2,) + z.shape)
-    np.sinh(z, out=sinh_z, where=near)
-    np.cosh(z, out=cosh_z, where=near)
-    return sinh_z, cosh_z, ~near
-
-
 def _require_epsilon(epsilon: float):
     if not 0.0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
 
 
-def _position_kernel(
-    ctx: ThermalContext, epsilon: float, z: np.ndarray, sinh_z, cosh_z, far
-) -> np.ndarray:
+def _position_kernel(ctx: ThermalContext, epsilon: float, z: np.ndarray) -> np.ndarray:
     """Real and imaginary parts of (1/beta^2) sinh^{-2}(z + ib), b = pi eps/beta,
-    from the real grids z, sinh z, cosh z and the |z| >= _FAR mask of
-    _sinh_cosh (None for no such z): a real array of shape (2,) + z.shape.
+    on the real grid z: a real array of shape (2,) + z.shape.
 
     For real b, s = sinh(z + ib) = sinh z cos b + i cosh z sin b and
     |s|^2 = sinh^2 z + sin^2 b (cosh^2 = 1 + sinh^2), so 1/s^2 = r^2 with
     r = conj(s)/|s|^2, and no complex number is formed.  |s|^4 is never
     formed: it overflows from |z| ~ 177.  Where |z| >= _FAR the asymptote
-    sinh(z + ib)^2 ~ e^{2|z|} e^{2ib sgn z}/4 takes over.
+    sinh(z + ib)^2 ~ e^{2|z|} e^{2ib sgn z}/4 takes over; sinh z and cosh z
+    are evaluated on the whole of z, under a mask only when some |z| reaches
+    _FAR.
 
     Both 1/(beta |s|^2) and the kernel's magnitude peak at z = 0, at
     1/(beta sin^2 b) and 1/(beta sin b)^2; where either, or b itself, leaves
@@ -633,12 +623,19 @@ def _position_kernel(
             f"position kernel at epsilon={epsilon}, beta={beta}: 1/(beta sin^2 b) or its "
             "magnitude 1/(beta sin b)^2, b = pi epsilon/beta, leaves the float range"
         )
+    if -_FAR < z.min() and z.max() < _FAR:
+        near, sinh_z, cosh_z = True, np.sinh(z), np.cosh(z)
+    else:  # sinh z and cosh z left at 0 where |z| >= _FAR
+        near = np.abs(z) < _FAR
+        sinh_z, cosh_z = np.zeros((2,) + z.shape)
+        np.sinh(z, out=sinh_z, where=near)
+        np.cosh(z, out=cosh_z, where=near)
     out = np.empty((2,) + z.shape)
     re, im = out
-    # 1/(beta |s|^2), left at sin^2 b where |z| >= _FAR (sinh z is 0 there)
+    # 1/(beta |s|^2), left at sin^2 b where |z| >= _FAR
     q = np.multiply(sinh_z, sinh_z, out=re)
     q += sin2
-    np.divide(1.0 / beta, q, out=q, where=True if far is None else ~far)
+    np.divide(1.0 / beta, q, out=q, where=near)
     # r = conj(s)/(beta |s|^2), so that r^2 carries the 1/beta^2
     r_re = sinh_z * q
     r_re *= math.cos(b)
@@ -651,7 +648,8 @@ def _position_kernel(
     r_im *= r_im
     r_re *= r_re
     np.subtract(r_re, r_im, out=re)
-    if far is not None:
+    if near is not True:
+        far = ~near
         e = 4.0 / beta**2 * np.exp(-2.0 * np.abs(z[far]))
         re[far] = e * math.cos(2.0 * b)
         im[far] = -e * np.sign(z[far]) * math.sin(2.0 * b)
@@ -672,7 +670,7 @@ def two_point_position(ctx: ThermalContext, xi, epsilon: float):
     with np.errstate(over="ignore"):
         z = math.pi * xi / ctx.beta
     out = np.empty(z.shape, dtype=complex)
-    out.real, out.imag = _position_kernel(ctx, epsilon, z, *_sinh_cosh(z))
+    out.real, out.imag = _position_kernel(ctx, epsilon, z)
     return complex(out[0]) if scalar else out
 
 
@@ -821,15 +819,16 @@ def _deviation_hull(ctx, f: TestFunction, u: float, t: np.ndarray):
     return shift, np.minimum(a0, img_lo), np.maximum(b0, img_hi)
 
 
-def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
+def _deviation_samples(
+    ctx, f: TestFunction, u: float, shift: np.ndarray, lo: np.ndarray, hi: np.ndarray
+):
     """delta_u(f(. - t)) - f(. - (t - beta u)) over f's own coordinates, one
-    row per entry of the 1-D array t.
+    row per entry of _deviation_hull's (shift, lo, hi) for a 1-D array t.
 
-    Returns (rows, x0, shift, (lo, hi)): row r is the deviation at t[r],
-    supported in [lo[r], hi[r]] (_deviation_hull's, moved by the shift),
-    translated back by shift[r] = t[r] - beta u
-    and sampled on f's lattice x0 + k f.dx, so the translate is f's own
-    samples and every row shares f's chirp-z step.  The rows span the union
+    Returns (rows, x0): row r is the deviation at t[r] translated back by
+    shift[r] = t[r] - beta u, so supported in [lo[r], hi[r]], and sampled
+    on f's lattice x0 + k f.dx, so the translate is f's own samples and
+    every row shares f's chirp-z step.  The rows span the union
     of the nodes' index ranges, rounded up to whole _DEVIATION_PAD blocks;
     outside its own range a row is exactly 0 (both functions vanish there),
     so each row is its node's deviation zero-padded to the common range.
@@ -844,9 +843,8 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     """
     a0, b0 = f.support
     dx = f.dx
-    shift, hull_lo, hull_hi = _deviation_hull(ctx, f, u, t)
-    lo = math.floor((hull_lo.min() - f.x0) / dx) - 10
-    hi = math.ceil((hull_hi.max() - f.x0) / dx) + 11
+    lo = math.floor((lo.min() - f.x0) / dx) - 10
+    hi = math.ceil((hi.max() - f.x0) / dx) + 11
     # whole blocks, so rows of nearby ranges share one chirp-z plan
     k = np.arange(lo, lo - (lo - hi) // _DEVIATION_PAD * _DEVIATION_PAD)
     a_grid = f.x0 + k * dx
@@ -875,7 +873,7 @@ def _deviation_samples(ctx, f: TestFunction, u: float, t: np.ndarray):
     rows += neg
     rows += p
     np.copyto(rows, neg, where=out)
-    return rows, float(a_grid[0]), shift, (hull_lo + shift, hull_hi + shift)
+    return rows, float(a_grid[0])
 
 
 def _deviation_exponents(
@@ -895,8 +893,10 @@ def _deviation_exponents(
     transforms on every call, raising QuadratureError when too narrow for
     the cutoff.
 
-    The t values form one row: their deviations, zero-padded to a common
-    range of f's lattice, go through one 2-D chirp-z call, and each pairing
+    The t values form one row, with one _deviation_hull call for its shifts
+    and supports at every u: their deviations, zero-padded to a common range
+    of f's lattice, go through one 2-D chirp-z call, in a buffer sized by the
+    FFT length of the cached plan that call reads, and each pairing
     is one _pair call on the row stack, with each row's span against g (its
     own for g = None), so a row spanning too far for the grid raises
     QuadratureError.  A row of a dozen nodes keeps the stacks near the cache
@@ -908,11 +908,10 @@ def _deviation_exponents(
         raise DomainViolation("supp f must lie in the positive half-line")
     dens, wgt = _density(ctx, spec), _field_weight(ctx, spec)
     tf = _transforms(ctx, f)
-    if u == 0.0:
-        shift, lo, hi = _deviation_hull(ctx, f, u, t)
-        lo, hi = lo + shift, hi + shift
-    else:
-        rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
+    shift, lo, hi = _deviation_hull(ctx, f, u, t)
+    if u != 0.0:
+        rows, x0 = _deviation_samples(ctx, f, u, shift, lo, hi)
+    lo, hi = lo + shift, hi + shift
     if g is not None:
         tg = _transforms(ctx, g)
         for th in (tf, tg):  # symplectic_K's check on each own transform
@@ -920,27 +919,28 @@ def _deviation_exponents(
         lo, hi = np.minimum(lo, g.support[0]), np.maximum(hi, g.support[1])
     span = hi - lo
     p = momentum_grid(ctx)
-    m = len(tf)
+    dp, m = p[1] - p[0], len(tf)
     if u == 0.0:
         dz = np.zeros(len(t), dtype=complex)
         if g is None:  # z2 = 0 too: no pairing is left to guard the span
             _alias_guard(ctx, span, None)
             return np.zeros(len(t)), dz
-        te = _phases(p[1] - p[0], shift, m)
+        te = _phases(dp, shift, m)
         te *= tf
         te -= tg  # e = h2 - g
         return -norm.c * _pair(ctx, span, dens, te, te).real, dz
     n_rows, n = rows.shape
     # the row pipeline runs in one buffer per call, freed on return: the
-    # chirp-z transform's (td is a view into it), the shift phases (h2's
+    # chirp-z transform's (td is a view into it, at the FFT length of the
+    # plan _lattice_fourier's czt call reads), the shift phases (h2's
     # transform, then e's) and the pairings' two real products
-    i = n_rows * _next_fast_len(n + m - 1)
+    i = n_rows * _czt_plan(n, m, -1j * (dp * f.dx))[3]
     j = i + n_rows * _FINE * -(-m // _FINE)
     buf = np.empty(j + n_rows * m, dtype=complex)
     fft_buf, ph_buf, work = buf[:i], buf[i:j], buf[j:]
     td = _lattice_fourier(rows, x0, f.dx, p, out=fft_buf.reshape(n_rows, -1))
     # both translates move by the shift through one phase e^{-ip shift}
-    th2 = _phases(p[1] - p[0], shift, m, out=ph_buf)
+    th2 = _phases(dp, shift, m, out=ph_buf)
     td *= th2
     th2 *= tf  # h2's transform
     work = work.view(float).reshape(2, n_rows, m)
@@ -1156,12 +1156,10 @@ def localization_defect(
 # ----------------------------------------------------------------------
 
 
-# nodes per block of omega2_position's kernel: its temporaries are then 16
-# or 32 KB, below glibc's 128 KB mmap threshold, so they come from the heap
-_POSITION_BLOCK = 2048
 # most nodes omega2_position's grid may take, even: 40 times the kernels
-# suite's 25601, and at 32 bytes a node (grid, weights and complex terms) a
-# call's arrays stay near 34 MB
+# suite's 25601.  A call near it (epsilon 2.5e-5 on that suite's first pair
+# at beta 1, 1.02 million nodes) peaks at 82 MB under tracemalloc, about 80
+# bytes a node for the grid, weights, spline values, kernel and terms
 _POSITION_NODES = 1 << 20
 
 
@@ -1177,8 +1175,10 @@ def omega2_position(
     F(s) = int f(x) g(x + s) dx on a grid fine enough to resolve epsilon.
     The kernel is taken on the lower side of the real axis, the complex
     conjugate of the kernel as written (+i eps): that boundary value matches
-    the momentum-space pairing.  An epsilon whose grid would take more than
-    _POSITION_NODES nodes raises ResolutionError before any is allocated.
+    the momentum-space pairing.  F and the kernel are each evaluated in one
+    call over the whole node array.  An epsilon whose grid would take more
+    than _POSITION_NODES nodes raises ResolutionError before any is
+    allocated.
     """
     _require_epsilon(epsilon)
     # both functions sampled with one exact common step, so the correlation
@@ -1208,13 +1208,8 @@ def omega2_position(
     n = int(math.ceil(need)) | 1
     sf = np.linspace(s0, s1, n)
     w = _simpson_weights(n, sf[1] - sf[0])
-    # w F(s) conj(k) formed block by block into one array, so a call's peak
-    # is about that array (1.2 MB against 2.0 MB at 26k nodes)
-    terms = np.empty(n, dtype=complex)
-    for i in range(0, n, _POSITION_BLOCK):
-        b = slice(i, i + _POSITION_BLOCK)
-        k = two_point_position(ctx, sf[b], epsilon)
-        np.multiply(w[b] * F(sf[b]), np.conj(k, out=k), out=terms[b])
+    k = two_point_position(ctx, sf, epsilon)
+    terms = np.multiply(w * F(sf), np.conj(k, out=k), out=k)
     # numpy's own sum, not np.vecdot: OpenBLAS threads a dot above 10000
     # entries, and a threaded dot stalls for milliseconds while another
     # process holds a core

@@ -545,6 +545,19 @@ class TestTransformCommand:
         assert not out.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_flow_parameter_checked_before_the_file(self, tmp_path, capsys):
+        # both flags on a missing file opened it first and exited 3 (I/O);
+        # a file that exists with neither flag exits 2 as well
+        src = tmp_path / "in.json"
+        TestFunction.bump(1.5, 0.5).save(str(src))
+        for argv in ((str(tmp_path / "missing.json"), "--u", "1", "--tau", "2"), (str(src),)):
+            with pytest.raises(SystemExit) as exc:
+                main(["transform", *argv])
+            assert exc.value.code == EXIT_DOMAIN
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--u" in captured.err and "--tau" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
+
 
 class TestKernelCommand:
     def test_momentum_value(self, capsys):
@@ -559,8 +572,11 @@ class TestKernelCommand:
         assert re == pytest.approx(1.0 / math.sinh(math.pi * 0.5) ** 2, rel=1e-3)
 
     def test_requires_exactly_one_argument(self, capsys):
-        assert run(capsys, "kernel")[0] == EXIT_DOMAIN
-        assert run(capsys, "kernel", "--p", "1", "--xi", "1")[0] == EXIT_DOMAIN
+        for argv in ((), ("--p", "1", "--xi", "1")):
+            with pytest.raises(SystemExit) as exc:
+                main(["kernel", *argv])
+            assert exc.value.code == EXIT_DOMAIN
+            assert capsys.readouterr().out == ""
 
     def test_epsilon_with_momentum_exit_2(self, capsys):
         # the regulator belongs to the position kernel; with --p it was ignored

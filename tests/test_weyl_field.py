@@ -35,6 +35,7 @@ from modularflow.weyl_field import (
     _derivative_once_fd4,
     _derivative_values,
     _deviation_exponents,
+    _deviation_hull,
     _deviation_samples,
     _field_weight,
     _fold,
@@ -43,7 +44,6 @@ from modularflow.weyl_field import (
     _phases,
     _position_kernel,
     _simpson_weights,
-    _sinh_cosh,
     _slopes,
     _spectral_ok,
     _spline,
@@ -236,7 +236,7 @@ class TestTransformLayer:
         ctx = ThermalContext(beta=1.0)
         dp = momentum_grid(ctx)[1] - momentum_grid(ctx)[0]
         f = TestFunction.bump(1.2, 0.5)
-        (d,), _, _, _ = _deviation_samples(ctx, f, 0.5, np.array([2.0]))
+        (d,), _ = _deviation_samples(ctx, f, 0.5, *_deviation_hull(ctx, f, 0.5, np.array([2.0])))
         rng = np.random.default_rng(7)
         return [
             (f.samples, 4097, np.exp(-1j * dp * f.dx)),
@@ -690,8 +690,8 @@ class TestOwnedNumerics:
         ctx = ThermalContext(beta=1.0)
         f, g = TestFunction.bump(0.7, 0.4, n=1000), TestFunction.bump(1.4, 0.3, n=1500)
         omega2_position(ctx, f, g, 1e-3)
-        # F is evaluated block by block
-        assert len(built) == 3 and len(seen) > 3
+        # each is evaluated once, F over the whole node array
+        assert len(built) == len(seen) == 3
         for x0, dx, y, pts in seen:
             _assert_spline_close(_spline_pairs(x0, dx, y, pts), 5e-14, 1e-11, 1e-9)
 
@@ -824,7 +824,9 @@ class TestDeviationRows:
                   np.array([3.0 * beta, 4.0 * beta]))
         for u in np.linspace(-1.0, 1.0, 21).tolist():
             for t in rows_t:
-                rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
+                shift, lo, hi = _deviation_hull(ctx, f, u, t)
+                rows, x0 = _deviation_samples(ctx, f, u, shift, lo, hi)
+                lo, hi = lo + shift, hi + shift
                 want_rows, want_x0, want_shift, (want_lo, want_hi) = (
                     _reference_deviation_samples(ctx, f, u, t)
                 )
@@ -853,7 +855,8 @@ class TestDeviationRows:
             monkeypatch.setattr(wf, "modular_remainder", lambda beta, u, y: np.resize(pattern, y.shape))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rows, x0, _, _ = _deviation_samples(ThermalContext(1.0), f, 0.3, np.linspace(1.0, 2.0, 8))
+                hull = _deviation_hull(ThermalContext(1.0), f, 0.3, np.linspace(1.0, 2.0, 8))
+                rows, x0 = _deviation_samples(ThermalContext(1.0), f, 0.3, *hull)
             delta = np.resize(pattern, rows.shape)
             k = round((x0 - f.x0) / f.dx) + np.arange(rows.shape[1])
             x = f.x0 + k * f.dx
@@ -877,7 +880,8 @@ class TestDeviationRows:
     def test_rows_vanish_at_u_zero(self):
         ctx = ThermalContext(1.0)
         for f in (TestFunction.bump(0.6, 0.4), TestFunction.bump(1.5, 0.5).translate(0.02)):
-            rows, _, _, _ = _deviation_samples(ctx, f, 0.0, np.array([0.5, 1.0, 3.0]))
+            hull = _deviation_hull(ctx, f, 0.0, np.array([0.5, 1.0, 3.0]))
+            rows, _ = _deviation_samples(ctx, f, 0.0, *hull)
             assert not rows.any()
 
 
@@ -890,7 +894,9 @@ def _reference_deviation_exponents(ctx, spec, norm, f, u, t, g=None):
         raise DomainViolation("supp f must lie in the positive half-line")
     dens, wgt = _density(ctx, spec), _field_weight(ctx, spec)
     tf = _transforms(ctx, f)
-    rows, x0, shift, (lo, hi) = _deviation_samples(ctx, f, u, t)
+    shift, lo, hi = _deviation_hull(ctx, f, u, t)
+    rows, x0 = _deviation_samples(ctx, f, u, shift, lo, hi)
+    lo, hi = lo + shift, hi + shift
     if g is not None:
         tg = _transforms(ctx, g)
         for th in (tf, tg):
@@ -1025,6 +1031,22 @@ class TestIdentityRow:
         assert np.all(new[10] == 0.0) and np.all(old[10] == 0.0)  # u = 0
         assert np.all(np.abs(new - old) <= 1e-8 * np.abs(old))
 
+    def test_row_buffer_takes_the_cached_plans_length(self, monkeypatch):
+        # a thm22 row with its plan warm, then again under another valid
+        # length rule: the row buffer and the transform read the length of
+        # the one cached plan, so the row is the same bits (a buffer sized
+        # by the new rule met the plan's 6272 and could not broadcast)
+        import modularflow.weyl_field as wf
+
+        ctx = ThermalContext(1.0)
+        f = TestFunction.bump(0.5, 0.5).translate(0.02)
+        g = TestFunction.bump(-1.5, 0.5)
+        ts = np.linspace(0.5, 6.0, 12)
+        z2, dz = _deviation_exponents(ctx, N0, NORM, f, 0.3, ts, g)
+        monkeypatch.setattr(wf, "_next_fast_len", lambda n: 1 << (n - 1).bit_length())
+        again = _deviation_exponents(ctx, N0, NORM, f, 0.3, ts, g)
+        assert np.array_equal(again[0], z2) and np.array_equal(again[1], dz)
+
 
 class TestTwoPointMomentum:
     def test_zero_limit_n0(self):
@@ -1067,6 +1089,44 @@ class TestTwoPointMomentum:
     def test_non_finite_momentum_raises(self, p):
         with pytest.raises(DomainViolation, match="p must be finite"):
             two_point_momentum(ThermalContext(beta=1.0), N0, p)
+
+
+def _reference_position_kernel(ctx, epsilon, z):
+    """_position_kernel as formulated when its callers formed sinh z, cosh z
+    and the |z| >= 350 mask (None when no |z| reaches it) in a routine of
+    their own and passed them in; the kernel's range checks are left out."""
+    if -350.0 < z.min() and z.max() < 350.0:
+        sinh_z, cosh_z, far = np.sinh(z), np.cosh(z), None
+    else:
+        near = np.abs(z) < 350.0
+        sinh_z, cosh_z = np.zeros((2,) + z.shape)
+        np.sinh(z, out=sinh_z, where=near)
+        np.cosh(z, out=cosh_z, where=near)
+        far = ~near
+    beta = ctx.beta
+    b = math.pi * epsilon / beta
+    sin_b = math.sin(b)
+    sin2 = sin_b**2
+    out = np.empty((2,) + z.shape)
+    re, im = out
+    q = np.multiply(sinh_z, sinh_z, out=re)
+    q += sin2
+    np.divide(1.0 / beta, q, out=q, where=True if far is None else ~far)
+    r_re = sinh_z * q
+    r_re *= math.cos(b)
+    r_im = q
+    r_im *= cosh_z
+    r_im *= -sin_b
+    np.multiply(r_re, r_im, out=im)
+    im *= 2.0
+    r_im *= r_im
+    r_re *= r_re
+    np.subtract(r_re, r_im, out=re)
+    if far is not None:
+        e = 4.0 / beta**2 * np.exp(-2.0 * np.abs(z[far]))
+        re[far] = e * math.cos(2.0 * b)
+        im[far] = -e * np.sign(z[far]) * math.sin(2.0 * b)
+    return out
 
 
 class TestTwoPointPosition:
@@ -1113,12 +1173,25 @@ class TestTwoPointPosition:
             for b_target in np.exp(np.linspace(math.log(1e-8), 0.0, 5)):
                 eps = b_target * beta / math.pi
                 b = math.pi * eps / beta  # the b the kernel forms
-                re, im = _position_kernel(ctx, eps, z, *_sinh_cosh(z))
+                re, im = _position_kernel(ctx, eps, z)
                 with mpmath.workdps(50):
                     for zi, gi in zip(z, re + 1j * im):
                         ref = 1 / (mpmath.mpf(beta) ** 2 * mpmath.sinh(mpmath.mpc(zi, b)) ** 2)
                         worst = max(worst, abs(complex(gi) - complex(ref)) / abs(complex(ref)))
         assert worst < 1e-14
+
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 1.7])
+    def test_kernel_equals_the_separately_fed_formulation(self, beta):
+        # z all inside |z| < 350, and z on both sides of it and on it, at b
+        # from 1e-8 to 1: bit for bit
+        ctx = ThermalContext(beta=beta)
+        near = np.linspace(-349.0, 349.0, 1001)
+        mixed = np.concatenate((np.linspace(-400.0, 400.0, 1001), [-350.0, 350.0, 349.99]))
+        for b in np.exp(np.linspace(math.log(1e-8), 0.0, 5)):
+            eps = b * beta / math.pi
+            for z in (near, mixed, mixed.reshape(-1, 2)):
+                got = _position_kernel(ctx, eps, z)
+                assert np.array_equal(got, _reference_position_kernel(ctx, eps, z))
 
     def test_epsilon_required(self):
         with pytest.raises(ValueError):
@@ -1167,9 +1240,10 @@ class TestTwoPointPosition:
         assert np.array_equal(got.real, [0.0, 0.0]) and np.all(np.isfinite(got))
 
 
-def one_array_omega2_position(ctx, f, g, epsilon):
-    """omega2_position with its kernel and products over the whole
-    correlation grid in one array each, as it was before it worked in blocks."""
+def reference_omega2_position(ctx, f, g, epsilon, block=None):
+    """omega2_position as formulated before: its kernel and products over the
+    whole correlation grid in one array each (block None), or block by block
+    into one array of terms, each block with its own spline and kernel call."""
     dx = min(f.dx, g.dx)
 
     def on_step(fn):
@@ -1186,8 +1260,16 @@ def one_array_omega2_position(ctx, f, g, epsilon):
     h = min(dx, epsilon / 16.0)
     n = int(math.ceil((s1 - s0) / h)) | 1
     sf = np.linspace(s0, s1, n)
-    k = np.conj(two_point_position(ctx, sf, epsilon))
-    return complex(np.sum(_simpson_weights(n, sf[1] - sf[0]) * F(sf) * k))
+    w = _simpson_weights(n, sf[1] - sf[0])
+    if block is None:
+        k = np.conj(two_point_position(ctx, sf, epsilon))
+        return complex(np.sum(w * F(sf) * k))
+    terms = np.empty(n, dtype=complex)
+    for i in range(0, n, block):
+        b = slice(i, i + block)
+        k = two_point_position(ctx, sf[b], epsilon)
+        np.multiply(w[b] * F(sf[b]), np.conj(k, out=k), out=terms[b])
+    return complex(np.sum(terms))
 
 
 class TestOmega2Position:
@@ -1202,9 +1284,10 @@ class TestOmega2Position:
 
     @pytest.mark.parametrize("beta", [0.6, 1.0, 1.37, 1.7])
     @pytest.mark.parametrize("eps_over_beta", [1e-3, 0.2])
-    def test_blocks_sum_the_one_array_formula(self, beta, eps_over_beta):
-        # the kernels suite's calibration pairs, bit for bit: 25601 nodes (12.5
-        # blocks) at its epsilon, 4095 (a block and a short one) at 0.2 beta
+    def test_one_array_sums_the_reference_formulas(self, beta, eps_over_beta):
+        # the kernels suite's calibration pairs, bit for bit against both
+        # references: 25601 nodes (12.5 blocks of 2048) at its epsilon, 4095
+        # (a block and a short one) at 0.2 beta
         ctx, eps = ThermalContext(beta=beta), eps_over_beta * beta
         pairs = [
             (TestFunction.bump(0.7 * beta, 0.4 * beta), TestFunction.bump(1.4 * beta, 0.4 * beta)),
@@ -1212,7 +1295,27 @@ class TestOmega2Position:
             (TestFunction.bump(1.1 * beta, 0.35 * beta), TestFunction.bump(1.2 * beta, 0.45 * beta)),
         ]
         for f, g in pairs:
-            assert omega2_position(ctx, f, g, eps) == one_array_omega2_position(ctx, f, g, eps)
+            got = omega2_position(ctx, f, g, eps)
+            assert got == reference_omega2_position(ctx, f, g, eps)
+            assert got == reference_omega2_position(ctx, f, g, eps, block=2048)
+
+    def test_one_array_sums_the_blocks_across_the_asymptote_switch(self, monkeypatch):
+        # at beta 0.01 the kernel argument pi s/beta of this pair's 5121 nodes
+        # runs from -31 to 471 and reaches |z| = 350 in the second block of
+        # 2048: the first block took the kernel's unmasked branch, the others
+        # the masked one, where the whole array takes the masked one
+        import modularflow.weyl_field as wf
+
+        ctx, eps = ThermalContext(beta=0.01), 5e-3
+        f, g = TestFunction.bump(0.7, 0.4), TestFunction.bump(1.4, 0.4)
+        unmasked = []
+        plain_kernel = wf._position_kernel
+        spy = lambda c, e, z: unmasked.append(np.abs(z).max() < wf._FAR) or plain_kernel(c, e, z)
+        monkeypatch.setattr(wf, "_position_kernel", spy)
+        want = reference_omega2_position(ctx, f, g, eps, block=2048)
+        assert unmasked == [True, False, False]
+        assert omega2_position(ctx, f, g, eps) == want
+        assert unmasked[3:] == [False]
 
     @pytest.mark.parametrize("eps", [1e-300, 5e-324])
     def test_grid_beyond_the_node_cap_raises(self, eps):
@@ -1244,7 +1347,8 @@ class TestOmega2Position:
             omega2_position(ctx, f, g, 1e-3)
 
     def test_peak_memory(self):
-        # 26k nodes: 2.0 MB with the kernel in one array, 1.2 MB in blocks
+        # 25613 nodes: 2.25 MB, about 88 bytes a node for the grid, weights,
+        # kernel and terms over the whole node array
         import tracemalloc
 
         ctx, f, g = ThermalContext(beta=1.0), TestFunction.bump(0.7, 0.4), TestFunction.bump(1.4, 0.4)
@@ -1255,7 +1359,7 @@ class TestOmega2Position:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.3e6
+        assert peak < 2.4e6
 
 
 class TestSymplecticForm:
