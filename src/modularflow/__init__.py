@@ -27,7 +27,6 @@ from .cone_wedge import (
     FlowLine,
     Region,
     SpacetimePoint,
-    causal_chart,
     emit_flow_figure,
     figure_lines,
     flow_line,
@@ -35,7 +34,6 @@ from .cone_wedge import (
     gamma_line_constant,
     modular_flow_2d,
     remainder_terms,
-    time_calibration,
     velocity_field,
 )
 from .errors import DomainViolation, QuadratureError, ResolutionError
@@ -66,7 +64,6 @@ from .weyl_field import (
     StateNormalization,
     TestFunction,
     calibrate_fourier_pair,
-    fourier,
     gamma_transform,
     higher_transform,
     localization_defect,

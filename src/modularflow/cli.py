@@ -139,24 +139,25 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_flow(args) -> int:
-    cfg = _load_config(args)
-    ctx = cfg.context()
-    region = Region.FORWARD_CONE if args.region == "cone" else Region.RIGHT_WEDGE
+    # flag rules before the config file is read, so a bad flag exits 2 even
+    # with a missing file
     try:
         x0s, x1s = args.point.split(",")
         p = SpacetimePoint(float(x0s), float(x1s))
     except (ValueError, AttributeError):
         print(f"bad --point {args.point!r}; expected x0,x1", file=sys.stderr)
         return EXIT_DOMAIN
+    if args.flow == "modular" and (args.u is None or args.tau is not None):
+        print("modular flow needs --u and takes no --tau", file=sys.stderr)
+        return EXIT_DOMAIN
+    if args.flow == "gamma" and (args.tau is None or args.u is not None):
+        print("gamma flow needs --tau and takes no --u", file=sys.stderr)
+        return EXIT_DOMAIN
+    ctx = _load_config(args).context()
+    region = Region.FORWARD_CONE if args.region == "cone" else Region.RIGHT_WEDGE
     if args.flow == "modular":
-        if args.u is None or args.tau is not None:
-            print("modular flow needs --u and takes no --tau", file=sys.stderr)
-            return EXIT_DOMAIN
         q = modular_flow_2d(ctx, region, args.u, p)
     else:
-        if args.tau is None or args.u is not None:
-            print("gamma flow needs --tau and takes no --u", file=sys.stderr)
-            return EXIT_DOMAIN
         q = gamma_flow_2d(ctx, region, args.tau, p)
     print(f"{_fmt(q.x0)},{_fmt(q.x1)}")
     return EXIT_OK
@@ -194,18 +195,18 @@ def cmd_transform(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    cfg = _load_config(args)
-    ctx = cfg.context()
-    spec = FieldSpec(args.n)
-    if args.p is not None:
-        if args.epsilon is not None:
-            print("--epsilon regulates the position kernel (--xi) only", file=sys.stderr)
-            return EXIT_DOMAIN
-        print(_fmt(two_point_momentum(ctx, spec, args.p)))
-        return EXIT_OK
-    if spec.n != 0:
+    # flag rules before the config file is read, as in cmd_flow
+    if args.p is not None and args.epsilon is not None:
+        print("--epsilon regulates the position kernel (--xi) only", file=sys.stderr)
+        return EXIT_DOMAIN
+    if args.xi is not None and args.n != 0:
         print("the position kernel is available for index 0 only", file=sys.stderr)
         return EXIT_DOMAIN
+    cfg = _load_config(args)
+    ctx = cfg.context()
+    if args.p is not None:
+        print(_fmt(two_point_momentum(ctx, FieldSpec(args.n), args.p)))
+        return EXIT_OK
     val = two_point_position(ctx, args.xi, cfg.epsilon)
     print(f"{_fmt(val.real)},{_fmt(val.imag)}")
     return EXIT_OK

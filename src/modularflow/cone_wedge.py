@@ -28,8 +28,6 @@ from .flow_maps import (
     gamma_flow_ray,
     modular_flow_ray,
     modular_remainder,
-    xi_chart,
-    xi_inverse,
 )
 
 
@@ -238,59 +236,6 @@ def gamma_line_constant(ctx: ThermalContext, region: Region, p: SpacetimePoint) 
     else:
         log_f = math.log(abs(math.sinh(y)))
     return (p.x0 if cone else p.x1) + b * log_f
-
-
-def time_calibration(
-    ctx: ThermalContext, region: Region, value: float, direction: str
-) -> float:
-    """Parameter conversions along the through-origin flow path.
-
-    direction:
-      "tau_of_t"      coordinate time -> flow parameter
-      "t_of_tau"      flow parameter -> coordinate time
-      "tau_of_proper" proper time along the path -> flow parameter
-
-    The through-origin cone path runs up the time axis (proper time equals
-    coordinate time there); the wedge path bends, with
-    tau = (beta/2pi) sin(2pi t_p/beta).
-    """
-    _require_finite(ctx, "time_calibration")
-    b = ctx.beta / TWO_PI
-    if region is Region.FORWARD_CONE:
-        if direction == "tau_of_t" or direction == "tau_of_proper":
-            return xi_chart(ctx, RayDirection.PLUS, value)
-        if direction == "t_of_tau":
-            return xi_inverse(ctx, RayDirection.PLUS, value)
-    else:
-        if direction == "tau_of_t":
-            return b * math.tanh(value / b)
-        if direction == "t_of_tau":
-            w = value / b
-            if abs(w) >= 1.0:
-                raise DomainViolation(
-                    f"wedge path time undefined: need |tau| < {b}, got {value}"
-                )
-            return b * math.atanh(w)
-        if direction == "tau_of_proper":
-            return b * math.sin(value / b)
-    raise ValueError(
-        "direction must be 'tau_of_t', 't_of_tau' or 'tau_of_proper', "
-        f"got {direction!r}"
-    )
-
-
-def causal_chart(ctx: ThermalContext, p: SpacetimePoint) -> tuple[float, float]:
-    """Globally glued chart (xiL, xiR), order preserving and C^1 across the cone.
-
-    Each light-cone coordinate maps through the plus chart for x >= 0 and the
-    minus chart for x < 0; first derivatives match at 0, second derivatives
-    jump by 4 pi / beta.
-    """
-    _require_finite(ctx, "causal_chart")
-    return tuple(
-        xi_chart(ctx, RayDirection.PLUS if x >= 0.0 else RayDirection.MINUS, x)
-        for x in (p.xL, p.xR)
-    )
 
 
 @dataclass(frozen=True)

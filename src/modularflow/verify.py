@@ -325,19 +325,6 @@ def _kms_inner_sums(ctx: ThermalContext, u_grid, x, y, wy, epsilons):
     return continued, direct_sums[0] + 1j * direct_sums[1]
 
 
-def kms_pointwise_identity(
-    ctx: ThermalContext, u: float, x: float, y: float, epsilon: float
-) -> tuple[complex, complex]:
-    """The two closed forms at one point (x, y); they agree up to the
-    regulator's placement, which is O(eps) near coincidence and negligible
-    away from it."""
-    continued, direct = _kms_inner_sums(
-        ctx, [u], np.asarray([x], dtype=float), np.asarray([y], dtype=float),
-        np.ones(1), [epsilon],
-    )
-    return complex(continued.flat[0]), complex(direct.flat[0])
-
-
 @dataclass(frozen=True)
 class KmsReport:
     """Thermal boundary check: the extrapolated smear of the difference of the

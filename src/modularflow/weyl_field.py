@@ -425,33 +425,12 @@ def czt(x: np.ndarray, m: int, *, log_w: complex, out=None) -> np.ndarray:
     return res
 
 
-def fourier(f: TestFunction, p: np.ndarray) -> np.ndarray:
-    """Transform ft(p) = (1/2pi) int e^{-ipx} f(x) dx on a uniform symmetric grid.
-
-    The grid sum is evaluated with the chirp-z algorithm; since f is smooth
-    and vanishes at the sampled window's ends, the plain Riemann sum is
-    spectrally accurate.  The grid must be symmetric about 0 with an odd
-    node count; only the p >= 0 half is computed and the rest mirrored, so
-    conjugate symmetry ft(-p) = conj(ft(p)) holds exactly for the real
-    samples stored in a TestFunction.
-    """
-    p = np.asarray(p, dtype=float)
-    if len(p) < 3 or len(p) % 2 == 0:
-        raise ValueError("momentum grid needs an odd node count >= 3")
-    dp = p[1] - p[0]
-    if abs(p[0] + p[-1]) > 1e-9 * max(1.0, abs(p[-1])):
-        raise ValueError("momentum grid must be symmetric about 0")
-    if np.max(np.abs(np.diff(p) - dp)) > 1e-9 * dp:
-        raise ValueError("momentum grid must be uniform")
-    half = _lattice_fourier(f.samples, f.x0, f.dx, p)
-    return np.concatenate((np.conj(half[:0:-1]), half))
-
-
 def _lattice_fourier(samples: np.ndarray, x0: float, dx: float, p: np.ndarray, out=None):
-    """fourier's transform of samples on the lattice x0 + k dx, on the
-    p >= 0 half of the symmetric grid p, row by row along the last axis:
-    one chirp-z call, on the exact unit-modulus ratio e^{-i dp dx}, and one
-    phase e^{-ip x0} serve every row.  out is czt's."""
+    """ft(p) = (1/2pi) int e^{-ipx} f(x) dx as the lattice sum over samples on
+    x0 + k dx (spectrally accurate for a smooth f vanishing at the lattice's
+    ends), on the p >= 0 half of the symmetric odd-node grid p, row by row
+    along the last axis: one chirp-z call, on the exact unit-modulus ratio
+    e^{-i dp dx}, and one phase e^{-ip x0} serve every row.  out is czt's."""
     m = len(p) // 2 + 1
     dp = p[1] - p[0]
     half = czt(samples, m, log_w=-1j * (dp * dx), out=out)

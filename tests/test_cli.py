@@ -249,6 +249,22 @@ class TestFlowCommand:
         assert out == ""
         assert f"takes no {named}" in err
 
+    # a broken flag rule exits 2 before the config file is opened, so a
+    # missing file is never reported as an I/O error (exit 3)
+    @pytest.mark.parametrize(
+        "params, named",
+        [
+            (("--flow", "modular", "--tau", "1", "--point", "1,0"), "modular flow needs --u"),
+            (("--flow", "gamma", "--u", "1", "--point", "1,0"), "gamma flow needs --tau"),
+            (("--flow", "gamma", "--tau", "1", "--point", "1;0"), "bad --point"),
+        ],
+    )
+    def test_flag_rules_checked_before_the_config(self, tmp_path, capsys, params, named):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "flow", "--config", missing, "--region", "cone", *params)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert named in err
+
     def test_large_negative_u(self, capsys):
         code, out, _ = run(
             capsys, "flow", "--region", "cone", "--flow", "modular",
@@ -584,6 +600,20 @@ class TestKernelCommand:
         assert code == EXIT_DOMAIN
         assert out == ""
         assert "--epsilon" in err
+
+    # as in flow: exit 2 before the config file is opened, not an I/O error
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--p", "1", "--epsilon", "3"), "--epsilon regulates"),
+            (("--n", "1", "--xi", "0.3"), "index 0 only"),
+        ],
+    )
+    def test_flag_rules_checked_before_the_config(self, tmp_path, capsys, argv, named):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "kernel", "--config", missing, *argv)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert named in err
 
     # each printed nan (and exited 0) before
     @pytest.mark.parametrize(

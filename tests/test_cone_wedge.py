@@ -23,7 +23,6 @@ from modularflow.cone_wedge import (
     FlowLine,
     Region,
     SpacetimePoint,
-    causal_chart,
     emit_flow_figure,
     figure_lines,
     flow_line,
@@ -31,7 +30,6 @@ from modularflow.cone_wedge import (
     gamma_line_constant,
     modular_flow_2d,
     remainder_terms,
-    time_calibration,
     velocity_field,
 )
 from modularflow.errors import DomainViolation
@@ -39,7 +37,6 @@ from modularflow.flow_maps import (
     RayDirection,
     ThermalContext,
     modular_flow_ray,
-    xi_chart,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -149,6 +146,43 @@ class TestGammaFlow2D:
             q = gamma_flow_2d(ctx, CONE, tau, SpacetimePoint(0.0, 0.0))
             assert abs(q.x0 - b * math.log1p(tau / b)) < 1e-14
             assert q.x1 == 0.0
+
+    def test_wedge_origin_path(self):
+        # through the origin the wedge flow bends: with w = 2 pi tau/beta,
+        # x0 = (beta/2pi) atanh w and x1 = (beta/4pi) log(1 - w^2)
+        ctx = ThermalContext(beta=0.8)
+        b = ctx.beta / TWO_PI
+        for tau in (-0.1, 0.05, 0.12):
+            q = gamma_flow_2d(ctx, WEDGE, tau, SpacetimePoint(0.0, 0.0))
+            w = tau / b
+            assert abs(q.x0 - b * math.atanh(w)) < 1e-14
+            assert abs(q.x1 - 0.5 * b * math.log1p(-w * w)) < 1e-14
+
+    def test_wedge_origin_path_proper_time(self):
+        # proper time along the wedge path through the origin is
+        # (beta/2pi) asin(2 pi tau/beta): summed chords of a fine tau row
+        ctx = ThermalContext(beta=0.8)
+        b = ctx.beta / TWO_PI
+        taus = np.linspace(-0.12, 0.12, 20001)
+        q = gamma_flow_2d(ctx, WEDGE, taus, SpacetimePoint(0.0, 0.0))
+        chords = np.sqrt(np.diff(q.x0) ** 2 - np.diff(q.x1) ** 2)
+        proper = np.concatenate(([0.0], np.cumsum(chords)))
+        proper -= proper[len(taus) // 2]
+        assert np.max(np.abs(proper - b * np.arcsin(taus / b))) < 1e-8
+
+    @pytest.mark.parametrize(
+        "region, sign, named",
+        [(WEDGE, 1.0, "xL"), (WEDGE, -1.0, "xR"), (CONE, -1.0, "xL")],
+    )
+    def test_origin_path_ends_at_beta_over_2pi(self, region, sign, named):
+        # the origin's path is defined for tau > -beta/2pi on the cone and
+        # |tau| < beta/2pi on the wedge, the bound itself excluded
+        ctx = ThermalContext(beta=0.8)
+        tau = sign * ctx.beta / TWO_PI
+        with pytest.raises(DomainViolation, match=f"light-cone coordinate {named}="):
+            gamma_flow_2d(ctx, region, tau, SpacetimePoint(0.0, 0.0))
+        q = gamma_flow_2d(ctx, region, tau * (1 - 1e-9), SpacetimePoint(0.0, 0.0))
+        assert math.isfinite(q.x0) and math.isfinite(q.x1)
 
     def test_wedge_upper_bound_is_strict(self):
         ctx = ThermalContext(beta=1.0)
@@ -523,98 +557,6 @@ class TestFlowLineIsThePointMap:
         monkeypatch.setattr(cone_wedge, "modular_flow_ray", counted)
         flow_line(ThermalContext(beta=1.0), CONE, "modular", SpacetimePoint(1.0, 0.2), (-1, 1), 50)
         assert calls == [50, 50]
-
-
-class TestTimeCalibration:
-    def test_zero_everywhere(self):
-        ctx = ThermalContext(beta=1.0)
-        for region in (CONE, WEDGE):
-            for d in ("tau_of_t", "t_of_tau", "tau_of_proper"):
-                assert time_calibration(ctx, region, 0.0, d) == 0.0
-
-    def test_cone_example(self):
-        # beta = 2 pi: t = ln 2 gives tau = 1
-        ctx = ThermalContext(beta=TWO_PI)
-        assert abs(time_calibration(ctx, CONE, math.log(2.0), "tau_of_t") - 1.0) < 1e-14
-
-    def test_cone_roundtrip_and_gamma_consistency(self):
-        ctx = ThermalContext(beta=1.7)
-        for t in (-0.4, 0.3, 2.0):
-            tau = time_calibration(ctx, CONE, t, "tau_of_t")
-            assert abs(time_calibration(ctx, CONE, tau, "t_of_tau") - t) < 1e-12
-            # the origin path reaches exactly x0 = t at parameter tau
-            q = gamma_flow_2d(ctx, CONE, tau, SpacetimePoint(0.0, 0.0))
-            assert abs(q.x0 - t) < 1e-12
-
-    def test_wedge_roundtrip(self):
-        # tanh saturates beyond a few chart units; the roundtrip is only
-        # conditioned to 1e-12 for |t| within ~4 beta/(2 pi)
-        ctx = ThermalContext(beta=0.8)
-        for t in (-0.45, 0.1, 0.45):
-            tau = time_calibration(ctx, WEDGE, t, "tau_of_t")
-            assert abs(time_calibration(ctx, WEDGE, tau, "t_of_tau") - t) < 1e-12
-
-    def test_wedge_proper_time_rate_at_origin(self):
-        ctx = ThermalContext(beta=1.0)
-        h = 1e-7
-        rate = (
-            time_calibration(ctx, WEDGE, h, "tau_of_proper")
-            - time_calibration(ctx, WEDGE, -h, "tau_of_proper")
-        ) / (2 * h)
-        assert abs(rate - 1.0) < 1e-9
-
-    def test_range_violations(self):
-        ctx = ThermalContext(beta=1.0)
-        b = ctx.beta / TWO_PI
-        with pytest.raises(DomainViolation):
-            time_calibration(ctx, WEDGE, b, "t_of_tau")
-        with pytest.raises(DomainViolation):
-            time_calibration(ctx, CONE, -b, "t_of_tau")
-
-
-class TestCausalChart:
-    def test_origin(self):
-        ctx = ThermalContext(beta=1.0)
-        assert causal_chart(ctx, SpacetimePoint(0.0, 0.0)) == (0.0, 0.0)
-
-    def test_positive_branch_matches_plus_chart(self):
-        ctx = ThermalContext(beta=1.3)
-        p = SpacetimePoint(2.0, 0.5)  # both light-cone coordinates positive
-        xiL, xiR = causal_chart(ctx, p)
-        assert xiR == xi_chart(ctx, RayDirection.PLUS, p.xR)
-        assert xiL == xi_chart(ctx, RayDirection.PLUS, p.xL)
-
-    def test_negative_branch_matches_minus_chart(self):
-        ctx = ThermalContext(beta=1.3)
-        p = SpacetimePoint(-2.0, 0.5)
-        xiL, xiR = causal_chart(ctx, p)
-        assert xiL == xi_chart(ctx, RayDirection.MINUS, p.xL)
-        assert xiR == xi_chart(ctx, RayDirection.MINUS, p.xR)
-
-    def test_order_preserving(self):
-        ctx = ThermalContext(beta=0.7)
-        xs = np.linspace(-3, 3, 101)
-        vals = [causal_chart(ctx, SpacetimePoint(x, 0.0))[1] for x in xs]
-        assert np.all(np.diff(vals) > 0)
-
-    def test_c1_at_light_cone(self):
-        # first differences across xR = 0 agree to O(h^2)
-        ctx = ThermalContext(beta=1.0)
-        h = 1e-5
-        f = lambda x: causal_chart(ctx, SpacetimePoint(x / 2.0, x / 2.0))[1]
-        d_right = (f(h) - f(0.0)) / h
-        d_left = (f(0.0) - f(-h)) / h
-        assert abs(d_right - d_left) < 4 * h
-
-    def test_second_derivative_jump(self):
-        # one-sided second differences at 0 differ by 2 * (2 pi / beta)
-        ctx = ThermalContext(beta=1.9)
-        h = 1e-4
-        f = lambda x: causal_chart(ctx, SpacetimePoint(x / 2.0, x / 2.0))[1]
-        d2_right = (f(2 * h) - 2 * f(h) + f(0.0)) / h**2
-        d2_left = (f(0.0) - 2 * f(-h) + f(-2 * h)) / h**2
-        jump = d2_right - d2_left
-        assert abs(jump - 2.0 * (TWO_PI / ctx.beta)) < 1e-2
 
 
 class TestFigures:

@@ -119,6 +119,18 @@ class TestXiChart:
         assert np.all(xp > -ctx.beta / TWO_PI)
         assert np.all(xm < ctx.beta / TWO_PI)
 
+    def test_charts_glue_to_first_order_at_zero(self):
+        # both charts are tangent to the identity at 0, so the plus chart on
+        # x >= 0 and the minus chart on x < 0 glue to a C^1 chart; their
+        # second derivatives there are +-2pi/beta
+        ctx = ThermalContext(beta=1.9)
+        h = 1e-4
+        for d, s in ((PLUS, 1.0), (MINUS, -1.0)):
+            f = lambda x: xi_chart(ctx, d, x)
+            assert abs((f(h) - f(-h)) / (2 * h) - 1.0) < 1e-7
+            second = (f(h) - 2 * f(0.0) + f(-h)) / h**2
+            assert abs(second - s * TWO_PI / ctx.beta) < 1e-5
+
     def test_requires_finite_beta(self):
         with pytest.raises(DomainViolation):
             xi_chart(ThermalContext(beta=math.inf), PLUS, 1.0)

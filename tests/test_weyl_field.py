@@ -39,6 +39,7 @@ from modularflow.weyl_field import (
     _deviation_samples,
     _field_weight,
     _fold,
+    _lattice_fourier,
     _next_fast_len,
     _pair,
     _phases,
@@ -50,7 +51,6 @@ from modularflow.weyl_field import (
     _transforms,
     calibrate_fourier_pair,
     czt,
-    fourier,
     gamma_transform,
     higher_transform,
     localization_defect,
@@ -192,23 +192,18 @@ class TestTestFunction:
 
 
 class TestFourier:
+    """The lattice transform on the p >= 0 half of the grid."""
+
     def test_zero_function(self):
         f = TestFunction(np.zeros(64), 0.0, 0.1, (1.0, 5.0))
         p = momentum_grid(ThermalContext())
-        assert np.all(fourier(f, p) == 0.0)
+        assert np.all(_lattice_fourier(f.samples, f.x0, f.dx, p) == 0.0)
 
-    def test_even_real_gives_real_even(self):
+    def test_even_bump_is_real(self):
         f = TestFunction.bump(0.0, 1.0)  # even about 0
         p = momentum_grid(ThermalContext())
-        t = fourier(f, p)
+        t = _lattice_fourier(f.samples, f.x0, f.dx, p)
         assert np.max(np.abs(t.imag)) < 1e-12
-        np.testing.assert_allclose(t, t[::-1], atol=1e-12)
-
-    def test_conjugate_symmetry(self):
-        f = TestFunction.bump(0.7, 0.4)
-        p = momentum_grid(ThermalContext())
-        t = fourier(f, p)
-        np.testing.assert_allclose(t[::-1], np.conj(t), atol=1e-12)
 
     def test_gaussian_closed_form(self):
         # truncated Gaussian against (sigma/sqrt(2 pi)) e^{-ip m} e^{-sigma^2 p^2/2}
@@ -217,20 +212,34 @@ class TestFourier:
         vals = np.exp(-((x - m) ** 2) / (2 * sigma**2))
         f = TestFunction(vals, x[0], x[1] - x[0], (x[0], x[-1]), compact_support=False)
         p = np.linspace(-40.0, 40.0, 2001)
-        got = fourier(f, p)
-        expected = sigma / math.sqrt(TWO_PI) * np.exp(-1j * p * m - sigma**2 * p**2 / 2)
+        got = _lattice_fourier(f.samples, f.x0, f.dx, p)
+        q = p[len(p) // 2 :]
+        expected = sigma / math.sqrt(TWO_PI) * np.exp(-1j * q * m - sigma**2 * q**2 / 2)
         assert np.max(np.abs(got - expected)) / np.max(np.abs(expected)) < 1e-8
 
-    def test_grid_validation(self):
-        f = TestFunction.bump(1.0, 0.5)
-        with pytest.raises(ValueError, match="symmetric"):
-            fourier(f, np.linspace(0.0, 10.0, 11))
+    def test_zero_momentum_is_the_riemann_sum(self):
+        f = TestFunction.bump(0.7, 0.4)
+        p = momentum_grid(ThermalContext())
+        t = _lattice_fourier(f.samples, f.x0, f.dx, p)
+        assert len(t) == len(p) // 2 + 1
+        want = math.fsum(f.samples.tolist()) * f.dx / TWO_PI
+        assert abs(t[0] - want) <= 1e-14 * want
+
+    def test_dropped_half_is_the_conjugate(self):
+        # the pairings read p >= 0 only, since for real samples the lattice
+        # sum at -p is the conjugate of the one at p
+        f = TestFunction.bump(0.7, 0.4)
+        p = np.linspace(-20.0, 20.0, 81)
+        q = p[len(p) // 2 :]
+        t = _lattice_fourier(f.samples, f.x0, f.dx, p)
+        at_minus = np.exp(1j * np.outer(q, f.x)) @ f.samples * (f.dx / TWO_PI)
+        np.testing.assert_allclose(at_minus, np.conj(t), rtol=0.0, atol=1e-13 * np.max(np.abs(t)))
 
 
 class TestTransformLayer:
     @staticmethod
     def _cases():
-        # (samples, m, w) as fourier passes them: the default bump on the
+        # (samples, m, w) as _lattice_fourier passes them: the default bump on the
         # default 8193-node grid, a deviation grid from the thm22 setting,
         # and one case each with fewer and more samples than nodes
         ctx = ThermalContext(beta=1.0)
@@ -290,8 +299,7 @@ class TestTransformLayer:
 
         f = TestFunction.bump(0.8, 0.4)
         p = momentum_grid(ThermalContext(beta=1.0))
-        got = fourier(f, p)
-        m = len(p) // 2
+        got = _lattice_fourier(f.samples, f.x0, f.dx, p)
         with mpmath.workprec(113):
             dp, x0, dx = (mpmath.mpf(v) for v in (p[1] - p[0], f.x0, f.dx))
             for k in (1, 37, 1000, 2500, 4096):
@@ -300,7 +308,7 @@ class TestTransformLayer:
                     for j in np.flatnonzero(f.samples).tolist()
                 )
                 want = complex(mpmath.fsum(terms) * dx / (2 * mpmath.pi))
-                assert abs(got[m + k] - want) <= (1e-14 + 1e-17 * k**2) * abs(want), k
+                assert abs(got[k] - want) <= (1e-14 + 1e-17 * k**2) * abs(want), k
 
     def test_phase_table(self):
         # each angle is one rounding of (k dp) x, as in np.exp, so both lie
@@ -412,12 +420,12 @@ class TestTransformLayer:
         assert all(n % 2 == 1 for n in counts)
 
     def test_transform_memoized_read_only(self):
-        # kept on p >= 0 only: fourier's p < 0 half is its mirror image
+        # kept on p >= 0 only: the p < 0 half is its mirror image
         ctx = ThermalContext(beta=1.0)
         f = TestFunction.bump(1.2, 0.5)
         t = _transforms(ctx, f)
         p = momentum_grid(ctx)
-        assert np.array_equal(t, fourier(f, p)[len(p) // 2 :])
+        assert np.array_equal(t, _lattice_fourier(f.samples, f.x0, f.dx, p))
         assert _transforms(ctx, f) is t
         assert not t.flags.writeable
         with pytest.raises(ValueError):
@@ -430,7 +438,7 @@ class TestTransformLayer:
         _transforms(ctx, f)
         for g in (f.translate(0.3), f.scaled(2.0), replace(f, samples=f.samples**2)):
             assert "_transforms" not in g.__dict__
-            assert np.array_equal(_transforms(ctx, g), fourier(g, p)[len(p) // 2 :])
+            assert np.array_equal(_transforms(ctx, g), _lattice_fourier(g.samples, g.x0, g.dx, p))
             assert not np.array_equal(_transforms(ctx, g), _transforms(ctx, f))
 
     def test_grids_do_not_share_a_transform(self):
@@ -441,7 +449,7 @@ class TestTransformLayer:
             ThermalContext(beta=1.0, npts=2048, pmax=150.0),
         ):
             p = momentum_grid(ctx)
-            assert np.array_equal(_transforms(ctx, f), fourier(f, p)[len(p) // 2 :])
+            assert np.array_equal(_transforms(ctx, f), _lattice_fourier(f.samples, f.x0, f.dx, p))
         assert len(f.__dict__["_transforms"]) == 3
 
     def test_kernels_memoized_read_only(self):
@@ -1415,7 +1423,9 @@ class TestSymplecticForm:
         im = tf.real * tg.imag - tf.imag * tg.real
         assert got == complex(0.0, np.vecdot(_field_weight(ctx, N0)[1], im))
         p = momentum_grid(ctx)
-        integrand = p * fourier(f, p)[::-1] * fourier(g, p)
+        # the full grid's transforms, the p < 0 half mirrored: ft(-p) = conj ft(p)
+        ff, fg = (np.concatenate((np.conj(t[:0:-1]), t)) for t in (tf, tg))
+        integrand = p * ff[::-1] * fg
         want = simpson(integrand, dx=p[1] - p[0]).imag
         w = _simpson_weights(len(p), p[1] - p[0])
         assert abs(got.imag - want) <= 5e-17 * np.vecdot(w, np.abs(integrand))
@@ -1621,7 +1631,9 @@ class TestWeylInner:
         f, g = TestFunction.bump(1.2, 0.5), TestFunction.bump(0.4, 0.3)
         expected = weyl_inner(ctx, N0, NORM, g, f)
         calls = []
-        monkeypatch.setattr(wf, "fourier", lambda *a: calls.append(a) or fourier(*a))
+        monkeypatch.setattr(
+            wf, "_lattice_fourier", lambda *a, **k: calls.append(a) or _lattice_fourier(*a, **k)
+        )
         assert weyl_inner(ctx, N0, NORM, g, f) == expected
         assert calls == []
 
