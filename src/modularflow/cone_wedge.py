@@ -150,7 +150,10 @@ def remainder_terms(ctx: ThermalContext, region: Region, u, p: SpacetimePoint):
 
 
 def velocity_field(ctx: ThermalContext, region: Region, p: SpacetimePoint) -> float:
-    """Velocity dx1/dx0 of the positive-generator flow at a point; |v| < 1."""
+    """Velocity dx1/dx0 of the positive-generator flow at a point; |v| < 1.
+    A non-finite point raises DomainViolation."""
+    if not (math.isfinite(p.x0) and math.isfinite(p.x1)):
+        raise DomainViolation(f"velocity field needs a finite point, got ({p.x0}, {p.x1})")
     if not ctx.finite:
         return 0.0
     if region is Region.FORWARD_CONE:
@@ -222,6 +225,8 @@ def gamma_line_constant(ctx: ThermalContext, region: Region, p: SpacetimePoint) 
     Cone lines satisfy x0 = -(beta/2pi) log|sinh(2pi x1/beta)| + C away from
     the time axis; wedge lines satisfy x1 = -(beta/2pi) log(cosh(2pi x0/beta)) + C.
     Past |2pi x/beta| = 700 both logs are |2pi x/beta| - ln 2 (see _LOG_FAR).
+    A non-finite point, or a constant beyond the float range, raises
+    DomainViolation.
     """
     _require_finite(ctx, "gamma_line_constant")
     b = ctx.beta / TWO_PI
@@ -235,7 +240,10 @@ def gamma_line_constant(ctx: ThermalContext, region: Region, p: SpacetimePoint) 
         raise DomainViolation("cone flow line through the time axis has no finite constant")
     else:
         log_f = math.log(abs(math.sinh(y)))
-    return (p.x0 if cone else p.x1) + b * log_f
+    c = (p.x0 if cone else p.x1) + b * log_f
+    if not math.isfinite(c):  # NaN from a NaN point, inf from one at or near inf
+        raise DomainViolation(f"gamma line through ({p.x0}, {p.x1}) has no finite constant")
+    return c
 
 
 @dataclass(frozen=True)

@@ -77,29 +77,50 @@ def _require_finite(ctx: ThermalContext, what: str):
         raise DomainViolation(f"{what} requires finite beta, got beta=inf")
 
 
+def _finite(name: str, values: np.ndarray):
+    """Raise DomainViolation on NaN or inf, worded like _operands."""
+    if not np.isfinite(values).all():
+        raise DomainViolation(
+            f"{name} must be finite, got {name}={values[~np.isfinite(values)][0]}"
+        )
+
+
 def xi_chart(ctx: ThermalContext, direction: RayDirection, x):
     """Linearizing coordinate of the half-line flows, +-b expm1(+-x/b) with
     b = beta/2pi.
 
     Strictly increasing; range (-beta/2pi, inf) for PLUS and
-    (-inf, beta/2pi) for MINUS.
+    (-inf, beta/2pi) for MINUS.  A non-finite x, or an image beyond the
+    float range, raises DomainViolation.
     """
     _require_finite(ctx, "xi_chart")
     b, s = ctx.beta / TWO_PI, (1.0 if direction is RayDirection.PLUS else -1.0)
-    out = s * b * np.expm1(s * np.asarray(x, dtype=float) / b)
+    x = np.asarray(x, dtype=float)
+    _finite("x", x)
+    with np.errstate(over="ignore"):
+        out = s * b * np.expm1(s * x / b)
+    if not np.isfinite(out).all():
+        bad = x[~np.isfinite(out)][0]
+        raise DomainViolation(f"chart image leaves the float range, got x={bad}")
     return out if out.ndim else float(out)
 
 
 def xi_inverse(ctx: ThermalContext, direction: RayDirection, xi):
-    """Inverse of xi_chart; raises outside the open range of the chart."""
+    """Inverse of xi_chart; raises outside the open range of the chart and
+    for a non-finite xi."""
     _require_finite(ctx, "xi_inverse")
     b, s = ctx.beta / TWO_PI, (1.0 if direction is RayDirection.PLUS else -1.0)
     xi = np.asarray(xi, dtype=float)
-    arg = s * xi / b
+    _finite("xi", xi)
+    with np.errstate(over="ignore"):
+        arg = s * xi / b
     if np.any(arg <= -1.0):
         need, got = ("xi > -beta/2pi =", np.min(xi)) if s > 0.0 else ("xi < beta/2pi =", np.max(xi))
         raise DomainViolation(f"xi out of range: need {need} {-s * b}, got {got}")
-    out = s * b * np.log1p(arg)
+    # where s xi/b leaves the float range, log1p(s xi/b) is log(s xi) - log b
+    # to rounding; the maximum keeps the unused entries' logs finite
+    far = np.log(np.maximum(s * xi, b)) - math.log(b)
+    out = s * b * np.where(np.isinf(arg), far, np.log1p(arg))
     return out if out.ndim else float(out)
 
 

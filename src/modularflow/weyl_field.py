@@ -35,9 +35,9 @@ TestFunction keeps its transform per momentum grid, so a function paired
 many times on one grid is transformed once.  A deviation function derived
 from f is sampled on f's own lattice, one increment of f's spline per entry,
 so it shares f's step and chirp-z ratio w, and the deviations at one flow
-parameter u and a row of separations t go through one 2-D chirp-z call (none
-at u = 0, where the deviation is 0), in a buffer whose FFT length is read
-from that call's plan, so _czt_plan is the one reader of the length rule.
+parameter u and a row of separations t go through one 2-D chirp-z call, in a
+buffer whose FFT length is read from that call's plan, so _czt_plan is the
+one reader of the length rule.
 
 The module-level caches are sized to one beta's working set, since every
 caller works at one context at a time: the momentum grid, the folded density
@@ -67,8 +67,8 @@ from .axb_group import TWO_PI
 from .errors import DomainViolation, QuadratureError, ResolutionError
 from .files import atomic_write
 from .flow_maps import (
-    RayDirection, ThermalContext, _require_finite, gamma_flow_ray, modular_flow_ray,
-    modular_remainder,
+    RayDirection, ThermalContext, _finite, _require_finite, gamma_flow_ray,
+    modular_flow_ray, modular_remainder,
 )
 
 
@@ -380,9 +380,10 @@ def _next_fast_len(target: int) -> int:
 
 # A transform is cached on its function, so a plan is reused only by the
 # Thm 2.2 and rates rows on one lattice and by functions that share a
-# lattice step.  At a fresh beta a verify pass builds 34 plans and a field
-# query 7 whatever the size; four keep the Thm 2.2 rows' three for a rerun
-# at the same beta, and older plans are never read again.
+# lattice step.  At a fresh beta a verify pass builds 33 plans (kernels 18,
+# kms 6, Thm 2.2 3, rates 6) and a field query 7 whatever the size; the 20
+# Thm 2.2 rows share one plan, four keep that suite's three for a rerun at
+# the same beta, and older plans are never read again.
 @lru_cache(maxsize=4)
 def _czt_plan(n: int, m: int, log_w: complex):
     """Bluestein plan (wk2[:n], Fwk2, wk2[:m], nfft) for n samples and m
@@ -488,14 +489,6 @@ def _simpson_weights(n: int, d: float) -> np.ndarray:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (d / 3.0)
-
-
-def _finite(name: str, values: np.ndarray):
-    """Raise DomainViolation on NaN or inf, worded like flow_maps._operands."""
-    if not np.isfinite(values).all():
-        raise DomainViolation(
-            f"{name} must be finite, got {name}={values[~np.isfinite(values)][0]}"
-        )
 
 
 def two_point_momentum(ctx: ThermalContext, spec: FieldSpec, p):
@@ -672,20 +665,6 @@ def _tail_check(size: np.ndarray, what: str):
         )
 
 
-def _alias_guard(ctx: ThermalContext, span, what: str | None):
-    """Raise QuadratureError when span, a float or an array, tops the grid's
-    alias-free separation (see _pair)."""
-    p = momentum_grid(ctx)
-    dp = p[1] - p[0]
-    limit = math.pi / dp - 6.0 * ctx.beta
-    widest = float(np.max(span))
-    if widest > limit:
-        raise QuadratureError(
-            f"{what or 'momentum pairing'}: supports {widest:.6g} apart, above the "
-            f"grid's alias-free separation {limit:.6g}; increase npts"
-        )
-
-
 def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None, work=None):
     """Momentum pairing int k(p) conj(at(p)) bt(p) dp, the one Simpson sum
     over the momentum grid.
@@ -704,7 +683,15 @@ def _pair(ctx: ThermalContext, span, kernel, a, b, what: str | None = None, work
     work, when given, is a real array of shape (2,) + the stack's shape that
     takes the products in place of two new ones.
     """
-    _alias_guard(ctx, span, what)
+    p = momentum_grid(ctx)
+    dp = p[1] - p[0]
+    limit = math.pi / dp - 6.0 * ctx.beta
+    widest = float(np.max(span))
+    if widest > limit:
+        raise QuadratureError(
+            f"{what or 'momentum pairing'}: supports {widest:.6g} apart, above the "
+            f"grid's alias-free separation {limit:.6g}; increase npts"
+        )
     even, odd, size = kernel
     # a part that is 0 by construction is not formed: a kernel row of zeros
     # (K's even row; the tail check still reads |z|), and Im conj(a) a = 0
@@ -786,15 +773,12 @@ def _deviation_hull(ctx, f: TestFunction, u: float, t: np.ndarray):
     coordinates, supp f for the translate and the flow image of supp f + t
     pulled back by the shift for the modular image (defined for all u since
     supp f lies in the positive half-line).  Both edges go through one
-    ray-map call, and none at u = 0, where the flow maps every point to
-    itself; a non-finite t raises DomainViolation."""
+    ray-map call; a non-finite t raises DomainViolation."""
     _finite("t", t)
     a0, b0 = f.support
     shift = t - ctx.beta * u
     edges = np.stack((a0 + t, b0 + t))
-    if u != 0.0:
-        edges = modular_flow_ray(ctx, RayDirection.PLUS, u, edges)
-    img_lo, img_hi = edges - shift
+    img_lo, img_hi = modular_flow_ray(ctx, RayDirection.PLUS, u, edges) - shift
     return shift, np.minimum(a0, img_lo), np.maximum(b0, img_hi)
 
 
@@ -873,23 +857,21 @@ def _deviation_exponents(
     the cutoff.
 
     The t values form one row, with one _deviation_hull call for its shifts
-    and supports at every u: their deviations, zero-padded to a common range
+    and supports: their deviations, zero-padded to a common range
     of f's lattice, go through one 2-D chirp-z call, in a buffer sized by the
     FFT length of the cached plan that call reads, and each pairing
     is one _pair call on the row stack, with each row's span against g (its
     own for g = None), so a row spanning too far for the grid raises
     QuadratureError.  A row of a dozen nodes keeps the stacks near the cache
     size; padding moves last bits only.  At u = 0 the modular image is h2
-    itself, so d = 0 and dz = 0: no deviation is sampled or transformed,
-    while z2, the tail checks and the span's alias guard run as at any u.
+    itself: every row is 0, and so is dz.
     """
     if f.support[0] <= 0.0:
         raise DomainViolation("supp f must lie in the positive half-line")
     dens, wgt = _density(ctx, spec), _field_weight(ctx, spec)
     tf = _transforms(ctx, f)
     shift, lo, hi = _deviation_hull(ctx, f, u, t)
-    if u != 0.0:
-        rows, x0 = _deviation_samples(ctx, f, u, shift, lo, hi)
+    rows, x0 = _deviation_samples(ctx, f, u, shift, lo, hi)
     lo, hi = lo + shift, hi + shift
     if g is not None:
         tg = _transforms(ctx, g)
@@ -899,15 +881,6 @@ def _deviation_exponents(
     span = hi - lo
     p = momentum_grid(ctx)
     dp, m = p[1] - p[0], len(tf)
-    if u == 0.0:
-        dz = np.zeros(len(t), dtype=complex)
-        if g is None:  # z2 = 0 too: no pairing is left to guard the span
-            _alias_guard(ctx, span, None)
-            return np.zeros(len(t)), dz
-        te = _phases(dp, shift, m)
-        te *= tf
-        te -= tg  # e = h2 - g
-        return -norm.c * _pair(ctx, span, dens, te, te).real, dz
     n_rows, n = rows.shape
     # the row pipeline runs in one buffer per call, freed on return: the
     # chirp-z transform's (td is a view into it, at the FFT length of the

@@ -362,6 +362,15 @@ class TestVelocity:
             assert abs(velocity_field(ctx, CONE, p)) < 1.0
             assert abs(velocity_field(ctx, WEDGE, p)) < 1.0
 
+    @pytest.mark.parametrize("x0, x1", [(math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3)])
+    def test_non_finite_point_raises(self, x0, x1):
+        # the cone's field reads x1 only: (nan, 0.3) gave -0.9549, a finite
+        # velocity for a NaN point, and (0.3, nan) gave NaN
+        for ctx in (ThermalContext(beta=1.0), ThermalContext(beta=math.inf)):
+            for region in (CONE, WEDGE):
+                with pytest.raises(DomainViolation, match=re.escape(f"finite point, got ({x0}, {x1})")):
+                    velocity_field(ctx, region, SpacetimePoint(x0, x1))
+
     def test_finite_difference_oracle(self):
         # differentiate the gamma trajectory in tau and compare dx1/dx0; the
         # central difference is conditioned only while the chart magnitudes
@@ -415,6 +424,25 @@ class TestFlowLine:
         assert np.max(np.abs(consts - consts[0])) < 1e-8
         # the wedge line through (0, C) has its apex value C at x0 = 0
         assert abs(gamma_line_constant(ctx, WEDGE, seed) - 0.5) < 1e-14
+
+    @pytest.mark.parametrize("x0, x1", [(math.nan, 0.3), (0.3, math.nan)])
+    def test_line_constant_of_a_nan_point_raises(self, x0, x1):
+        # it returned NaN
+        ctx = ThermalContext(beta=1.0)
+        for region in (CONE, WEDGE):
+            with pytest.raises(DomainViolation, match=re.escape(f"({x0}, {x1}) has no finite constant")):
+                gamma_line_constant(ctx, region, SpacetimePoint(x0, x1))
+
+    def test_line_constant_beyond_the_float_range_raises(self):
+        # (0.3, 1e308) in the cone returned inf: 2 pi x1/beta overflows; in
+        # the wedge x1 = 1e308 is the constant itself, and x0 = 1e308 overflows
+        ctx = ThermalContext(beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for region, p in ((CONE, (0.3, 1e308)), (CONE, (1e308, 1e308)), (WEDGE, (1e308, 0.3))):
+                with pytest.raises(DomainViolation, match="has no finite constant"):
+                    gamma_line_constant(ctx, region, SpacetimePoint(*p))
+            assert gamma_line_constant(ctx, WEDGE, SpacetimePoint(0.0, 1e308)) == 1e308
 
     def test_closed_form_vs_integrated_velocity(self):
         # independent oracle: integrate dx1/dx0 = -tanh(2 pi x1/beta) with RK45

@@ -135,6 +135,42 @@ class TestXiChart:
         with pytest.raises(DomainViolation):
             xi_chart(ThermalContext(beta=math.inf), PLUS, 1.0)
 
+    def test_image_beyond_the_float_range_raises(self):
+        # expm1 overflowed with a RuntimeWarning, and returned inf without
+        # warnings as errors; a scalar and an array entry name the point
+        ctx = ThermalContext(beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, x in ((PLUS, 200.0), (MINUS, -200.0), (PLUS, np.array([1.0, 1e308]))):
+                with pytest.raises(DomainViolation, match=r"leaves the float range, got x=-?(200|1e\+308)"):
+                    xi_chart(ctx, d, x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises(self, x):
+        # a NaN point returned NaN, and xi_inverse(inf) returned inf
+        ctx = ThermalContext(beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (PLUS, MINUS):
+                with pytest.raises(DomainViolation, match=f"x must be finite, got x={x}"):
+                    xi_chart(ctx, d, x)
+                with pytest.raises(DomainViolation, match=f"xi must be finite, got xi={x}"):
+                    xi_inverse(ctx, d, np.array([0.0, x]))
+
+    def test_inverse_past_the_float_range_of_its_ratio(self):
+        # at beta = 1, xi/b overflows for xi above 2.9e307: the inverse is
+        # b log(xi/b) there, finite, where log1p(inf) read inf with a warning
+        ctx = ThermalContext(beta=1.0)
+        b = 1.0 / TWO_PI
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in (1e308, 1.7e308):
+                want = b * (math.log(xi) - math.log(b))
+                assert xi_inverse(ctx, PLUS, xi) == pytest.approx(want, rel=1e-15)
+                assert xi_inverse(ctx, MINUS, -xi) == pytest.approx(-want, rel=1e-15)
+            # the chart of the image is back near xi
+            assert xi_chart(ctx, PLUS, xi_inverse(ctx, PLUS, 1e300)) == pytest.approx(1e300, rel=1e-12)
+
 
 class TestModularFlow:
     def test_u_zero_identity(self):
