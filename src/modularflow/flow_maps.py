@@ -212,8 +212,9 @@ def modular_remainder(beta: float, u, x):
 
     u is a float or a 1-D array, x an array broadcasting against it; each
     u's constant comes from math, one call per parameter (past 2pi u = 709,
-    where expm1 overflows, R is b log(1 + e^{(beta u - x)/b})).  NaN, with no
-    numpy warning, where the log1p argument is <= -1: the caller decides.
+    where expm1 overflows, R is b log(1 + e^{(beta u - x)/b})).  R(0, x) is 0
+    for every x.  NaN, with no numpy warning, where the log1p argument is
+    <= -1: the caller decides.
     """
     b = beta / TWO_PI
     with np.errstate(over="ignore", invalid="ignore"):
@@ -221,6 +222,8 @@ def modular_remainder(beta: float, u, x):
         c = np.minimum(np.ravel(w), 709.0)
         c = np.fromiter(map(math.expm1, c.tolist()), float, c.size).reshape(np.shape(u))
         arg = c * np.exp(-x / b)
+        if not np.all(c):  # R(0, x) = 0, also where e^{-x/b} overflows
+            arg = np.where(c == 0.0, c, arg)
         out = b * np.log1p(np.where(arg > -1.0, arg, np.nan))
         if np.any(w > 709.0):
             out = np.where(w > 709.0, b * np.logaddexp(0.0, (beta * u - x) / b), out)

@@ -836,11 +836,8 @@ def _suite_bound(beta: float) -> list[CaseResult]:
     worst_at = None
     ts = np.linspace(0.5 * beta, 6.0 * beta, 12)
     for u in np.linspace(-1.0, 1.0, 21):
-        if u == 0.0:  # the modular image is the translate: both sides are 0
-            margins = np.zeros(len(ts))
-        else:
-            margins = matrix_element_bound(ctx, spec, f, g, float(u), ts).margin
-        for t, margin in zip(ts, margins):
+        rep = matrix_element_bound(ctx, spec, f, g, float(u), ts)
+        for t, margin in zip(ts, rep.margin):
             # a NaN margin is kept as the worst (NaN fails every comparison)
             if not margin >= worst_margin and not math.isnan(worst_margin):
                 worst_margin = float(margin)

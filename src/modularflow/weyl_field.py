@@ -381,7 +381,7 @@ def _next_fast_len(target: int) -> int:
 # A transform is cached on its function, so a plan is reused only by the
 # Thm 2.2 and rates rows on one lattice and by functions that share a
 # lattice step.  At a fresh beta a verify pass builds 33 plans (kernels 18,
-# kms 6, Thm 2.2 3, rates 6) and a field query 7 whatever the size; the 20
+# kms 6, Thm 2.2 3, rates 6) and a field query 7 whatever the size; the 21
 # Thm 2.2 rows share one plan, four keep that suite's three for a rerun at
 # the same beta, and older plans are never read again.
 @lru_cache(maxsize=4)

@@ -893,6 +893,16 @@ def test_per_parameter_constants_are_the_math_loop():
     assert np.array_equal(modular_flow_ray(ThermalContext(beta=beta), PLUS, us, -3.0), want)
 
 
+def test_remainder_at_u_zero_is_zero():
+    # where e^{-x/b} overflows too, not expm1(0) * inf = NaN; the u = 0 entry
+    # of a parameter array alike
+    x = np.array([-1e308, -200.0, 0.0, 3.0, 1e308])
+    for u in (0.0, -0.0):
+        assert np.all(flow_maps.modular_remainder(1.3, u, x) == 0.0)
+    got = flow_maps.modular_remainder(1.3, np.array([0.0, 0.3]), np.array([-200.0, 3.0]))
+    assert got[0] == 0.0 and 0.0 < got[1] < 1e-5
+
+
 class TestParameterArray:
     @pytest.mark.parametrize("flow", [modular_flow_ray, gamma_flow_ray])
     @pytest.mark.parametrize("direction", [PLUS, MINUS])

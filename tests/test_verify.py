@@ -294,14 +294,13 @@ class TestBound:
 
     @pytest.mark.parametrize(
         "suite, name, t_at, calls",
-        [("thm22", "matrix_element_bound", 5, 20), ("rates", "vector_deviation", 4, 3)],
+        [("thm22", "matrix_element_bound", 5, 21), ("rates", "vector_deviation", 4, 3)],
     )
     def test_suite_rows_go_through_the_public_function(
         self, monkeypatch, suite, name, t_at, calls
     ):
-        # one call per u row of the thm22 grid but the identity row, whose
-        # margins are 0 by construction, and per rates shape, so a wrapper on
-        # the public function (as in a traced run) sees the work
+        # one call per u row of the thm22 grid and per rates shape, so a
+        # wrapper on the public function (as in a traced run) sees the work
         seen = []
         fn = getattr(verify, name)
 
@@ -321,6 +320,11 @@ class TestRate:
         # nothing underflowed there: it used to raise "deviation underflowed"
         with pytest.raises(ValueError, match="u must be nonzero"):
             convergence_rate(ctx, N0, f_pos, 0.0, [3.0, 4.0])
+        # at t = -120 beta, e^{-x/b} overflows in the remainder; a NaN there
+        # left f's own samples in the row and read D = 0.19
+        for u in (0.0, -0.0):
+            got = vector_deviation(ctx, N0, f_pos, u, np.array([-120.0, 3.0]))
+            assert np.array_equal(got, [0.0, 0.0])
 
     def test_slope_matches_prediction(self, ctx, f_pos):
         rep = convergence_rate(ctx, N0, f_pos, 0.3, [3.0, 4.0, 5.0, 6.0])
