@@ -150,8 +150,12 @@ def remainder_terms(ctx: ThermalContext, region: Region, u, p: SpacetimePoint):
 
 
 def velocity_field(ctx: ThermalContext, region: Region, p: SpacetimePoint) -> float:
-    """Velocity dx1/dx0 of the positive-generator flow at a point; |v| < 1.
-    A non-finite point raises DomainViolation."""
+    """Velocity dx1/dx0 of the positive-generator flow at a point.
+
+    |v| <= 1 in floats: tanh rounds to 1 once |2 pi x/beta| is above about
+    19, so beyond about 3 beta from x1 = 0 (cone) or x0 = 0 (wedge) the
+    field reads the speed of light.  A non-finite point raises DomainViolation.
+    """
     if not (math.isfinite(p.x0) and math.isfinite(p.x1)):
         raise DomainViolation(f"velocity field needs a finite point, got ({p.x0}, {p.x1})")
     if not ctx.finite:
@@ -167,9 +171,6 @@ class FlowLine:
 
     params: np.ndarray
     points: np.ndarray  # shape (n, 2), columns (x0, x1)
-
-    def __len__(self):
-        return len(self.params)
 
 
 def flow_line(
@@ -188,7 +189,8 @@ def flow_line(
     if flow not in ("modular", "gamma"):
         raise ValueError(f"flow must be 'modular' or 'gamma', got {flow!r}")
     lo, hi = param_range
-    with np.errstate(invalid="ignore"):  # a non-finite end fails at its parameter below
+    # a non-finite end, or ends whose distance overflows, fail at their parameter below
+    with np.errstate(invalid="ignore", over="ignore"):
         params = np.linspace(lo, hi, n_samples)
     ray = modular_flow_ray if flow == "modular" else gamma_flow_ray
     try:
@@ -248,21 +250,13 @@ def gamma_line_constant(ctx: ThermalContext, region: Region, p: SpacetimePoint) 
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """Deterministic sampling plan for one flow-pattern figure.
-
-    seeds may be any iterable of points; the spec reads it once, into a
-    tuple of its own, so a spec is immutable and hashable.
-    """
+    """Deterministic sampling plan for one flow-pattern figure; each figure
+    places its n_lines seeds itself."""
 
     n_lines: int = 12
     n_samples: int = 129
     param_span: float = 1.0  # modular figures: u in [-span, span]
     window: float | None = None  # half-width of the emitted window, default 3 beta
-    seeds: tuple[SpacetimePoint, ...] | None = None
-
-    def __post_init__(self):
-        if self.seeds is not None:
-            object.__setattr__(self, "seeds", tuple(self.seeds))
 
 
 def _default_window(ctx: ThermalContext, spec: FigureSpec) -> float:
@@ -279,14 +273,12 @@ def _default_window(ctx: ThermalContext, spec: FigureSpec) -> float:
 def _modular_figure_lines(ctx, region, spec):
     """Modular flow lines from seeds swept over u in [-span, span]."""
     w = _default_window(ctx, spec)
-    seeds = spec.seeds
-    if seeds is None:
-        # seeds fan across the region's interior at fixed x0 (cone) or x1 (wedge)
-        fracs = np.linspace(-0.9, 0.9, spec.n_lines)
-        if region is Region.FORWARD_CONE:
-            seeds = [SpacetimePoint(0.5 * w, 0.5 * w * f) for f in fracs]
-        else:
-            seeds = [SpacetimePoint(0.5 * w * f, 0.5 * w) for f in fracs]
+    # seeds fan across the region's interior at fixed x0 (cone) or x1 (wedge)
+    fracs = np.linspace(-0.9, 0.9, spec.n_lines)
+    if region is Region.FORWARD_CONE:
+        seeds = [SpacetimePoint(0.5 * w, 0.5 * w * f) for f in fracs]
+    else:
+        seeds = [SpacetimePoint(0.5 * w * f, 0.5 * w) for f in fracs]
     span = (-spec.param_span, spec.param_span)
     return [(s, flow_line(ctx, region, "modular", s, span, spec.n_samples)) for s in seeds]
 
@@ -294,41 +286,33 @@ def _modular_figure_lines(ctx, region, spec):
 def _gamma_figure_lines(ctx, region, spec):
     """Positive-generator flow lines from their closed forms.
 
-    Lines are emitted on a coordinate grid shared by the whole family (x1
-    for the cone, x0 for the wedge) so the pattern's translation symmetry is
-    exact: shifting a seed in the invariance direction shifts its polyline
-    pointwise.  The log term on that grid is formed once per figure (per
-    side of the time axis for the cone), and each line subtracts it from
-    its constant.
+    The cone's seeds sit at (c, 0.35 w) and the wedge's at (0, c), so
+    consecutive seeds differ in the invariance direction only.  Lines are
+    emitted on a coordinate grid shared by the whole family (x1 for the
+    cone, x0 for the wedge) so the pattern's translation symmetry is exact:
+    shifting a seed in the invariance direction shifts its polyline
+    pointwise.  The log term on that grid is formed once per figure, and
+    each line subtracts it from its constant.
     """
     _require_finite(ctx, "figure_lines(flow='gamma')")
     b = ctx.beta / TWO_PI
     w = _default_window(ctx, spec)
-    out, seeds = [], spec.seeds
+    out = []
     if region is Region.FORWARD_CONE:
-        if seeds is None:
-            cs = np.linspace(-0.75 * w, 0.75 * w, spec.n_lines)
-            seeds = [SpacetimePoint(c, 0.35 * w) for c in cs]
-        half = spec.n_samples // 2
-        grid = np.geomspace(0.02 * w, w, half)  # |x1| samples, dense near axis
-        sides = [(x1, b * _log_abs(np.sinh, x1 / b)) for x1 in (grid, -grid[::-1])]
-        for s in seeds:
-            if s.x1 == 0.0:
-                x0 = np.linspace(-w, w, spec.n_samples) + s.x0
-                pts = np.column_stack([x0, np.zeros_like(x0)])
-                out.append((s, FlowLine(x0 - s.x0, pts)))
-                continue
-            x1, log_term = sides[0] if s.x1 > 0 else sides[1]
+        cs = np.linspace(-0.75 * w, 0.75 * w, spec.n_lines)
+        x1 = np.geomspace(0.02 * w, w, spec.n_samples // 2)  # x1 > 0, dense near axis
+        log_term = b * _log_abs(np.sinh, x1 / b)
+        for c in cs:
+            s = SpacetimePoint(c, 0.35 * w)
             x0 = gamma_line_constant(ctx, region, s) - log_term
             pts = np.column_stack([x0, x1])
             out.append((s, FlowLine(x1, pts)))
     else:
-        if seeds is None:
-            cs = np.linspace(-1.25 * w, 0.25 * w, spec.n_lines)
-            seeds = [SpacetimePoint(0.0, c) for c in cs]
+        cs = np.linspace(-1.25 * w, 0.25 * w, spec.n_lines)
         x0 = np.linspace(-w, w, spec.n_samples)
         log_term = b * _log_abs(np.cosh, x0 / b)
-        for s in seeds:
+        for c in cs:
+            s = SpacetimePoint(0.0, c)
             x1 = gamma_line_constant(ctx, region, s) - log_term
             pts = np.column_stack([x0, x1])
             out.append((s, FlowLine(x0, pts)))
@@ -470,7 +454,6 @@ def emit_flow_figure(
     Output is written to a temporary file and renamed, so no partial file is
     left behind on error.
 
-    A spec owns its seeds: any iterable is read once, when the spec is made.
     One process emitting a figure in several formats computes its lines and
     formats their numbers once: the last four figures are kept, keyed on the
     reprs of ctx and spec, so a spec with -0.0 where another has 0.0 is

@@ -436,8 +436,6 @@ def _suite_group_laws(beta: float) -> list[CaseResult]:
     grid, rs = np.linspace(-2, 2, 10).tolist(), np.linspace(-1.5, 1.5, 10).tolist()
     for a in grid:
         for bb in grid:
-            if a == 0 and bb == 0:
-                continue
             pp = axb_group.SubgroupParams(a, bb)
             step = axb_group.subgroup_element(pp, 0.7)
             for r in rs:

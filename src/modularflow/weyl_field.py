@@ -178,9 +178,6 @@ class TestFunction:
             moved.__dict__["_spline"] = _Spline(moved.x0, self.dx, spline.c)
         return moved
 
-    def scaled(self, factor: float) -> "TestFunction":
-        return replace(self, samples=self.samples * factor)
-
     def to_dict(self) -> dict:
         return {
             "x0": self.x0,
@@ -468,8 +465,7 @@ def _transforms(ctx: ThermalContext, f: TestFunction) -> np.ndarray:
 
     The transform is kept read-only in f's __dict__, keyed on the grid's
     (pmax, npts), like the cached x and _spline: the samples are read-only
-    and translate, scaled and replace build new instances, so it cannot go
-    stale.
+    and translate and replace build new instances, so it cannot go stale.
     """
     cache = f.__dict__.setdefault("_transforms", {})
     key = (ctx.pmax, ctx.npts)

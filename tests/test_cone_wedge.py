@@ -361,6 +361,13 @@ class TestVelocity:
         for p in cone_points(0.5) + wedge_points(0.5):
             assert abs(velocity_field(ctx, CONE, p)) < 1.0
             assert abs(velocity_field(ctx, WEDGE, p)) < 1.0
+        # past |2 pi x/beta| ~ 19 tanh rounds to 1: the field reaches the
+        # speed of light in floats, and stays finite out to the float maximum
+        ctx = ThermalContext(beta=1.0)
+        for x in (3.5, 1e3, 1e308, -3.5, -1e308):
+            for v in (velocity_field(ctx, CONE, SpacetimePoint(0.3, x)),
+                      velocity_field(ctx, WEDGE, SpacetimePoint(x, 0.3))):
+                assert math.isfinite(v) and abs(v) == 1.0
 
     @pytest.mark.parametrize("x0, x1", [(math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3)])
     def test_non_finite_point_raises(self, x0, x1):
@@ -443,6 +450,19 @@ class TestFlowLine:
                 with pytest.raises(DomainViolation, match="has no finite constant"):
                     gamma_line_constant(ctx, region, SpacetimePoint(*p))
             assert gamma_line_constant(ctx, WEDGE, SpacetimePoint(0.0, 1e308)) == 1e308
+
+    @pytest.mark.parametrize("region, seed", [(CONE, (1.0, 0.2)), (WEDGE, (0.2, 1.0))])
+    def test_ends_whose_distance_overflows_raise(self, tmp_path, region, seed):
+        # hi - lo overflows inside np.linspace: numpy's overflow warning
+        # escaped before the DomainViolation at parameter nan
+        ctx, path = ThermalContext(beta=1.0), tmp_path / "f.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation, match="at parameter nan"):
+                flow_line(ctx, region, "modular", SpacetimePoint(*seed), (-1e308, 1e308), 5)
+            with pytest.raises(DomainViolation, match="at parameter nan"):
+                emit_flow_figure(ctx, region, "modular", str(path), spec=FigureSpec(param_span=1e308))
+        assert not path.exists()
 
     def test_closed_form_vs_integrated_velocity(self):
         # independent oracle: integrate dx1/dx0 = -tanh(2 pi x1/beta) with RK45
@@ -656,25 +676,27 @@ class TestFigures:
                     assert (cone, wedge) == (want_cone, want_wedge)
 
     def test_cone_gamma_translation_invariance(self):
-        # seeds differing by (delta, 0) give pointwise-shifted polylines
-        ctx = ThermalContext(beta=1.0)
-        delta = 0.37
-        s1 = SpacetimePoint(0.2, 0.9)
-        s2 = SpacetimePoint(0.2 + delta, 0.9)
-        spec = FigureSpec(seeds=(s1, s2))
-        (_, l1), (_, l2) = figure_lines(ctx, CONE, "gamma", spec)
-        np.testing.assert_allclose(l2.points[:, 0] - l1.points[:, 0], delta, atol=1e-10)
-        np.testing.assert_allclose(l2.points[:, 1], l1.points[:, 1], atol=1e-10)
+        # the plan's consecutive seeds differ by (delta, 0): their polylines
+        # are shifted by (delta, 0) point by point
+        ctx, spec = ThermalContext(beta=1.0), FigureSpec()
+        lines = figure_lines(ctx, CONE, "gamma", spec)
+        assert len(lines) == spec.n_lines
+        for (s1, l1), (s2, l2) in zip(lines, lines[1:]):
+            delta = s2.x0 - s1.x0
+            assert s2.x1 == s1.x1 and delta == pytest.approx(1.5 * 3.0 / (spec.n_lines - 1))
+            np.testing.assert_allclose(l2.points[:, 0] - l1.points[:, 0], delta, atol=1e-10)
+            np.testing.assert_allclose(l2.points[:, 1], l1.points[:, 1], atol=1e-10)
 
     def test_wedge_gamma_translation_invariance(self):
-        ctx = ThermalContext(beta=1.0)
-        delta = -0.53
-        s1 = SpacetimePoint(0.1, 0.8)
-        s2 = SpacetimePoint(0.1, 0.8 + delta)
-        spec = FigureSpec(seeds=(s1, s2))
-        (_, l1), (_, l2) = figure_lines(ctx, WEDGE, "gamma", spec)
-        np.testing.assert_allclose(l2.points[:, 1] - l1.points[:, 1], delta, atol=1e-10)
-        np.testing.assert_allclose(l2.points[:, 0], l1.points[:, 0], atol=1e-10)
+        # the plan's consecutive seeds differ by (0, delta)
+        ctx, spec = ThermalContext(beta=1.0), FigureSpec()
+        lines = figure_lines(ctx, WEDGE, "gamma", spec)
+        assert len(lines) == spec.n_lines
+        for (s1, l1), (s2, l2) in zip(lines, lines[1:]):
+            delta = s2.x1 - s1.x1
+            assert s2.x0 == s1.x0 and delta == pytest.approx(1.5 * 3.0 / (spec.n_lines - 1))
+            np.testing.assert_allclose(l2.points[:, 1] - l1.points[:, 1], delta, atol=1e-10)
+            np.testing.assert_allclose(l2.points[:, 0], l1.points[:, 0], atol=1e-10)
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_default_window_needs_finite_beta(self, tmp_path, fmt):
@@ -798,7 +820,7 @@ class TestRenderers:
                     assert render[fmt](fig) == want[fmt]
 
     @pytest.mark.parametrize("beta", [1, 1.7])
-    @pytest.mark.parametrize("spec", [FigureSpec(n_lines=3, n_samples=9), FigureSpec(n_samples=1), FigureSpec(seeds=())])
+    @pytest.mark.parametrize("spec", [FigureSpec(n_lines=3, n_samples=9), FigureSpec(n_samples=1), FigureSpec(n_lines=0)])
     @pytest.mark.parametrize("region, flow", [(CONE, "modular"), (WEDGE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")])
     def test_figures_match_the_references(self, tmp_path, beta, spec, region, flow):
         ctx = ThermalContext(beta=beta)
@@ -866,20 +888,16 @@ class TestEmittedLines:
     @pytest.mark.parametrize("order", [("csv", "json", "svg"), ("svg", "json", "csv"), ("json", "svg", "csv")])
     @pytest.mark.parametrize("beta", [1.0, math.inf])
     def test_every_order_writes_the_cold_bytes(self, tmp_path, beta, order):
-        ctx = ThermalContext(beta=beta)
-        cone_seeds = (SpacetimePoint(1.0, 0.0), SpacetimePoint(1.0, -0.0), SpacetimePoint(1.5, 0.4))
-        seeds = {CONE: cone_seeds, WEDGE: tuple(SpacetimePoint(s.x1, s.x0) for s in cone_seeds)}
+        ctx, spec = ThermalContext(beta=beta), FigureSpec(n_lines=3, n_samples=9, window=3.0)
         figures = [(CONE, "modular"), (WEDGE, "modular")]
         if ctx.finite:
             figures += [(CONE, "gamma"), (WEDGE, "gamma")]
         for region, flow in figures:
-            for spec in (FigureSpec(n_lines=3, n_samples=9, window=3.0),
-                         FigureSpec(n_samples=9, window=3.0, seeds=seeds[region])):
-                cold = {fmt: self.cold_emit(tmp_path / f"cold.{fmt}", ctx, region, flow, spec, fmt)
-                        for fmt in order}
-                cone_wedge._emitted_figure.cache_clear()
-                for fmt in order:
-                    assert self.emit(tmp_path / f"warm.{fmt}", ctx, region, flow, spec, fmt) == cold[fmt]
+            cold = {fmt: self.cold_emit(tmp_path / f"cold.{fmt}", ctx, region, flow, spec, fmt)
+                    for fmt in order}
+            cone_wedge._emitted_figure.cache_clear()
+            for fmt in order:
+                assert self.emit(tmp_path / f"warm.{fmt}", ctx, region, flow, spec, fmt) == cold[fmt]
 
     def test_svg_alone_formats_only_x0_and_x1(self, tmp_path, monkeypatch):
         formatted = []
@@ -910,8 +928,6 @@ class TestEmittedLines:
         (CONE, "param_span", 0.0, -0.0, "csv"),
         (CONE, "window", 0.0, -0.0, "csv"),
         (CONE, "window", -0.0, 0.0, "json"),
-        (CONE, "seeds", (SpacetimePoint(1.0, 0.0),), (SpacetimePoint(1.0, -0.0),), "json"),
-        (WEDGE, "seeds", (SpacetimePoint(-0.0, 1.0),), (SpacetimePoint(0.0, 1.0),), "json"),
     ])
     def test_signed_zeros_are_distinct_figures(self, tmp_path, region, field, a, b, fmt):
         # 0.0 == -0.0 and both hash alike, but they print apart
@@ -927,46 +943,6 @@ class TestEmittedLines:
             spec = FigureSpec(n_lines=2, n_samples=2, param_span=span)
             text = self.emit(tmp_path / "f.csv", ctx, CONE, "modular", spec, "csv")
         assert text.splitlines()[2].startswith("0,-0,1.5,")
-
-    def test_spec_copies_a_list_of_seeds(self, tmp_path):
-        ctx, seeds = ThermalContext(beta=1.0), [SpacetimePoint(1.0, 0.2)]
-        spec = FigureSpec(n_samples=5, seeds=seeds)
-        first = self.emit(tmp_path / "a.json", ctx, CONE, "modular", spec, "json")
-        # the spec holds a tuple of its own: a seed appended to the list is no new figure
-        seeds.append(SpacetimePoint(1.0, -0.2))
-        assert spec.seeds == (SpacetimePoint(1.0, 0.2),)
-        assert self.emit(tmp_path / "b.json", ctx, CONE, "modular", spec, "json") == first
-        assert self.cold_emit(tmp_path / "c.json", ctx, CONE, "modular", spec, "json") == first
-        assert len(json.loads(first)["lines"]) == 1
-        assert len(figure_lines(ctx, CONE, "modular", spec)) == 1
-
-    @pytest.mark.parametrize("region, flow", [(CONE, "modular"), (WEDGE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")])
-    def test_generator_seeds_are_read_once(self, tmp_path, region, flow):
-        # a generator of seeds used to be read again by every emission: csv
-        # got its 3 lines, then json and figure_lines none
-        ctx = ThermalContext(beta=1.0)
-        points = [SpacetimePoint(1.0, 0.2 * k) for k in range(1, 4)]
-        if region is WEDGE:
-            points = [SpacetimePoint(p.x1, p.x0) for p in points]
-        spec = FigureSpec(n_samples=5, seeds=(p for p in points))
-        tuple_spec = FigureSpec(n_samples=5, seeds=tuple(points))
-        for fmt in ("csv", "json", "svg"):
-            got = self.emit(tmp_path / f"a.{fmt}", ctx, region, flow, spec, fmt)
-            assert got == self.cold_emit(tmp_path / f"b.{fmt}", ctx, region, flow, tuple_spec, fmt)
-        assert len(json.loads((tmp_path / "a.json").read_text())["lines"]) == 3
-        for _ in range(2):
-            assert [s for s, _ in figure_lines(ctx, region, flow, spec)] == points
-
-    def test_seeds_past_an_arrays_repr(self, tmp_path):
-        # repr elides an array of more than 1000 seeds; the key shows them all
-        ctx = ThermalContext(beta=1.0)
-        seeds = np.array([SpacetimePoint(0.5, 1.0)] * 1001, dtype=object)
-        self.emit(tmp_path / "a.csv", ctx, CONE, "gamma", FigureSpec(n_samples=4, seeds=seeds), "csv")
-        seeds = seeds.copy()
-        seeds[500] = SpacetimePoint(0.5, 2.0)
-        spec = FigureSpec(n_samples=4, seeds=seeds)
-        got = self.emit(tmp_path / "b.csv", ctx, CONE, "gamma", spec, "csv")
-        assert got == self.cold_emit(tmp_path / "c.csv", ctx, CONE, "gamma", spec, "csv")
 
     def test_cached_lines_are_read_only(self, tmp_path):
         ctx, spec = ThermalContext(beta=1.0), FigureSpec(n_lines=2, n_samples=5)
@@ -992,8 +968,8 @@ class TestEmittedLines:
 
     @pytest.mark.parametrize("beta, flow, spec, error", [
         (1.0, "spiral", FigureSpec(), ValueError),
-        # xL = -1 lies outside the cone: the modular flow leaves the domain
-        (1.0, "modular", FigureSpec(seeds=(SpacetimePoint(1.0, 2.0),)), DomainViolation),
+        # the span's width 2e308 overflows: the first u is nan, where the flow fails
+        (1.0, "modular", FigureSpec(param_span=1e308), DomainViolation),
         (math.inf, "modular", FigureSpec(), DomainViolation),
     ])
     def test_failures_raise_on_every_repeat(self, tmp_path, beta, flow, spec, error):

@@ -29,8 +29,6 @@ UNREACHED = {
     "axb_group.GroupElement.identity": "group API, checked by the axiom tests",
     "axb_group.GroupElement.u": "group API, checked by the axiom tests",
     "cone_wedge.Region.contains": "region membership, kept for clipping figures to their region",
-    "cone_wedge.FlowLine.__len__": "sample count of a flow line, part of FlowLine's public interface",
-    "weyl_field.TestFunction.scaled": "amplitude scaling, used by the verify mutants in the tests",
     "weyl_field._derivative_once_fd4": "the only derivative for spectra that have not decayed",
     "cone_wedge._exit_index": "error path: a flow leaving its domain",
     "flow_maps._undefined": "error path: a ray image outside the float range",

@@ -733,7 +733,8 @@ def test_thm22_suites_run_the_shared_modular_remainder(monkeypatch):
 
 
 def _samples_times_1_01(real, ctx, flow, param, f):
-    return real(ctx, flow, param, f).scaled(1.01)
+    g = real(ctx, flow, param, f)
+    return replace(g, samples=g.samples * 1.01)
 
 
 def _support_1pct_wide(real, ctx, flow, param, f):

@@ -436,7 +436,8 @@ class TestTransformLayer:
         p = momentum_grid(ctx)
         f = TestFunction.bump(1.2, 0.5)
         _transforms(ctx, f)
-        for g in (f.translate(0.3), f.scaled(2.0), replace(f, samples=f.samples**2)):
+        for g in (f.translate(0.3), replace(f, samples=f.samples * 2.0),
+                  replace(f, samples=f.samples**2)):
             assert "_transforms" not in g.__dict__
             assert np.array_equal(_transforms(ctx, g), _lattice_fourier(g.samples, g.x0, g.dx, p))
             assert not np.array_equal(_transforms(ctx, g), _transforms(ctx, f))
