@@ -10,6 +10,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -698,6 +699,33 @@ class TestFigures:
             np.testing.assert_allclose(l2.points[:, 1] - l1.points[:, 1], delta, atol=1e-10)
             np.testing.assert_allclose(l2.points[:, 0], l1.points[:, 0], atol=1e-10)
 
+    def test_spec_takes_no_seeds(self):
+        # the plan is the only source of seeds
+        assert [f.name for f in fields(FigureSpec)] == ["n_lines", "n_samples", "param_span", "window"]
+        with pytest.raises(TypeError):
+            FigureSpec(seeds=(SpacetimePoint(1.0, 0.2),))
+
+    @pytest.mark.parametrize("window, w", [(None, 5.1), (2.0, 2.0)])
+    @pytest.mark.parametrize("region, flow", [(CONE, "modular"), (WEDGE, "modular"), (CONE, "gamma"), (WEDGE, "gamma")])
+    def test_plan_places_the_seeds(self, region, flow, window, w):
+        ctx, spec = ThermalContext(beta=1.7), FigureSpec(n_lines=5, n_samples=9, window=window)
+        lines = figure_lines(ctx, region, flow, spec)
+        seeds = [(s.x0, s.x1) for s, _ in lines]
+        if flow == "modular":
+            # fanned across the region at half the window
+            fan = 0.5 * w * np.linspace(-0.9, 0.9, 5)
+            want = [(0.5 * w, f) for f in fan] if region is CONE else [(f, 0.5 * w) for f in fan]
+            assert all(region.contains(s) for s, _ in lines)
+        elif region is CONE:
+            want = [(c, 0.35 * w) for c in np.linspace(-0.75 * w, 0.75 * w, 5)]
+        else:
+            want = [(0.0, c) for c in np.linspace(-1.25 * w, 0.25 * w, 5)]
+        np.testing.assert_allclose(seeds, want, rtol=1e-15, atol=0.0)
+        if (region, flow) == (CONE, "gamma"):
+            # the cone's log term is formed on x1 > 0 only
+            for _, ln in lines:
+                assert np.all(ln.points[:, 1] > 0.0)
+
     @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
     def test_default_window_needs_finite_beta(self, tmp_path, fmt):
         # the default window is 3 beta: at beta = inf it is raised on, before
@@ -928,6 +956,8 @@ class TestEmittedLines:
         (CONE, "param_span", 0.0, -0.0, "csv"),
         (CONE, "window", 0.0, -0.0, "csv"),
         (CONE, "window", -0.0, 0.0, "json"),
+        (WEDGE, "param_span", -0.0, 0.0, "json"),
+        (WEDGE, "window", 0.0, -0.0, "csv"),
     ])
     def test_signed_zeros_are_distinct_figures(self, tmp_path, region, field, a, b, fmt):
         # 0.0 == -0.0 and both hash alike, but they print apart
